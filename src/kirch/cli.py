@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("cmp", "compare the filters of two sets, given as E ; F")
     p.add_argument("items", nargs="+",
                    help="elements of E, a literal ';', elements of F")
-    p.add_argument("--l-bound", type=int, default=30)
 
     p = add("classify", "place a set's filter in the hierarchy")
     p.add_argument("elements", type=int, nargs="+")
@@ -84,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=_SUITE_NAMES)
     p.add_argument("--window", type=int, default=2000)
     p.add_argument("--bounds", default="9,5")
-    p.add_argument("--l-bound", type=int, default=30)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--max-element", type=int, default=None)
     return parser
@@ -134,13 +132,13 @@ def _cmd_ae(ns) -> int:
     return 0
 
 
-def _one_direction(E: FiniteSubset, F: FiniteSubset, l_bound: int) -> dict:
+def _one_direction(E: FiniteSubset, F: FiniteSubset) -> dict:
     holds = filter_leq(E, F)
     if min(len(E), len(F)) == 1:
         return {"holds": holds, "rule": "singleton containment", "witness": None}
     info = {"holds": holds, "rule": "descriptor comparison", "witness": None}
     if not holds:
-        _, witness = order_oracle(E, F, l_bound, Window(10**9))
+        _, witness = order_oracle(E, F)
         if witness is not None:
             info["witness"] = {
                 "prime": witness.prime,
@@ -160,8 +158,8 @@ def _cmd_cmp(ns) -> int:
         raise ValueError("usage: cmp e1 e2 ... ; f1 f2 ...")
     E = FiniteSubset.of(*[int(t) for t in left])
     F = FiniteSubset.of(*[int(t) for t in right])
-    ef = _one_direction(E, F, ns.l_bound)
-    fe = _one_direction(F, E, ns.l_bound)
+    ef = _one_direction(E, F)
+    fe = _one_direction(F, E)
     lines = [f"E={E} F={F}"]
     for tag, info in (("E <= F", ef), ("F <= E", fe)):
         note = f" (rule: {info['rule']})"
@@ -247,11 +245,9 @@ def _cmd_prime_class(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     cfg = SuiteConfig(
-        suite=ns.suite,
         window=ns.window,
         max_element=ns.max_element,
         graph_bounds=_parse_bounds(ns.bounds),
-        l_bound=ns.l_bound,
         seed=ns.seed,
     )
     report = run_suite(ns.suite, cfg)
@@ -282,10 +278,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[ns.command](ns)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         print(f"kirch {ns.command}: {e}", file=sys.stderr)
         return 2
 
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -30,9 +30,7 @@ from .numtheory import (
     crt_solve,
     is_prime,
     prime_divisors,
-    primes_upto,
 )
-from .topology import Window
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,6 @@ class FiniteSubset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def negated(self) -> "FiniteSubset":
-        return FiniteSubset(tuple(-x for x in self.elements))
 
     def issubset(self, other: "FiniteSubset") -> bool:
         return set(self.elements) <= set(other.elements)
@@ -141,16 +136,16 @@ def a_of(E: FiniteSubset) -> PrimeSet:
 
     A singleton fits such a set for every p, so it gets the all-primes
     marker. Otherwise any two distinct elements x, y bound the answer:
-    a qualifying p must divide x, y, or x-y, so scanning the primes up
-    to the largest prime factor of those three numbers is exhaustive.
+    a qualifying p must divide x, y, or x-y, so only the primes of
+    a_of_pair_formula(x, y) need the residue test.
     """
     if len(E) == 1:
         return PrimeSet.all_primes()
     x, y = E.elements[0], E.elements[1]
-    bound = a_of_pair_formula(x, y)
-    top = max(bound.primes)
-    hits = [p for p in primes_upto(top) if len(residue_classes(E, p)) <= 1]
-    return PrimeSet.from_iterable(hits)
+    candidates = a_of_pair_formula(x, y)
+    return PrimeSet.from_iterable(
+        p for p in candidates if len(residue_classes(E, p)) <= 1
+    )
 
 
 def a_of_pair_formula(x: int, y: int) -> PrimeSet:
@@ -300,7 +295,7 @@ def _generator_member(z: int, d: FilterDescriptor, L: tuple[int, ...]) -> bool:
 
 
 def order_oracle(
-    E: FiniteSubset, F: FiniteSubset, L_bound: int, w: Window
+    E: FiniteSubset, F: FiniteSubset
 ) -> tuple[bool, OrderWitness | None]:
     """Inclusion test via generators, independent of filter_leq.
 
@@ -313,17 +308,15 @@ def order_oracle(
     clash or an odd common divisor of F at a prime constrained by E can
     never be fixed. Dually, G_E(L) over arbitrary L is covered by the
     single-prime targets G_E({r}), which are obstructed exactly when r
-    lands in A_F. Candidate primes run up to L_bound and through both
-    A-sets; the A-sets alone already decide the verdict, the rest of
-    the sweep is corroboration. On failure an explicit escaping element
-    of the minimal F-side generator is built by CRT; the window must be
-    wide enough to contain it (its product of A_F-primes bounds the
-    element).
+    lands in A_F. On failure an explicit escaping element of the
+    minimal F-side generator is built by CRT and checked against both
+    generators.
+
+    >>> order_oracle(FiniteSubset.of(5, 10), FiniteSubset.of(7, 14))[0]
+    False
     """
     if min(len(E), len(F)) < 2:
         raise ValueError("generator form needs at least two elements per set")
-    if L_bound < 1:
-        raise ValueError("L_bound must be positive")
     dE, dF = descriptor(E), descriptor(F)
     ae, af = dE._a_set, dF._a_set
     pie, pif = dE._pi_set, dF._pi_set
@@ -340,9 +333,8 @@ def order_oracle(
             failure = (p, _Reason.ALPHA)
             break
     if failure is None:
-        # the sweep over primes <= L_bound outside A_E can only flag
-        # members of A_F, so scanning A_F - A_E in ascending order is
-        # the same sweep with the corroborating no-ops dropped
+        # a target G_E({r}) with r outside A_E is obstructed exactly
+        # when r lies in A_F
         missing = sorted(af - ae)
         if missing:
             failure = (missing[0], _Reason.MISSING)
@@ -360,26 +352,10 @@ def order_oracle(
         system.append((1, bad))
     # otherwise z = alpha_F(bad) mod bad already escapes the target
     z = crt_solve(CongruenceSystem(tuple(system)))
-    if z > w.W:
-        raise ValueError(
-            f"window {w.W} cannot exhibit the escaping element {z}"
-        )
     target_L = (bad,) if why is _Reason.MISSING else ()
     if not _generator_member(z, dF, ()) or _generator_member(z, dE, target_L):
         raise AssertionError("constructed element fails to witness the escape")
     return False, OrderWitness(bad, z, target_L, why.value)
-
-
-def filter_leq_oracle(
-    E: FiniteSubset, F: FiniteSubset, L_bound: int, w: Window
-) -> bool:
-    """Verdict half of order_oracle.
-
-    >>> filter_leq_oracle(FiniteSubset.of(5, 10), FiniteSubset.of(7, 14), 30, Window(10**6))
-    False
-    """
-    holds, _ = order_oracle(E, F, L_bound, w)
-    return holds
 
 
 def is_top(E: FiniteSubset) -> bool:

@@ -171,9 +171,6 @@ class GammaGraph:
                 one_sided[tag].append(e)
         return one_sided
 
-    def degree(self, v: GammaVertex) -> int:
-        return sum(1 for e in self.predicate_edges() if v in e)
-
     def neighbor_values(self, v: GammaVertex) -> set[int]:
         out = set()
         for a, b in self.predicate_edges():

@@ -1,8 +1,8 @@
 """Exact integer arithmetic services.
 
-Factorization, coprimality, CRT, prime search in progressions,
-Fermat/Mersenne classification, and the two power-gap checks
-(consecutive perfect powers, primitive prime divisors).
+Factorization, coprimality, CRT, Fermat/Mersenne classification,
+and the two power-gap checks (consecutive perfect powers, primitive
+prime divisors).
 
 All arithmetic is exact. Inputs are bounded to 63-bit magnitude and
 anything beyond raises OverflowError rather than silently wrapping.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -46,13 +47,12 @@ def small_primes() -> tuple[int, ...]:
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Primes p <= limit, ascending."""
-    if limit <= _SIEVE_LIMIT:
-        table = small_primes()
-        from bisect import bisect_right
-
-        return list(table[: bisect_right(table, limit)])
-    return list(_primes_upto(limit))
+    """Primes p <= limit, ascending, read from the prime table; limits
+    past the table raise rather than sieve to the size of the input."""
+    if limit > _SIEVE_LIMIT:
+        raise ValueError(f"limit {limit} exceeds the prime table bound {_SIEVE_LIMIT}")
+    table = small_primes()
+    return list(table[: bisect_right(table, limit)])
 
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24,
@@ -283,31 +283,6 @@ def crt_solve(sys: CongruenceSystem) -> int:
         x += a * g * pow(g, -1, b)
     x %= m
     return x if x > 0 else x + m
-
-
-def crt_enumerate(sys: CongruenceSystem):
-    """All positive solutions, ascending (an infinite generator)."""
-    x = crt_solve(sys)
-    m = sys.modulus
-    while True:
-        yield x
-        x += m
-
-
-def dirichlet_prime(a: int, b: int) -> int:
-    """Least prime in a+b, a+2b, a+3b, ... for coprime positive a, b.
-
-    The progression starts one step past a, so the result always
-    differs from a even when a itself is prime.
-    """
-    if a < 1 or b < 1:
-        raise ValueError("a and b must be positive")
-    if math.gcd(a, b) != 1:
-        raise ValueError(f"gcd({a},{b}) != 1; the progression may avoid primes")
-    n = a + b
-    while not is_prime(n):
-        n += b
-    return n
 
 
 @dataclass(frozen=True)

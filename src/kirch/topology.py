@@ -95,11 +95,6 @@ class ClosureSet:
         """The allowed residue classes mod p, as canonical residues."""
         return frozenset({0, self.allowed_residue % p})
 
-    def is_everything(self) -> bool:
-        """True iff the conditions exclude nothing: only p = 2 can have
-        both of its classes allowed."""
-        return all(len(self.residues_mod(p)) == p for p in self.modulus_primes)
-
     def sample(self, w: Window) -> list[int]:
         return [z for z in w.members() if z in self]
 

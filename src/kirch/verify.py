@@ -30,8 +30,8 @@ from .filters import (
     descriptor,
     divides_via_filters,
     filter_leq,
-    filter_leq_oracle,
     is_top,
+    order_oracle,
     realize,
     upset_in_fprime,
 )
@@ -49,13 +49,9 @@ from .numtheory import (
     zsigmondy_closed_form,
     zsigmondy_is_exception,
 )
-from .topology import Progression, Window, closure, closure_oracle_member
+from .topology import Progression, closure, closure_oracle_member
 
 FAULTS = ("pair_formula_drop_difference", "order_skip_alpha")
-
-# escaping elements constructed by the order oracle stay below the
-# product of the A-set primes involved, far under this
-_ORACLE_WINDOW = Window(10**9)
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,14 @@ class SuiteConfig:
     default, and max_element of None means each suite uses the bound
     its statement is quoted at."""
 
-    suite: str = "all"
     window: int = 2000
     max_element: int | None = None
-    max_set_size: int = 3
     graph_bounds: tuple[int, int] = (9, 5)
-    l_bound: int = 30
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.window < 1 or self.max_set_size < 2 or self.l_bound < 1:
-            raise ValueError("bounds must be positive")
+        if self.window < 1:
+            raise ValueError("window must be positive")
         if self.max_element is not None and self.max_element < 1:
             raise ValueError("max_element must be positive")
         if min(self.graph_bounds) < 0:
@@ -169,7 +162,12 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
                 got = prime_divisors(x).union(prime_divisors(y)).as_set()
             else:
                 got = a_of_pair_formula(x, y).as_set()
-            want = a_of(FiniteSubset.of(x, y)).as_set()
+            # every qualifying prime divides x, y or x-y, so none
+            # exceeds the largest of their magnitudes
+            want = {
+                p for p in primes_upto(max(abs(x), abs(y), abs(x - y)))
+                if len({x % p, y % p} - {0}) <= 1
+            }
             if got != want:
                 failures.append(VerifyFailure(
                     f"x={x} y={y}", f"A={sorted(want)}", f"formula={sorted(got)}"
@@ -177,12 +175,13 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"values": len(vals)}
 
 
-def _order_catalog(bound: int, sizes: range) -> list[FiniteSubset]:
+def _order_catalog(bound: int) -> list[FiniteSubset]:
+    """One set per filter among all two- and three-element sets."""
     from itertools import combinations
 
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     reps: dict = {}
-    for size in sizes:
+    for size in (2, 3):
         for combo in combinations(vals, size):
             E = FiniteSubset(combo)
             key = descriptor(E).canonical_key()
@@ -193,7 +192,7 @@ def _order_catalog(bound: int, sizes: range) -> list[FiniteSubset]:
 
 def _suite_order(cfg: SuiteConfig, fault: str | None):
     bound = cfg.max_element if cfg.max_element is not None else 30
-    reps = _order_catalog(bound, range(2, cfg.max_set_size + 1))
+    reps = _order_catalog(bound)
     k = len(reps)
     failures = []
     cases = 0
@@ -212,7 +211,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
         for j, F in enumerate(reps):
             cases += 1
             closed = leq(E, F)
-            oracle = filter_leq_oracle(E, F, cfg.l_bound, _ORACLE_WINDOW)
+            oracle = order_oracle(E, F)[0]
             if closed != oracle:
                 failures.append(VerifyFailure(
                     f"E={E} F={F}", f"oracle={oracle}", f"closed={closed}"
@@ -265,7 +264,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
         sampled += 1
         cases += 1
         closed = leq(E, F)
-        oracle = filter_leq_oracle(E, F, cfg.l_bound, _ORACLE_WINDOW)
+        oracle = order_oracle(E, F)[0]
         if closed != oracle:
             failures.append(VerifyFailure(
                 f"sampled E={E} F={F}", f"oracle={oracle}", f"closed={closed}"
@@ -547,11 +546,3 @@ def run_suite(name: str, cfg: SuiteConfig, fault: str | None = None) -> SuiteRep
     millis = (time.perf_counter() - t0) * 1000.0
     return SuiteReport(name, cases, tuple(failures), millis, details)
 
-
-def counterexample_search(
-    claim: str, cfg: SuiteConfig, fault: str | None = None
-) -> VerifyFailure | None:
-    """First failure of the named suite in canonical enumeration order,
-    or None when the suite passes."""
-    report = run_suite(claim, cfg, fault)
-    return report.failures[0] if report.failures else None

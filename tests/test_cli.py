@@ -1,10 +1,17 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from kirch.cli import main
+from kirch.filters import FiniteSubset, descriptor
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *args):
@@ -67,6 +74,32 @@ def test_cmp_json_witness(capsys):
     assert d["e_leq_f"]["holds"] is False
     assert d["e_leq_f"]["witness"]["prime"] == 7
     assert d["e_leq_f"]["witness"]["element"] == 1
+
+
+def in_generator(z, d, L):
+    """Membership in G(L): nonzero, divisible by L, and at each prime of
+    A outside Pi either divisible or in the alpha class."""
+    free = d.A.as_set() - d.Pi.as_set()
+    return (
+        z != 0
+        and all(z % r == 0 for r in L)
+        and all(z % p in (0, d.alpha[p]) for p in free)
+    )
+
+
+def test_cmp_witness_past_a_billion(capsys):
+    # A_F = {2, 101, 9901, 1000003}: the escaping element is their CRT
+    # solution, far above 10^9
+    code, out, err = run(capsys, "cmp", "--format", "json",
+                         "1", "3", ";", "2", "1000003")
+    assert code == 0 and err == ""
+    w = json.loads(out)["e_leq_f"]["witness"]
+    assert w["prime"] == 101 and w["element"] > 10**9
+    assert w["reason"] == "A(F) reaches outside A(E)"  # target G_E({101})
+    dE = descriptor(FiniteSubset.of(1, 3))
+    dF = descriptor(FiniteSubset.of(2, 1000003))
+    assert in_generator(w["element"], dF, ())
+    assert not in_generator(w["element"], dE, (w["prime"],))
 
 
 def test_cmp_singleton_rule(capsys):
@@ -150,6 +183,34 @@ def test_prime_class(capsys):
 def test_prime_class_rejects_composite(capsys):
     code, _, err = run(capsys, "prime-class", "4")
     assert code == 2 and err != ""
+
+
+TOO_BIG = "9223372036854775808"  # 2^63
+
+
+@pytest.mark.parametrize("argv", [
+    ("ae", "1", TOO_BIG),
+    ("classify", "1", TOO_BIG),
+    ("cmp", "1", TOO_BIG, ";", "1", "2"),
+    ("closure", "1", TOO_BIG),
+    ("prime-class", TOO_BIG),
+    ("realize", "--A", f"2,{TOO_BIG}", "--alpha", "2=1"),
+])
+def test_out_of_range_is_unusable_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "63-bit" in err
+
+
+@pytest.mark.parametrize("module", ["kirch", "kirch.cli"])
+def test_runs_as_module(module):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "ae", "5", "10"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == "A={2, 5} Pi={5} alpha={2:1, 5:0}\n"
 
 
 def test_verify_text(capsys):

@@ -21,7 +21,6 @@ from kirch.filters import (
     descriptor,
     divides_via_filters,
     filter_leq,
-    filter_leq_oracle,
     is_top,
     order_oracle,
     pi_of,
@@ -29,10 +28,8 @@ from kirch.filters import (
     upset_in_fprime,
 )
 from kirch.numtheory import PrimeSet, primes_upto
-from kirch.topology import Window
 
 S = FiniteSubset.of
-WIN = Window(10**6)
 
 
 def naive_a_of(E: FiniteSubset, prime_bound: int) -> set[int]:
@@ -68,7 +65,8 @@ class TestASet:
     @given(small_sets)
     @settings(max_examples=150, deadline=None)
     def test_negation_invariance(self, E):
-        assert a_of(E.negated()).as_set() == a_of(E).as_set()
+        mirror = FiniteSubset(tuple(-x for x in E))
+        assert a_of(mirror).as_set() == a_of(E).as_set()
 
     def test_pair_formula_frozen(self):
         assert a_of_pair_formula(3, 6).as_set() == {2, 3}
@@ -133,6 +131,12 @@ class TestDescriptor:
         assert d3.alpha.as_dict() == {2: 1, 3: 1, 5: 1}
         assert descriptor(S(7)).A.is_all
 
+    def test_prime_factor_past_the_table(self):
+        # 10000000019 is prime, far past the prime table, and
+        # 10000000018 = 2 * 131 * 521 * 73259
+        d = descriptor(S(1, 10000000019))
+        assert str(d.A) == "{2, 131, 521, 73259, 10000000019}"
+
     def test_canonical_equality_ignores_source(self):
         assert descriptor(S(1, 5, 10)) == descriptor(S(6, 5, 10))
         assert hash(descriptor(S(1, 5, 10))) == hash(descriptor(S(6, 5, 10)))
@@ -185,7 +189,7 @@ class TestOrder:
         # A_{1,7,14} = {2,7} sits inside A_{1,15} = {2,3,5,7} with
         # matching residues, so the inclusion holds
         assert filter_leq(S(1, 15), S(1, 7, 14))
-        assert filter_leq_oracle(S(1, 15), S(1, 7, 14), 30, WIN)
+        assert order_oracle(S(1, 15), S(1, 7, 14))[0]
 
     def test_singleton_rule(self):
         assert filter_leq(S(3), S(3))
@@ -194,34 +198,30 @@ class TestOrder:
         assert not filter_leq(S(3), S(5))
 
     def test_oracle_frozen_examples(self):
-        assert filter_leq_oracle(S(1, 15), S(1, 5, 10), 30, WIN)
-        assert filter_leq_oracle(S(5, 10), S(5, 10), 30, WIN)
-        assert not filter_leq_oracle(S(5, 10), S(7, 14), 30, WIN)
+        assert order_oracle(S(1, 15), S(1, 5, 10))[0]
+        assert order_oracle(S(5, 10), S(5, 10))[0]
+        assert not order_oracle(S(5, 10), S(7, 14))[0]
 
     def test_oracle_rejects_singletons(self):
         with pytest.raises(ValueError):
-            filter_leq_oracle(S(3), S(3, 6), 30, WIN)
+            order_oracle(S(3), S(3, 6))
 
     def test_witness_paths(self):
-        holds, w = order_oracle(S(5, 10), S(7, 14), 30, WIN)
+        holds, w = order_oracle(S(5, 10), S(7, 14))
         assert not holds and w.prime == 7 and w.target_L == (7,)
         # residue clash at 3: E wants 1, F wants 2
-        holds, w = order_oracle(S(1, 3), S(2, 3, 8), 30, WIN)
+        holds, w = order_oracle(S(1, 3), S(2, 3, 8))
         assert not holds and w.prime == 3 and w.element % 3 == 2
         # 3 divides all of F but E constrains residues mod 3
-        holds, w = order_oracle(S(1, 3), S(3, 6), 30, WIN)
+        holds, w = order_oracle(S(1, 3), S(3, 6))
         assert not holds and w.prime == 3 and w.element % 3 not in (0, 1)
-
-    def test_witness_needs_room(self):
-        with pytest.raises(ValueError):
-            order_oracle(S(1, 3), S(2, 3, 8), 30, Window(4))
 
     def test_agreement_on_catalog(self):
         sets = catalog()
         pairs = 0
         for E in sets:
             for F in sets:
-                assert filter_leq(E, F) == filter_leq_oracle(E, F, 30, WIN), (E, F)
+                assert filter_leq(E, F) == order_oracle(E, F)[0], (E, F)
                 pairs += 1
         assert pairs >= 200
 

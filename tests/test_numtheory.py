@@ -17,9 +17,7 @@ from kirch.numtheory import (
     PrimeSet,
     classify_prime,
     consecutive_power_pairs,
-    crt_enumerate,
     crt_solve,
-    dirichlet_prime,
     factorize,
     fm_exponent,
     is_prime,
@@ -103,8 +101,10 @@ class TestFactorization:
     def test_primes_upto(self):
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_upto(1) == []
-        big = primes_upto(400_000)
-        assert big[-1] == 399989 and len(big) == 33860
+        table = primes_upto(300_000)
+        assert table[-1] == 299993 and len(table) == 25997
+        with pytest.raises(ValueError):
+            primes_upto(300_001)
 
     @given(nonzero_ints)
     @settings(max_examples=200, deadline=None)
@@ -158,12 +158,6 @@ class TestCrt:
         with pytest.raises(ValueError):
             CongruenceSystem.of((1, 2), (0, 0))
 
-    def test_enumerate_steps_by_modulus(self):
-        sys = CongruenceSystem.of((2, 3), (1, 4))
-        gen = crt_enumerate(sys)
-        first = [next(gen) for _ in range(3)]
-        assert first == [5, 17, 29]
-
     @st.composite
     @staticmethod
     def coprime_systems(draw):
@@ -181,34 +175,6 @@ class TestCrt:
         assert x >= 1
         assert all(x % b == a % b for a, b in sys.congruences)
         assert x - sys.modulus <= 0
-
-
-class TestDirichlet:
-    def test_frozen_examples(self):
-        assert dirichlet_prime(2, 5) == 7
-        assert dirichlet_prime(1, 2) == 3
-        assert dirichlet_prime(4, 9) == 13
-
-    def test_skips_the_base_term(self):
-        # 3 itself is prime but the progression starts at 3+4
-        assert dirichlet_prime(3, 4) == 7
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            dirichlet_prime(6, 4)
-        with pytest.raises(ValueError):
-            dirichlet_prime(0, 5)
-
-    def test_minimality_exhaustive(self):
-        for a in range(1, 51):
-            for b in range(1, 51):
-                if math.gcd(a, b) != 1:
-                    continue
-                q = dirichlet_prime(a, b)
-                assert is_prime(q) and q % b == a % b and q > a
-                assert not any(
-                    is_prime(n) for n in range(a + b, q, b)
-                )
 
 
 class TestPrimeClasses:
