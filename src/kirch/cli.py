@@ -9,6 +9,7 @@ object per invocation with the same content as the text rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -35,6 +36,7 @@ _SUITE_NAMES = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kirch",

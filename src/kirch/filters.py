@@ -12,9 +12,11 @@ is that k (normalized: alpha_E(2)=1, alpha_E(p)=0 on Pi_E minus {2}),
 and L runs over finite prime sets disjoint from A_E. The triple
 (A_E, Pi_E, alpha_E) is a complete invariant of the filter once E has
 at least two elements, and inclusion of filters is decidable from the
-triples alone. This module computes the triples, decides the order two
-independent ways, classifies filters against the layers directly under
-the top one, and realizes a prescribed (A, alpha) pair.
+triples alone. This module computes the triples, decides the order
+from them both by the three-condition comparison and by the per-prime
+generator argument (which also builds an escaping element), classifies
+filters against the layers directly under the top one, and realizes a
+prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
@@ -143,8 +145,8 @@ def a_of(E: FiniteSubset) -> PrimeSet:
         return PrimeSet.all_primes()
     x, y = E.elements[0], E.elements[1]
     candidates = a_of_pair_formula(x, y)
-    return PrimeSet.from_iterable(
-        p for p in candidates if len(residue_classes(E, p)) <= 1
+    return PrimeSet._trusted(
+        tuple(p for p in candidates if len(residue_classes(E, p)) <= 1)
     )
 
 
@@ -164,8 +166,11 @@ def alpha_of(E: FiniteSubset) -> AlphaMap:
     and the unique shared nonzero residue class elsewhere on A_E."""
     if len(E) == 1:
         raise ValueError("a singleton has no finite residue data")
-    A = a_of(E)
-    Pi = pi_of(E).as_set()
+    return _alpha_from(E, a_of(E), pi_of(E))
+
+
+def _alpha_from(E: FiniteSubset, A: PrimeSet, Pi: PrimeSet) -> AlphaMap:
+    """alpha_of(E) given A_E and Pi_E already computed."""
     entries = {}
     for p in A:
         if p == 2:
@@ -194,12 +199,16 @@ class FilterDescriptor:
     source: FiniteSubset
 
     def __post_init__(self) -> None:
-        # cached plain-set views; the hot comparison paths live on these
+        # cached plain views; the hot comparison paths live on these.
+        # _free lists (p, alpha(p)) for p in A minus Pi, ascending.
         a = frozenset() if self.A.is_all else frozenset(self.A.primes)
         pi = frozenset(self.Pi.primes)
         object.__setattr__(self, "_a_set", a)
         object.__setattr__(self, "_pi_set", pi)
-        object.__setattr__(self, "_free_set", a - pi)
+        free = () if self.alpha is None else tuple(
+            (p, self.alpha._map[p]) for p in self.A.primes if p not in pi
+        )
+        object.__setattr__(self, "_free", free)
 
     def canonical_key(self):
         if self.A.is_all:
@@ -242,7 +251,7 @@ def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """
     A = a_of(E)
     Pi = pi_of(E)
-    alpha = alpha_of(E) if len(E) >= 2 else None
+    alpha = _alpha_from(E, A, Pi) if len(E) >= 2 else None
     return FilterDescriptor(A, Pi, alpha, E)
 
 
@@ -258,19 +267,25 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
     """
     if min(len(E), len(F)) == 1:
         return len(E) == 1 and E.issubset(F)
-    dE, dF = descriptor(E), descriptor(F)
-    if not dF._a_set <= dE._a_set:
-        return False
-    if not (dF._pi_set - {2}) <= dE._pi_set:
-        return False
-    ae, af = dE.alpha, dF.alpha
-    return all(ae[p] == af[p] for p in dF._a_set if p not in dE._pi_set)
+    return _descriptor_leq(descriptor(E), descriptor(F))
 
 
-class _Reason(enum.Enum):
-    MISSING = "A(F) reaches outside A(E)"
-    PI_BLOCK = "odd common divisor of F is unconstrained in E"
-    ALPHA = "residue choices disagree"
+def _descriptor_leq(dE: FilterDescriptor, dF: FilterDescriptor) -> bool:
+    """The three-condition comparison behind filter_leq, for sets of at
+    least two elements."""
+    ae, pie = dE._a_set, dE._pi_set
+    if not dF._a_set <= ae:
+        return False
+    if not all(p == 2 or p in pie for p in dF._pi_set):
+        return False
+    alpha_e, alpha_f = dE.alpha._map, dF.alpha._map
+    return all(alpha_e[p] == alpha_f[p] for p in dF._a_set if p not in pie)
+
+
+# why an inclusion fails, as OrderWitness.reason reports it
+_MISSING = "A(F) reaches outside A(E)"
+_PI_BLOCK = "odd common divisor of F is unconstrained in E"
+_ALPHA = "residue choices disagree"
 
 
 @dataclass(frozen=True)
@@ -288,16 +303,22 @@ class OrderWitness:
 def _generator_member(z: int, d: FilterDescriptor, L: tuple[int, ...]) -> bool:
     if z == 0:
         return False
-    if any(z % r for r in L):
-        return False
-    alpha = d.alpha
-    return all(z % p == 0 or z % p == alpha[p] for p in d._free_set)
+    for r in L:
+        if z % r:
+            return False
+    for p, r in d._free:
+        m = z % p
+        if m and m != r:
+            return False
+    return True
 
 
 def order_oracle(
     E: FiniteSubset, F: FiniteSubset
 ) -> tuple[bool, OrderWitness | None]:
-    """Inclusion test via generators, independent of filter_leq.
+    """Inclusion test via generators: the per-prime generator argument,
+    plus an escaping element built by CRT and checked against both
+    generators.
 
     The filter of E sits inside the filter of F iff every generator
     G_E(L) contains some generator G_F(L'). Enlarging L' only shrinks
@@ -318,44 +339,70 @@ def order_oracle(
     if min(len(E), len(F)) < 2:
         raise ValueError("generator form needs at least two elements per set")
     dE, dF = descriptor(E), descriptor(F)
-    ae, af = dE._a_set, dF._a_set
-    pie, pif = dE._pi_set, dF._pi_set
+    failure = _order_failure(dE, dF)
+    if failure is None:
+        return True, None
+    return False, _order_witness(dE, dF, failure, {})
 
-    failure: tuple[int, _Reason] | None = None
-    for p in sorted(ae - pie):
+
+def _order_failure(
+    dE: FilterDescriptor, dF: FilterDescriptor
+) -> tuple[int, str] | None:
+    """The generator argument of order_oracle: the prime at which the
+    inclusion fails and why, or None when it holds."""
+    af, pif = dF._a_set, dF._pi_set
+    alpha_f = dF.alpha._map
+    for p, r in dE._free:
         if p not in af:
             continue  # viable fix: L' may force 0 mod p
         if p in pif:
             if p != 2:
-                failure = (p, _Reason.PI_BLOCK)
-                break
-        elif dF.alpha[p] != dE.alpha[p]:
-            failure = (p, _Reason.ALPHA)
-            break
-    if failure is None:
-        # a target G_E({r}) with r outside A_E is obstructed exactly
-        # when r lies in A_F
-        missing = sorted(af - ae)
-        if missing:
-            failure = (missing[0], _Reason.MISSING)
-    if failure is None:
-        return True, None
+                return p, _PI_BLOCK
+        elif alpha_f[p] != r:
+            return p, _ALPHA
+    # a target G_E({r}) with r outside A_E is obstructed exactly when r
+    # lies in A_F
+    if af <= dE._a_set:
+        return None
+    return min(af - dE._a_set), _MISSING
 
+
+def _order_witness(
+    dE: FilterDescriptor,
+    dF: FilterDescriptor,
+    failure: tuple[int, str],
+    memo: dict,
+) -> OrderWitness:
+    """An element of the minimal F-side generator G_F(()) escaping
+    G_E(target_L) at the failing prime.
+
+    The element depends only on F and on at most one extra congruence,
+    so memo, which must belong to dF alone, maps that congruence to the
+    element once it has been built and checked against G_F. The escape
+    from the E-side generator is checked on every call.
+    """
     bad, why = failure
-    system = [(dF.alpha[p], p) for p in sorted(af - pif)]
-    if why is _Reason.PI_BLOCK:
+    extra = None
+    if why is _PI_BLOCK:
         # bad is an odd common divisor of F: send z somewhere E forbids,
         # i.e. the least nonzero residue differing from alpha_E(bad)
-        c = 1 if dE.alpha[bad] != 1 else 2
-        system.append((c, bad))
-    elif why is _Reason.MISSING and bad in pif:
-        system.append((1, bad))
+        extra = (1 if dE.alpha._map[bad] != 1 else 2, bad)
+    elif why is _MISSING and bad in dF._pi_set:
+        extra = (1, bad)
     # otherwise z = alpha_F(bad) mod bad already escapes the target
-    z = crt_solve(CongruenceSystem(tuple(system)))
-    target_L = (bad,) if why is _Reason.MISSING else ()
-    if not _generator_member(z, dF, ()) or _generator_member(z, dE, target_L):
-        raise AssertionError("constructed element fails to witness the escape")
-    return False, OrderWitness(bad, z, target_L, why.value)
+    z = memo.get(extra)
+    if z is None:
+        system = [(r, p) for p, r in dF._free]
+        if extra is not None:
+            system.append(extra)
+        z = crt_solve(CongruenceSystem(tuple(system)))
+        if not _generator_member(z, dF, ()):
+            raise AssertionError("constructed element lies outside the F-side generator")
+        memo[extra] = z
+    target_L = (bad,) if why is _MISSING else ()
+    if _generator_member(z, dE, target_L):
+        raise AssertionError("constructed element fails to escape the E-side generator")
+    return OrderWitness(bad, z, target_L, why)
 
 
 def is_top(E: FiniteSubset) -> bool:

@@ -177,6 +177,14 @@ class PrimeSet:
     def all_primes(cls) -> "PrimeSet":
         return cls(None)
 
+    @classmethod
+    def _trusted(cls, primes: tuple[int, ...]) -> "PrimeSet":
+        """Wrap a strictly increasing tuple drawn from validated PrimeSets,
+        without proving each member prime again."""
+        ps = object.__new__(cls)
+        object.__setattr__(ps, "primes", primes)
+        return ps
+
     @property
     def is_all(self) -> bool:
         return self.primes is None
@@ -204,7 +212,7 @@ class PrimeSet:
     def union(self, other: "PrimeSet") -> "PrimeSet":
         if self.primes is None or other.primes is None:
             return PrimeSet(None)
-        return PrimeSet.from_iterable(self.primes + other.primes)
+        return PrimeSet._trusted(tuple(sorted(set(self.primes + other.primes))))
 
     def issubset(self, other: "PrimeSet") -> bool:
         if other.primes is None:

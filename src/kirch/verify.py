@@ -21,15 +21,18 @@ from dataclasses import dataclass, field
 from .filters import (
     AlphaMap,
     FilterClass,
+    FilterDescriptor,
     FiniteSubset,
     PrimeSet,
+    _descriptor_leq,
+    _order_failure,
+    _order_witness,
     a_of,
     a_of_pair_formula,
     alpha_of,
     classify,
     descriptor,
     divides_via_filters,
-    filter_leq,
     is_top,
     order_oracle,
     realize,
@@ -175,50 +178,54 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"values": len(vals)}
 
 
-def _order_catalog(bound: int) -> list[FiniteSubset]:
-    """One set per filter among all two- and three-element sets."""
+def _order_catalog(bound: int) -> list[FilterDescriptor]:
+    """One descriptor per filter among all two- and three-element sets."""
     from itertools import combinations
 
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     reps: dict = {}
     for size in (2, 3):
         for combo in combinations(vals, size):
-            E = FiniteSubset(combo)
-            key = descriptor(E).canonical_key()
-            if key not in reps:
-                reps[key] = E
+            d = descriptor(FiniteSubset(combo))
+            reps.setdefault(d.canonical_key(), d)
     return list(reps.values())
 
 
 def _suite_order(cfg: SuiteConfig, fault: str | None):
     bound = cfg.max_element if cfg.max_element is not None else 30
-    reps = _order_catalog(bound)
-    k = len(reps)
+    descs = _order_catalog(bound)
+    reps = [d.source for d in descs]
+    k = len(descs)
     failures = []
     cases = 0
 
-    def leq(E, F):
-        if fault == "order_skip_alpha":
-            dE, dF = descriptor(E), descriptor(F)
-            return dF.A.issubset(dE.A) and (
-                dF.Pi.as_set() - {2} <= dE.Pi.as_set()
+    leq = _descriptor_leq
+    if fault == "order_skip_alpha":
+        def leq(dE, dF):
+            return dF._a_set <= dE._a_set and (
+                dF._pi_set - {2} <= dE._pi_set
             )
-        return filter_leq(E, F)
 
+    # witnesses_of[j] holds the escaping elements already built for
+    # column F_j, keyed by their extra congruence
+    witnesses_of = [{} for _ in descs]
     rows = [0] * k
-    for i, E in enumerate(reps):
+    for i, dE in enumerate(descs):
         row = 0
-        for j, F in enumerate(reps):
-            cases += 1
-            closed = leq(E, F)
-            oracle = order_oracle(E, F)[0]
+        for j, dF in enumerate(descs):
+            closed = leq(dE, dF)
+            failure = _order_failure(dE, dF)
+            oracle = failure is None
+            if failure is not None:
+                _order_witness(dE, dF, failure, witnesses_of[j])
             if closed != oracle:
                 failures.append(VerifyFailure(
-                    f"E={E} F={F}", f"oracle={oracle}", f"closed={closed}"
+                    f"E={reps[i]} F={reps[j]}", f"oracle={oracle}", f"closed={closed}"
                 ))
             if closed:
                 row |= 1 << j
         rows[i] = row
+    cases += k * k
 
     law_failures = []
     for i in range(k):
@@ -263,7 +270,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
         F = FiniteSubset(tuple(sorted(elems)))
         sampled += 1
         cases += 1
-        closed = leq(E, F)
+        closed = leq(descriptor(E), descriptor(F))
         oracle = order_oracle(E, F)[0]
         if closed != oracle:
             failures.append(VerifyFailure(

@@ -245,6 +245,24 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == 2 and out == ""
 
 
+def test_repeated_calls_match_fresh_processes(capsys):
+    # main reuses one parser; a usage error in between must not leak
+    # into the next call
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    calls = [
+        ("cmp", "5", "10", ";", "7", "14", "--format", "json"),
+        ("ae", "--format", "bogus", "5"),
+        ("cmp", "5", "10", ";", "7", "14", "--format", "json"),
+        ("ae", "5", "10"),
+    ]
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirch", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2

@@ -134,6 +134,22 @@ class TestPrimeSet:
         assert not PrimeSet.of(2, 3, 5).issubset(s)
         assert str(s) == "{3, 5}"
 
+    def test_validating_constructors_reject_composites(self):
+        with pytest.raises(ValueError):
+            PrimeSet((4,))
+        with pytest.raises(ValueError):
+            PrimeSet.from_iterable([4])
+
+    @given(
+        st.lists(st.sampled_from(primes_upto(200)), max_size=8),
+        st.lists(st.sampled_from(primes_upto(200)), max_size=8),
+    )
+    @settings(max_examples=100)
+    def test_union_matches_from_iterable(self, xs, ys):
+        got = PrimeSet.from_iterable(xs).union(PrimeSet.from_iterable(ys))
+        assert got == PrimeSet.from_iterable(xs + ys)
+        assert got.primes == tuple(sorted(set(xs + ys)))
+
     def test_all_primes_variant(self):
         a = PrimeSet.all_primes()
         assert a.is_all

@@ -76,6 +76,47 @@ def test_order_fault_is_caught():
     assert "oracle=False" in report.failures[0].expected
 
 
+def test_order_suite_checks_every_escape(monkeypatch):
+    # with every element a generator member, the F-side check passes and
+    # the per-pair E-side escape check must raise
+    from kirch import filters
+
+    monkeypatch.setattr(filters, "_generator_member", lambda z, d, L: True)
+    with pytest.raises(AssertionError):
+        run_suite("order", small(max_element=4))
+
+
+def test_order_suite_solves_each_witness_system_once(monkeypatch):
+    from kirch import filters, verify
+
+    column = [None]
+    solved = []
+    failing_pairs = [0]
+    real_witness, real_crt = verify._order_witness, filters.crt_solve
+
+    def witness(dE, dF, failure, memo):
+        failing_pairs[0] += 1
+        column[0] = dF.source
+        try:
+            return real_witness(dE, dF, failure, memo)
+        finally:
+            column[0] = None
+
+    def crt(system):
+        if column[0] is not None:  # not one of the sampled pairs
+            solved.append((column[0], system.congruences))
+        return real_crt(system)
+
+    monkeypatch.setattr(verify, "_order_witness", witness)
+    monkeypatch.setattr(filters, "crt_solve", crt)
+    report = run_suite("order", small(max_element=4))
+    assert report.passed
+    # a column's systems differ only in the extra congruence, so distinct
+    # (F, system) pairs are distinct (F, extra congruence) pairs
+    assert solved and len(solved) == len(set(solved))
+    assert len(solved) < failing_pairs[0]
+
+
 def test_fault_ignored_by_unrelated_suite():
     report = run_suite("top", small(max_element=16), fault="order_skip_alpha")
     assert report.passed
