@@ -3,7 +3,11 @@
 For an odd prime p the vertex set is {s * 2^i * p^j : s = +-1, i >= 0,
 j >= 1} and two vertices are joined when their doubleton has A-set
 exactly {2, p}; equivalently, when their difference has no prime
-factor outside {2, p}. The graph is a two-sheeted grid in (i, j) and
+factor outside {2, p}. The two statements agree because A_{x,y} is
+the set of primes dividing x, y or x - y, and for two vertices it
+always contains 2 and p and nothing else from x or y (see build_gamma),
+so build_gamma scores a pair by stripping 2 and p from |x - y| instead
+of factoring anything. The graph is a two-sheeted grid in (i, j) and
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
 p is a Fermat prime, a Mersenne prime, both (p = 3), or neither.
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .filters import FiniteSubset, a_of_pair_formula, is_top
-from .numtheory import classify_prime, fm_exponent, is_prime
+from .numtheory import MAX_MAGNITUDE, classify_prime, fm_exponent, is_prime
 
 Bounds = tuple[int, int]
 
@@ -183,9 +187,20 @@ class GammaGraph:
 
 def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     """Build the graph for odd p on the exponent grid: every vertex
-    pair is scored by the definitional predicate, the closed-form
-    families are instantiated beside it, and each edge records which
-    side produced it.
+    pair is scored by the predicate, the closed-form families are
+    instantiated beside it, and each edge records which side produced
+    it.
+
+    A pair is scored without factoring: it is an edge iff stripping
+    every 2 and every p from |x - y| leaves 1. That is exactly
+    edge_predicate, since A_{x,y} = primes(x) | primes(y) | primes(x - y):
+    both endpoints are {2,p}-smooth multiples of p, and 2 always lies in
+    A_{x,y} (one endpoint is even, or both are odd and x - y is even),
+    so A_{x,y} = {2, p} | primes(x - y). The test never reads the shift
+    families, so the two sides stay independent.
+
+    Raises OverflowError, before building any vertex, when the largest
+    vertex 2^max_i * p^max_j leaves the 63-bit range.
 
     >>> g = build_gamma(5, (4, 3))
     >>> sorted(g.neighbor_values(GammaVertex(1, 0, 1)))
@@ -196,6 +211,12 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     if not is_prime(p) or p % 2 == 0:
         raise ValueError(f"{p} must be an odd prime")
     max_i, max_j = bounds
+    # 2^63 and 3^63 both exceed the range, so the power is computed
+    # only for exponents that can fit
+    if max_i >= 63 or max_j >= 63 or (p ** max(max_j, 0) << max(max_i, 0)) > MAX_MAGNITUDE:
+        raise OverflowError(
+            f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
+        )
     verts = [
         GammaVertex(s, i, j)
         for j in range(1, max_j + 1)
@@ -203,14 +224,20 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
         for s in (-1, 1)
     ]
     by_key = sorted(verts, key=GammaVertex.grid_key)
+    values = [v.value(p) for v in by_key]
+    # the odd parts of {2,p}-smooth differences; no difference of two
+    # vertices exceeds 2 * MAX_MAGNITUDE
+    p_powers = {1}
+    q = p
+    while q <= 2 * MAX_MAGNITUDE:
+        p_powers.add(q)
+        q *= p
     predicate: set[Edge] = set()
-    for a in range(len(by_key)):
-        va = by_key[a]
-        xa = va.value(p)
-        for b in range(a + 1, len(by_key)):
-            vb = by_key[b]
-            if a_of_pair_formula(xa, vb.value(p)).as_set() == {2, p}:
-                predicate.add(_edge(va, vb))
+    for a, xa in enumerate(values):
+        for b in range(a + 1, len(values)):
+            d = abs(xa - values[b])
+            if d >> ((d & -d).bit_length() - 1) in p_powers:
+                predicate.add(_edge(by_key[a], by_key[b]))
     closed = closed_form_edges(p, bounds)
     tags = {}
     for e in predicate | closed:

@@ -179,8 +179,9 @@ class PrimeSet:
 
     @classmethod
     def _trusted(cls, primes: tuple[int, ...]) -> "PrimeSet":
-        """Wrap a strictly increasing tuple drawn from validated PrimeSets,
-        without proving each member prime again."""
+        """Wrap a strictly increasing tuple of primes already proved prime
+        (drawn from validated PrimeSets, or the keys of factorize) without
+        proving each member prime again."""
         ps = object.__new__(cls)
         object.__setattr__(ps, "primes", primes)
         return ps
@@ -238,7 +239,9 @@ def prime_divisors(x: int) -> PrimeSet:
     """
     if x == 0:
         raise ValueError("every prime divides 0; prime_divisors needs x != 0")
-    return PrimeSet(tuple(sorted(factorize(x))))
+    # every key of factorize is already proved prime: a table prime, the
+    # smallest wheel divisor left, or a cofactor that passed is_prime
+    return PrimeSet._trusted(tuple(sorted(factorize(x))))
 
 
 def is_squarefree(x: int) -> bool:

@@ -179,14 +179,18 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
 
 
 def _order_catalog(bound: int) -> list[FilterDescriptor]:
-    """One descriptor per filter among all two- and three-element sets."""
+    """One descriptor per filter among all two- and three-element sets.
+
+    Built with the uncached descriptor function, so the tens of
+    thousands of subsets it scans do not stay in descriptor's cache.
+    """
     from itertools import combinations
 
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     reps: dict = {}
     for size in (2, 3):
         for combo in combinations(vals, size):
-            d = descriptor(FiniteSubset(combo))
+            d = descriptor.__wrapped__(FiniteSubset(combo))
             reps.setdefault(d.canonical_key(), d)
     return list(reps.values())
 

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -200,6 +201,15 @@ def test_out_of_range_is_unusable_input(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "63-bit" in err
+
+
+@pytest.mark.parametrize("bounds", ["1000,1000", "40,24"])
+def test_gamma_grid_past_63_bits_is_unusable_input(capsys, bounds):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gamma", "3", "--bounds", bounds)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "63-bit" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("module", ["kirch", "kirch.cli"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirch import graphs, numtheory
 from kirch.filters import FiniteSubset, is_top
 from kirch.graphs import (
     GammaVertex,
@@ -50,6 +51,56 @@ def test_closed_form_matches_predicate(p, bounds):
     assert report["closed_form"] == []
     assert len(g.edges) > 0
     assert all(tag == "both" for tag in g.provenance.values())
+
+
+# build_gamma scores pairs by a smooth-difference test; it must accept
+# exactly the pairs the definitional predicate accepts, for a prime of
+# every class: p = 3, Fermat, Mersenne, neither.
+@pytest.mark.parametrize("p,bounds", [(3, (6, 4)), (5, (6, 4)), (7, (6, 4)), (11, (5, 3))])
+def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
+    g = build_gamma(p, bounds)
+    order = sorted(g.vertices, key=GammaVertex.grid_key)
+    want = {
+        (v, w)
+        for k, v in enumerate(order)
+        for w in order[k + 1:]
+        if edge_predicate(v.value(p), w.value(p), p)
+    }
+    assert g.predicate_edges() == want
+
+
+def test_build_gamma_does_not_factorize(monkeypatch):
+    def boom(*args):
+        raise AssertionError("build_gamma factorized")
+
+    monkeypatch.setattr(numtheory, "factorize", boom)
+    monkeypatch.setattr(graphs, "a_of_pair_formula", boom)
+    g = build_gamma(7, (7, 4))
+    assert g.discrepancies() == {"predicate": [], "closed_form": []}
+
+
+def test_p3_families_hold_past_2_to_60():
+    g = build_gamma(3, (38, 14))
+    assert 2**38 * 3**14 > 2**60
+    assert g.discrepancies() == {"predicate": [], "closed_form": []}
+
+
+@pytest.mark.parametrize("p,bounds", [(3, (1000, 1000)), (3, (40, 24)), (3, (62, 1)), (5, (0, 28)), (3, (63, 0))])
+def test_build_gamma_refuses_grids_past_63_bits(monkeypatch, p, bounds):
+    def boom(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(graphs, "GammaVertex", boom)
+    with pytest.raises(OverflowError, match="63-bit"):
+        build_gamma(p, bounds)
+
+
+def test_build_gamma_accepts_the_largest_grids_that_fit():
+    # differences here reach past 2^63; only the vertices must fit
+    for p, bounds in [(3, (61, 1)), (5, (0, 27))]:
+        max_i, max_j = bounds
+        assert 2**max_i * p**max_j <= numtheory.MAX_MAGNITUDE
+        assert build_gamma(p, bounds).discrepancies()["predicate"] == []
 
 
 def test_edge_predicate_examples():

@@ -77,6 +77,17 @@ class TestFactorization:
             7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1,
         }
 
+    # table primes, a composite cofactor past the table split by the
+    # wheel, a prime cofactor past the table, and a 62-bit prime
+    @pytest.mark.parametrize("x", [
+        -360, 63, 299993, 2 * 3**4 * 29, 12 * 1_000_003,
+        300007 * 300017, 3 * 300007**2, 2**62 - 57, MAX_MAGNITUDE,
+    ])
+    def test_prime_divisors_are_the_keys_of_factorize(self, x):
+        got = prime_divisors(x)
+        assert got == PrimeSet.from_iterable(factorize(x))
+        assert all(is_prime(p) for p in factorize(x))
+
     def test_multiplicities_reconstruct(self):
         for x in (-360, 1024, 9999, 2 * 3**4 * 29):
             prod = 1

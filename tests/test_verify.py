@@ -1,14 +1,17 @@
 """Harness behavior: suite verdicts, determinism, fault injection."""
 
 import json
+from itertools import combinations
 
 import pytest
 
+from kirch.filters import FiniteSubset, descriptor
 from kirch.verify import (
     FAULTS,
     SuiteConfig,
     SuiteReport,
     VerifyFailure,
+    _order_catalog,
     run_suite,
 )
 
@@ -115,6 +118,18 @@ def test_order_suite_solves_each_witness_system_once(monkeypatch):
     # (F, system) pairs are distinct (F, extra congruence) pairs
     assert solved and len(solved) == len(set(solved))
     assert len(solved) < failing_pairs[0]
+
+
+def test_order_catalog_leaves_descriptor_cache_empty():
+    descriptor.cache_clear()
+    keys = [d.canonical_key() for d in _order_catalog(8)]
+    assert descriptor.cache_info().currsize == 0
+    vals = [v for v in range(-8, 9) if v != 0]
+    want: dict = {}
+    for size in (2, 3):
+        for combo in combinations(vals, size):
+            want.setdefault(descriptor(FiniteSubset(combo)).canonical_key(), None)
+    assert keys == list(want)
 
 
 def test_fault_ignored_by_unrelated_suite():
