@@ -25,15 +25,12 @@ from .filters import (
     upset_in_fprime,
     realize,
 )
-from .graphs import build_gamma, emit_dot, gamma2, graph_json_dict
+from .graphs import build_gamma, emit_dot, graph_json_dict
 from .numtheory import classify_prime, fm_exponent
 from .topology import Progression, Window, closure
-from .verify import SuiteConfig, run_suite
+from .verify import _SUITES, SuiteConfig, run_suite
 
-_SUITE_NAMES = (
-    "closure", "pair_formula", "order", "top", "classify", "realize",
-    "ppix", "gamma", "gamma2", "zsigmondy", "mihailescu", "all",
-)
+_SUITE_NAMES = (*_SUITES, "all")
 
 
 @functools.cache
@@ -219,11 +216,8 @@ def _cmd_realize(ns) -> int:
 
 
 def _cmd_gamma(ns) -> int:
-    bounds = _parse_bounds(ns.bounds)
-    if ns.p == 2:
-        g = gamma2(bounds[0])
-    else:
-        g = build_gamma(ns.p, bounds)
+    max_i, max_j = _parse_bounds(ns.bounds)
+    g = build_gamma(ns.p, (max_i, 0) if ns.p == 2 else (max_i, max_j))
     if ns.format == "json":
         print(json.dumps(graph_json_dict(g), sort_keys=True))
     else:

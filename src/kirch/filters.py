@@ -406,23 +406,9 @@ def _order_witness(
 
 
 def is_top(E: FiniteSubset) -> bool:
-    """Whether the filter of E is the largest one, i.e. A_E = {2}.
-
-    For doubletons the arithmetic answer is cross-checked against the
-    explicit catalog: {2^n, 2^(n+1)}, its negation, and {-2^n, 2^n}.
-    """
+    """Whether the filter of E is the largest one, i.e. A_E = {2}."""
     A = a_of(E)
-    verdict = not A.is_all and A.as_set() == {2}
-    if len(E) == 2:
-        x, y = E.elements
-        m = min(abs(x), abs(y))
-        power = m & (m - 1) == 0  # m >= 1 is a power of two
-        listed = power and (
-            (0 < x and y == 2 * x) or (y < 0 and x == 2 * y) or x == -y
-        )
-        if listed != verdict:
-            raise AssertionError(f"doubleton catalog disagrees on {E}")
-    return verdict
+    return not A.is_all and A.as_set() == {2}
 
 
 class FilterClass(enum.Enum):

@@ -1,13 +1,14 @@
 """Prime-power adjacency graphs.
 
 For an odd prime p the vertex set is {s * 2^i * p^j : s = +-1, i >= 0,
-j >= 1} and two vertices are joined when their doubleton has A-set
-exactly {2, p}; equivalently, when their difference has no prime
-factor outside {2, p}. The two statements agree because A_{x,y} is
-the set of primes dividing x, y or x - y, and for two vertices it
-always contains 2 and p and nothing else from x or y (see build_gamma),
-so build_gamma scores a pair by stripping 2 and p from |x - y| instead
-of factoring anything. The graph is a two-sheeted grid in (i, j) and
+j >= 1}; for p = 2 it is the single row j = 0 of signed powers of two.
+Two vertices are joined when their doubleton has A-set exactly {2, p};
+equivalently, when their difference has no prime factor outside
+{2, p}. The two statements agree because A_{x,y} is the set of primes
+dividing x, y or x - y, and for two vertices it always contains 2 and
+p and nothing else from x or y (see build_gamma), so build_gamma
+scores a pair by stripping 2 and p from |x - y| instead of factoring
+anything. The graph is a two-sheeted grid in (i, j) and
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
 p is a Fermat prime, a Mersenne prime, both (p = 3), or neither.
@@ -22,9 +23,8 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 
-from .filters import FiniteSubset, a_of_pair_formula, is_top
+from .filters import a_of_pair_formula
 from .numtheory import MAX_MAGNITUDE, classify_prime, fm_exponent, is_prime
 
 Bounds = tuple[int, int]
@@ -112,72 +112,76 @@ def _families(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int
     return ((1, 0),), ((0, 0),)
 
 
+def _rows(p: int, bounds: Bounds) -> range:
+    """The p-exponents j of the grid: 1..max_j for odd p, and the single
+    row j = 0 for p = 2, which therefore takes bounds (i, 0)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p == 2:
+        if bounds[1] != 0:
+            raise ValueError("the graph for 2 takes bounds (i, 0)")
+        return range(1)
+    return range(1, bounds[1] + 1)
+
+
+def _grid(rows: range, max_i: int) -> dict[tuple[int, int, int], GammaVertex]:
+    """Every vertex of the grid, keyed by (sign, i, j)."""
+    return {
+        (s, i, j): GammaVertex(s, i, j)
+        for j in rows
+        for i in range(max_i + 1)
+        for s in (-1, 1)
+    }
+
+
 def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
     """Instantiate the shift families of the prime's class on the grid;
     an edge appears iff both endpoints fit the bounds."""
-    if p == 2:
-        raise ValueError("the graph for 2 is built by gamma2")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    max_i, max_j = bounds
+    grid = _grid(_rows(p, bounds), bounds[0])
     same, opp = _families(p)
     out: set[Edge] = set()
-
-    def grid(i: int, j: int) -> bool:
-        return 0 <= i <= max_i and 1 <= j <= max_j
-
-    for i in range(max_i + 1):
-        for j in range(1, max_j + 1):
-            for di, dj in same:
-                if grid(i + di, j + dj):
-                    for s in (1, -1):
-                        out.add(_edge(
-                            GammaVertex(s, i, j), GammaVertex(s, i + di, j + dj)
-                        ))
-            for di, dj in opp:
-                if grid(i + di, j + dj):
-                    for s in (1, -1):
-                        out.add(_edge(
-                            GammaVertex(s, i, j), GammaVertex(-s, i + di, j + dj)
-                        ))
+    for (s, i, j), v in grid.items():
+        for di, dj in same:
+            w = grid.get((s, i + di, j + dj))
+            if w is not None:
+                out.add(_edge(v, w))
+        for di, dj in opp:
+            w = grid.get((-s, i + di, j + dj))
+            if w is not None:
+                out.add(_edge(v, w))
     return frozenset(out)
+
+
+def _edge_order(e: Edge) -> tuple:
+    return (e[0].grid_key(), e[1].grid_key())
 
 
 @dataclass(frozen=True, eq=False)
 class GammaGraph:
-    """An immutable built graph: p (2 marks the powers-of-two graph),
-    exponent bounds, vertices, the union edge set, and a per-edge tag
-    telling which construction claimed it."""
+    """An immutable built graph: p, exponent bounds, vertices, and the
+    edge sets of the two constructions, the predicate and the closed
+    form; every other view of the edges is derived from those two."""
 
     p: int
     bounds: Bounds
     vertices: frozenset[GammaVertex]
-    edges: frozenset[Edge]
-    provenance: MappingProxyType
+    predicate: frozenset[Edge]
+    closed: frozenset[Edge]
 
-    def predicate_edges(self) -> frozenset[Edge]:
-        return frozenset(
-            e for e, tag in self.provenance.items() if tag != "closed_form"
-        )
-
-    def closed_edges(self) -> frozenset[Edge]:
-        return frozenset(
-            e for e, tag in self.provenance.items() if tag != "predicate"
-        )
+    @property
+    def edges(self) -> frozenset[Edge]:
+        return self.predicate | self.closed
 
     def discrepancies(self) -> dict[str, list[Edge]]:
         """Edges claimed by only one side, never silently reconciled."""
-        one_sided = {"predicate": [], "closed_form": []}
-        for e, tag in sorted(
-            self.provenance.items(), key=lambda kv: (kv[0][0].grid_key(), kv[0][1].grid_key())
-        ):
-            if tag in one_sided:
-                one_sided[tag].append(e)
-        return one_sided
+        return {
+            "predicate": sorted(self.predicate - self.closed, key=_edge_order),
+            "closed_form": sorted(self.closed - self.predicate, key=_edge_order),
+        }
 
     def neighbor_values(self, v: GammaVertex) -> set[int]:
         out = set()
-        for a, b in self.predicate_edges():
+        for a, b in self.predicate:
             if a == v:
                 out.add(b.value(self.p))
             elif b == v:
@@ -186,18 +190,18 @@ class GammaGraph:
 
 
 def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
-    """Build the graph for odd p on the exponent grid: every vertex
-    pair is scored by the predicate, the closed-form families are
-    instantiated beside it, and each edge records which side produced
-    it.
+    """Build the graph for p on the exponent grid: every vertex pair is
+    scored by the predicate, and the closed-form families are
+    instantiated beside it. For p = 2 the grid is the row j = 0, so
+    the bounds are (i, 0).
 
     A pair is scored without factoring: it is an edge iff stripping
     every 2 and every p from |x - y| leaves 1. That is exactly
     edge_predicate, since A_{x,y} = primes(x) | primes(y) | primes(x - y):
-    both endpoints are {2,p}-smooth multiples of p, and 2 always lies in
-    A_{x,y} (one endpoint is even, or both are odd and x - y is even),
-    so A_{x,y} = {2, p} | primes(x - y). The test never reads the shift
-    families, so the two sides stay independent.
+    both endpoints are {2,p}-smooth (multiples of p when p is odd), and
+    2 always lies in A_{x,y} (one endpoint is even, or both are odd and
+    x - y is even), so A_{x,y} = {2, p} | primes(x - y). The test never
+    reads the shift families, so the two sides stay independent.
 
     Raises OverflowError, before building any vertex, when the largest
     vertex 2^max_i * p^max_j leaves the 63-bit range.
@@ -206,10 +210,7 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     >>> sorted(g.neighbor_values(GammaVertex(1, 0, 1)))
     [-20, -5, 10, 25]
     """
-    if p == 2:
-        raise ValueError("the graph for 2 is built by gamma2")
-    if not is_prime(p) or p % 2 == 0:
-        raise ValueError(f"{p} must be an odd prime")
+    rows = _rows(p, bounds)
     max_i, max_j = bounds
     # 2^63 and 3^63 both exceed the range, so the power is computed
     # only for exponents that can fit
@@ -217,13 +218,8 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
         raise OverflowError(
             f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
         )
-    verts = [
-        GammaVertex(s, i, j)
-        for j in range(1, max_j + 1)
-        for i in range(max_i + 1)
-        for s in (-1, 1)
-    ]
-    by_key = sorted(verts, key=GammaVertex.grid_key)
+    grid = _grid(rows, max_i)
+    by_key = sorted(grid.values(), key=GammaVertex.grid_key)
     values = [v.value(p) for v in by_key]
     # the odd parts of {2,p}-smooth differences; no difference of two
     # vertices exceeds 2 * MAX_MAGNITUDE
@@ -239,39 +235,13 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
             if d >> ((d & -d).bit_length() - 1) in p_powers:
                 predicate.add(_edge(by_key[a], by_key[b]))
     closed = closed_form_edges(p, bounds)
-    tags = {}
-    for e in predicate | closed:
-        tags[e] = "both" if e in predicate and e in closed else (
-            "predicate" if e in predicate else "closed_form"
-        )
+    # key each predicate edge to the closed form's equal tuple, so the
+    # set algebra on the two sides matches by identity instead of
+    # running GammaVertex.__eq__ on every vertex
+    same = {e: e for e in closed}
     return GammaGraph(
-        p, bounds, frozenset(verts), frozenset(tags), MappingProxyType(tags)
-    )
-
-
-def gamma2(max_exp: int) -> GammaGraph:
-    """The graph on {s * 2^n : n <= max_exp}: doubling chains on each
-    sign and mirror rungs. Every candidate pair is cross-checked
-    against is_top, which characterizes exactly these doubletons.
-    """
-    if max_exp < 2:
-        raise ValueError("need max_exp >= 2")
-    verts = [GammaVertex(s, n, 0) for n in range(max_exp + 1) for s in (-1, 1)]
-    edges: set[Edge] = set()
-    for n in range(max_exp):
-        edges.add(_edge(GammaVertex(1, n, 0), GammaVertex(1, n + 1, 0)))
-        edges.add(_edge(GammaVertex(-1, n, 0), GammaVertex(-1, n + 1, 0)))
-    for n in range(max_exp + 1):
-        edges.add(_edge(GammaVertex(-1, n, 0), GammaVertex(1, n, 0)))
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            va, vb = verts[a], verts[b]
-            pair = FiniteSubset.of(va.value(2), vb.value(2))
-            if is_top(pair) != (_edge(va, vb) in edges):
-                raise AssertionError(f"top characterization disagrees on {pair}")
-    tags = {e: "both" for e in edges}
-    return GammaGraph(
-        2, (max_exp, 0), frozenset(verts), frozenset(edges), MappingProxyType(tags)
+        p, bounds, frozenset(grid.values()),
+        frozenset(same.get(e, e) for e in predicate), closed,
     )
 
 
@@ -306,12 +276,12 @@ def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
     """Predicate-side degrees of the interior vertices; the margin
     keeps boundary truncation from faking low degrees.
 
-    >>> sig = degree_signature(gamma2(4))
+    >>> sig = degree_signature(build_gamma(2, (4, 0)))
     >>> sorted(v.value(2) for v, d in sig.items() if d == 2)
     [-1, 1]
     """
     incidence: dict[GammaVertex, int] = {}
-    for a, b in g.predicate_edges():
+    for a, b in g.predicate:
         incidence[a] = incidence.get(a, 0) + 1
         incidence[b] = incidence.get(b, 0) + 1
     return {v: incidence.get(v, 0) for v in interior_vertices(g)}
@@ -336,11 +306,12 @@ def emit_dot(g: GammaGraph) -> str:
     order = sorted(g.vertices, key=GammaVertex.grid_key)
     for v in order:
         lines.append(f'  "{_label(v, g.p)}";')
-    styles = {"predicate": " [style=dashed]", "closed_form": " [style=dotted]"}
+    styles = dict.fromkeys(g.predicate - g.closed, " [style=dashed]")
+    styles.update(dict.fromkeys(g.closed - g.predicate, " [style=dotted]"))
     edge_lines = []
     for a, b in g.edges:
         la, lb = _label(a, g.p), _label(b, g.p)
-        suffix = styles.get(g.provenance[(a, b)], "")
+        suffix = styles.get((a, b), "")
         edge_lines.append(f'  "{la}" -- "{lb}"{suffix};')
     lines.extend(sorted(edge_lines))
     lines.append("}")
@@ -351,15 +322,20 @@ def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
     as value pairs, provenance grouped by tag."""
     order = sorted(g.vertices, key=GammaVertex.grid_key)
-    edges = sorted(g.edges, key=lambda e: (e[0].grid_key(), e[1].grid_key()))
+    edges = sorted(g.edges, key=_edge_order)
+    tags = dict.fromkeys(g.predicate - g.closed, "predicate")
+    tags.update(dict.fromkeys(g.closed - g.predicate, "closed_form"))
     prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
+    pairs = []
     for e in edges:
-        prov[g.provenance[e]].append([e[0].value(g.p), e[1].value(g.p)])
+        pair = [e[0].value(g.p), e[1].value(g.p)]
+        pairs.append(pair)
+        prov[tags.get(e, "both")].append(pair)
     return {
         "p": g.p,
         "bounds": list(g.bounds),
         "vertices": [v.value(g.p) for v in order],
-        "edges": [[a.value(g.p), b.value(g.p)] for a, b in edges],
+        "edges": pairs,
         "provenance": prov,
     }
 
@@ -405,7 +381,7 @@ def printed_p3_report(bounds: Bounds) -> dict:
     """Where the published p = 3 list and the predicate disagree on the
     given grid: value pairs only one side claims, plus totals."""
     g = build_gamma(3, bounds)
-    predicate = g.predicate_edges()
+    predicate = g.predicate
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:

@@ -132,27 +132,19 @@ def closure(p: Progression) -> ClosureSet:
     return ClosureSet(prime_divisors(p.b), p.a)
 
 
-def closure_oracle_member(z: int, p: Progression, d_bound: int) -> bool:
+def closure_oracle_member(z: int, p: Progression) -> bool:
     """Definitional closure test: z lies outside the closure iff some
     basic neighborhood of z misses the progression.
 
-    A candidate neighborhood is z + dZ for squarefree d <= d_bound
-    coprime to z; it misses a + bZ exactly when gcd(d, b) does not
-    divide z - a. Only divisors of the product of the prime divisors of
-    b prime to z are tried: if a separating d exists, gcd(d, rad(b)) is
-    also separating (same gcd with b, still coprime to z), so nothing
-    is lost by the restriction. d_bound is validated against that
-    product so the claimed search space is genuinely covered.
+    A candidate neighborhood is z + dZ for squarefree d coprime to z; it
+    misses a + bZ exactly when gcd(d, b) does not divide z - a. Every
+    product of prime divisors of b prime to z is tried, and nothing
+    else needs to be: if a separating d exists, gcd(d, rad(b)) is also
+    separating (same gcd with b, still coprime to z).
     """
     if z == 0:
         raise ValueError("0 is not a point of the space")
-    pb = prime_divisors(p.b)
-    threshold = math.prod(pb)
-    if d_bound < threshold:
-        raise ValueError(
-            f"d_bound {d_bound} below the sufficiency threshold {threshold}"
-        )
-    usable = [q for q in pb if z % q != 0]
+    usable = [q for q in prime_divisors(p.b) if z % q != 0]
     for r in range(1, len(usable) + 1):
         for combo in itertools.combinations(usable, r):
             d = math.prod(combo)

@@ -13,7 +13,6 @@ suite must then catch. That keeps "zero failures" falsifiable.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -39,9 +38,9 @@ from .filters import (
     upset_in_fprime,
 )
 from .graphs import (
+    GammaVertex,
     build_gamma,
     degree_signature,
-    gamma2,
     interior_vertices,
     printed_p3_report,
 )
@@ -139,13 +138,12 @@ def _suite_closure(cfg: SuiteConfig, fault: str | None):
         for b in range(1, bound + 1):
             prog = Progression(a, b)
             cs = closure(prog)
-            d_bound = max(210, math.prod(prime_divisors(b)))
             for z in range(-w, w + 1):
                 if z == 0:
                     continue
                 cases += 1
                 lhs = z in cs
-                rhs = closure_oracle_member(z, prog, d_bound)
+                rhs = closure_oracle_member(z, prog)
                 if lhs != rhs:
                     failures.append(VerifyFailure(
                         f"a={a} b={b} z={z}", f"oracle={rhs}", f"formula={lhs}"
@@ -256,22 +254,20 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
 
     rng = random.Random(cfg.seed)
     sample_bound = max(bound, 50)
+
+    def draw() -> FiniteSubset:
+        size = rng.randint(2, 4)
+        elems = set()
+        while len(elems) < size:
+            v = rng.randint(-sample_bound, sample_bound)
+            if v:
+                elems.add(v)
+        return FiniteSubset(tuple(sorted(elems)))
+
     sampled = 0
     while sampled < 400:
-        size = rng.randint(2, 4)
-        elems = set()
-        while len(elems) < size:
-            v = rng.randint(-sample_bound, sample_bound)
-            if v:
-                elems.add(v)
-        E = FiniteSubset(tuple(sorted(elems)))
-        size = rng.randint(2, 4)
-        elems = set()
-        while len(elems) < size:
-            v = rng.randint(-sample_bound, sample_bound)
-            if v:
-                elems.add(v)
-        F = FiniteSubset(tuple(sorted(elems)))
+        E = draw()
+        F = draw()
         sampled += 1
         cases += 1
         closed = leq(descriptor(E), descriptor(F))
@@ -438,8 +434,8 @@ def _suite_gamma(cfg: SuiteConfig, fault: str | None):
         bounds = (cfg.graph_bounds[0], cfg.graph_bounds[1] + 1) if p == 3 else cfg.graph_bounds
         g = build_gamma(p, bounds)
         inner = set(interior_vertices(g))
-        pred_in = {e for e in g.predicate_edges() if e[0] in inner and e[1] in inner}
-        closed_in = {e for e in g.closed_edges() if e[0] in inner and e[1] in inner}
+        pred_in = {e for e in g.predicate if e[0] in inner and e[1] in inner}
+        closed_in = {e for e in g.closed if e[0] in inner and e[1] in inner}
         cases += len(pred_in | closed_in)
         for e in sorted(pred_in ^ closed_in,
                         key=lambda e: (e[0].grid_key(), e[1].grid_key())):
@@ -469,10 +465,22 @@ def _suite_gamma(cfg: SuiteConfig, fault: str | None):
 
 def _suite_gamma2(cfg: SuiteConfig, fault: str | None):
     max_exp = cfg.graph_bounds[0] + 1
-    g = gamma2(max_exp)  # builds only if every pair agrees with is_top
-    sig = degree_signature(g)
+    g = build_gamma(2, (max_exp, 0))
     failures = []
-    cases = len(g.vertices) * (len(g.vertices) - 1) // 2
+    cases = 0
+    order = sorted(g.vertices, key=GammaVertex.grid_key)
+    for k, v in enumerate(order):
+        for w in order[k + 1:]:
+            cases += 1
+            x, y = v.value(2), w.value(2)
+            top = is_top(FiniteSubset.of(x, y))
+            pred, closed = (v, w) in g.predicate, (v, w) in g.closed
+            if not top == pred == closed:
+                failures.append(VerifyFailure(
+                    f"E={{{x}, {y}}}", f"is_top={top}",
+                    f"predicate={pred} closed_form={closed}",
+                ))
+    sig = degree_signature(g)
     profile = {}
     for v, d in sig.items():
         cases += 1

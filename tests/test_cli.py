@@ -203,13 +203,25 @@ def test_out_of_range_is_unusable_input(capsys, argv):
     assert err.count("\n") == 1 and "63-bit" in err
 
 
-@pytest.mark.parametrize("bounds", ["1000,1000", "40,24"])
-def test_gamma_grid_past_63_bits_is_unusable_input(capsys, bounds):
+@pytest.mark.parametrize(
+    "p,bounds",
+    [("3", "1000,1000"), ("3", "40,24"), ("2", "63,0"), ("2", "70,0"), ("2", "1000,0")],
+    ids=["1000,1000", "40,24", "p2-63,0", "p2-70,0", "p2-1000,0"],
+)
+def test_gamma_grid_past_63_bits_is_unusable_input(capsys, p, bounds):
     start = time.perf_counter()
-    code, out, err = run(capsys, "gamma", "3", "--bounds", bounds)
+    code, out, err = run(capsys, "gamma", p, "--bounds", bounds)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "63-bit" in err and "Traceback" not in err
+
+
+def test_gamma2_at_the_63_bit_edge(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gamma", "2", "--bounds", "62,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    assert '"-2^62" -- "2^62";' in out
 
 
 @pytest.mark.parametrize("module", ["kirch", "kirch.cli"])

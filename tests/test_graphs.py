@@ -15,7 +15,6 @@ from kirch.graphs import (
     degree_signature,
     edge_predicate,
     emit_dot,
-    gamma2,
     graph_json_dict,
     interior_margins,
     interior_vertices,
@@ -50,13 +49,15 @@ def test_closed_form_matches_predicate(p, bounds):
     assert report["predicate"] == []
     assert report["closed_form"] == []
     assert len(g.edges) > 0
-    assert all(tag == "both" for tag in g.provenance.values())
+    assert g.predicate == g.closed
 
 
 # build_gamma scores pairs by a smooth-difference test; it must accept
 # exactly the pairs the definitional predicate accepts, for a prime of
-# every class: p = 3, Fermat, Mersenne, neither.
-@pytest.mark.parametrize("p,bounds", [(3, (6, 4)), (5, (6, 4)), (7, (6, 4)), (11, (5, 3))])
+# every class: p = 3, Fermat, Mersenne, neither, and the row graph p = 2.
+@pytest.mark.parametrize(
+    "p,bounds", [(3, (6, 4)), (5, (6, 4)), (7, (6, 4)), (11, (5, 3)), (2, (8, 0))]
+)
 def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
     g = build_gamma(p, bounds)
     order = sorted(g.vertices, key=GammaVertex.grid_key)
@@ -66,7 +67,7 @@ def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
         for w in order[k + 1:]
         if edge_predicate(v.value(p), w.value(p), p)
     }
-    assert g.predicate_edges() == want
+    assert g.predicate == want
 
 
 def test_build_gamma_does_not_factorize(monkeypatch):
@@ -85,7 +86,10 @@ def test_p3_families_hold_past_2_to_60():
     assert g.discrepancies() == {"predicate": [], "closed_form": []}
 
 
-@pytest.mark.parametrize("p,bounds", [(3, (1000, 1000)), (3, (40, 24)), (3, (62, 1)), (5, (0, 28)), (3, (63, 0))])
+@pytest.mark.parametrize("p,bounds", [
+    (3, (1000, 1000)), (3, (40, 24)), (3, (62, 1)), (5, (0, 28)), (3, (63, 0)),
+    (2, (63, 0)), (2, (70, 0)), (2, (1000, 0)),
+])
 def test_build_gamma_refuses_grids_past_63_bits(monkeypatch, p, bounds):
     def boom(*args):
         raise AssertionError("a vertex was built")
@@ -97,7 +101,7 @@ def test_build_gamma_refuses_grids_past_63_bits(monkeypatch, p, bounds):
 
 def test_build_gamma_accepts_the_largest_grids_that_fit():
     # differences here reach past 2^63; only the vertices must fit
-    for p, bounds in [(3, (61, 1)), (5, (0, 27))]:
+    for p, bounds in [(3, (61, 1)), (5, (0, 27)), (2, (62, 0))]:
         max_i, max_j = bounds
         assert 2**max_i * p**max_j <= numtheory.MAX_MAGNITUDE
         assert build_gamma(p, bounds).discrepancies()["predicate"] == []
@@ -236,21 +240,22 @@ def test_printed_p3_overlap_is_real():
     # instances the published list does get right stay in agreement
     printed = printed_p3_edges((4, 3))
     g = build_gamma(3, (4, 3))
-    both = printed & g.predicate_edges()
+    both = printed & g.predicate
     assert len(both) > 100
     for a, b in [(GammaVertex(1, 0, 1), GammaVertex(1, 0, 2))]:
         assert (a, b) in both or (b, a) in both
 
 
 def test_gamma2_small():
-    g = gamma2(2)
+    g = build_gamma(2, (2, 0))
     assert len(g.vertices) == 6
     assert len(g.edges) == 7
     assert values(g) == {1, 2, 4, -1, -2, -4}
+    assert g.discrepancies() == {"predicate": [], "closed_form": []}
 
 
 def test_gamma2_edges_at_four():
-    g = gamma2(3)
+    g = build_gamma(2, (3, 0))
     at4 = sorted(
         sorted([a.value(2), b.value(2)])
         for a, b in g.edges
@@ -260,26 +265,20 @@ def test_gamma2_edges_at_four():
 
 
 def test_gamma2_degrees():
-    sig = degree_signature(gamma2(9))
+    sig = degree_signature(build_gamma(2, (9, 0)))
     assert sorted(v.value(2) for v, d in sig.items() if d == 2) == [-1, 1]
     assert all(d == 3 for v, d in sig.items() if v.two_exp >= 1)
 
 
 def test_gamma2_agrees_with_top_doubletons():
-    g = gamma2(5)
+    g = build_gamma(2, (5, 0))
     vals = sorted(values(g))
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             expected = is_top(FiniteSubset.of(x, y))
-            got = any(
-                {a.value(2), b.value(2)} == {x, y} for a, b in g.edges
-            )
-            assert got == expected
-
-
-def test_gamma2_rejects_tiny():
-    with pytest.raises(ValueError):
-        gamma2(1)
+            for edges in (g.predicate, g.closed):
+                got = any({a.value(2), b.value(2)} == {x, y} for a, b in edges)
+                assert got == expected
 
 
 def test_build_gamma_rejects_bad_p():
@@ -292,8 +291,8 @@ def test_build_gamma_rejects_bad_p():
 
 
 def test_dot_deterministic_and_frozen():
-    assert emit_dot(gamma2(2)) == emit_dot(gamma2(2))
-    text = emit_dot(gamma2(2))
+    assert emit_dot(build_gamma(2, (2, 0))) == emit_dot(build_gamma(2, (2, 0)))
+    text = emit_dot(build_gamma(2, (2, 0)))
     assert text.startswith("graph gamma_2 {")
     assert '"-2^2" -- "2^2";' in text
     assert text.count("--") == 7

@@ -203,3 +203,19 @@ def test_gamma_suite_details_include_p3_report():
     assert [6, 9] in rep3["predicate_only"]
     assert rep3["printed_only"]
     assert report.details["3"]["grid_predicate_only"] == 0
+
+
+def test_top_disagreements_are_reported_not_raised(monkeypatch):
+    from kirch import filters
+    from kirch.numtheory import PrimeSet
+
+    # a broken A_E turns every doubleton's verdict false; the listed
+    # ones must come back as failures of both suites that read is_top
+    monkeypatch.setattr(filters, "a_of", lambda E: PrimeSet.of(2, 3))
+    top = run_suite("top", small(max_element=8))
+    assert len(top.failures) == top.details["listed_doubletons"]
+    assert top.failures[0].actual == "is_top=False"
+    gamma2 = run_suite("gamma2", small(graph_bounds=(2, 0)))
+    max_exp = gamma2.details["max_exp"]
+    assert len(gamma2.failures) == 3 * max_exp + 1  # chains and rungs
+    assert gamma2.failures[0].actual == "predicate=True closed_form=True"
