@@ -3,7 +3,7 @@
 Modules
 -------
 numtheory   exact factorization, CRT, prime classes, power-gap checks
-topology    progressions, basic open sets, closures, separating witnesses
+topology    progressions, closures, the separation oracle for closures
 filters     superconnecting filters: A-sets, alpha maps, order, classification
 graphs      prime-power adjacency graphs and their closed-form edge families
 verify      brute-force suites confirming each structural fact on finite ranges

@@ -14,10 +14,8 @@ import json
 import sys
 
 from .filters import (
-    AlphaMap,
     FilterClass,
     FiniteSubset,
-    PrimeSet,
     classify,
     descriptor,
     filter_leq,
@@ -116,7 +114,7 @@ def _cmd_closure(ns) -> int:
     payload = {
         "a": prog.a,
         "b": prog.b,
-        "primes": sorted(cs.modulus_primes),
+        "primes": list(cs.modulus_primes),
         "residues": {str(p): rs for p, rs in residues.items()},
         "window": w.W,
         "sample": sample,
@@ -205,7 +203,7 @@ def _cmd_realize(ns) -> int:
             raise ValueError(f"alpha entries look like p=r, got {part!r}")
         p, r = part.split("=", 1)
         entries[int(p)] = int(r)
-    E = realize(PrimeSet.of(*primes), AlphaMap.of(entries))
+    E = realize(primes, entries)
     payload = {
         "A": sorted(primes),
         "alpha": {str(p): r for p, r in entries.items()},

@@ -12,27 +12,38 @@ is that k (normalized: alpha_E(2)=1, alpha_E(p)=0 on Pi_E minus {2}),
 and L runs over finite prime sets disjoint from A_E. The triple
 (A_E, Pi_E, alpha_E) is a complete invariant of the filter once E has
 at least two elements, and inclusion of filters is decidable from the
-triples alone. This module computes the triples, decides the order
-from them both by the three-condition comparison and by the per-prime
-generator argument (which also builds an escaping element), classifies
-filters against the layers directly under the top one, and realizes a
-prescribed (A, alpha) pair.
+triples alone. A_E and Pi_E are ascending tuples of primes and alpha_E
+a dict in ascending p; a singleton fits {0,k}+pZ for every p, so its
+A-set is None, rendered "all". This module computes the triples,
+decides the order from them both by the three-condition comparison
+and by the per-prime generator argument (which also builds an
+escaping element), classifies filters against the layers directly
+under the top one, and realizes a prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .numtheory import (
     CongruenceSystem,
-    PrimeSet,
     crt_solve,
     is_prime,
     prime_divisors,
 )
+
+
+def _braced(xs) -> str:
+    """Render a prime tuple, None (every prime) or an alpha map."""
+    if xs is None:
+        return "all"
+    if isinstance(xs, dict):
+        xs = [f"{p}:{r}" for p, r in xs.items()]
+    return "{" + ", ".join(map(str, xs)) + "}"
 
 
 @dataclass(frozen=True)
@@ -73,95 +84,48 @@ class FiniteSubset:
         return "{" + ", ".join(str(x) for x in self.elements) + "}"
 
 
-@dataclass(frozen=True)
-class AlphaMap:
-    """Residue choices alpha(p) in {0..p-1}, one per prime of the domain.
-
-    The domain always contains 2 and alpha(2) is pinned to 1; the other
-    structural constraint (alpha = 0 exactly on the common divisors
-    other than 2) is the business of alpha_of, not of the bare type.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        es = tuple(sorted(dict(self.entries).items()))
-        object.__setattr__(self, "entries", es)
-        for p, r in es:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if not 0 <= r < p:
-                raise ValueError(f"residue {r} out of range for prime {p}")
-        d = dict(es)
-        if d.get(2) != 1:
-            raise ValueError("alpha(2) must be present and equal 1")
-        object.__setattr__(self, "_map", d)
-
-    @classmethod
-    def of(cls, mapping: dict[int, int]) -> "AlphaMap":
-        return cls(tuple(mapping.items()))
-
-    def __getitem__(self, p: int) -> int:
-        return self._map[p]
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(p for p, _ in self.entries)
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
-    def restricted(self, primes) -> tuple[tuple[int, int], ...]:
-        keep = set(primes)
-        return tuple((p, r) for p, r in self.entries if p in keep)
-
-    def __str__(self) -> str:
-        return "{" + ", ".join(f"{p}:{r}" for p, r in self.entries) + "}"
-
-
 def residue_classes(E: FiniteSubset, p: int) -> frozenset[int]:
     """The nonzero residues of E mod p."""
     return frozenset(x % p for x in E) - {0}
 
 
-def pi_of(E: FiniteSubset) -> PrimeSet:
-    """Common prime divisors of the elements.
+def pi_of(E: FiniteSubset) -> tuple[int, ...]:
+    """Common prime divisors of the elements, ascending.
 
     >>> pi_of(FiniteSubset.of(6, -12, 30))
-    PrimeSet(primes=(2, 3))
+    (2, 3)
     """
     g = math.gcd(*E.elements)
-    return prime_divisors(g) if g > 1 else PrimeSet.of()
+    return prime_divisors(g) if g > 1 else ()
 
 
-def a_of(E: FiniteSubset) -> PrimeSet:
-    """The primes p with E inside {0,k}+pZ for some single k.
+def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
+    """The primes p with E inside {0,k}+pZ for some single k, ascending.
 
-    A singleton fits such a set for every p, so it gets the all-primes
-    marker. Otherwise any two distinct elements x, y bound the answer:
-    a qualifying p must divide x, y, or x-y, so only the primes of
+    A singleton fits such a set for every p, so it gets None. Otherwise
+    any two distinct elements x, y bound the answer: a qualifying p
+    must divide x, y, or x-y, so only the primes of
     a_of_pair_formula(x, y) need the residue test.
     """
     if len(E) == 1:
-        return PrimeSet.all_primes()
+        return None
     x, y = E.elements[0], E.elements[1]
     candidates = a_of_pair_formula(x, y)
-    return PrimeSet._trusted(
-        tuple(p for p in candidates if len(residue_classes(E, p)) <= 1)
-    )
+    return tuple(p for p in candidates if len(residue_classes(E, p)) <= 1)
 
 
-def a_of_pair_formula(x: int, y: int) -> PrimeSet:
+def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     """Closed form for a doubleton: the prime divisors of x, y, and x-y.
 
     >>> a_of_pair_formula(3, 6)
-    PrimeSet(primes=(2, 3))
+    (2, 3)
     """
     if x == y:
         raise ValueError("need two distinct elements")
-    return prime_divisors(x).union(prime_divisors(y)).union(prime_divisors(x - y))
+    return tuple(sorted({*prime_divisors(x), *prime_divisors(y), *prime_divisors(x - y)}))
 
 
-def alpha_of(E: FiniteSubset) -> AlphaMap:
+def alpha_of(E: FiniteSubset) -> dict[int, int]:
     """The residue data of E: 1 at 2, 0 at the other common divisors,
     and the unique shared nonzero residue class elsewhere on A_E."""
     if len(E) == 1:
@@ -169,7 +133,9 @@ def alpha_of(E: FiniteSubset) -> AlphaMap:
     return _alpha_from(E, a_of(E), pi_of(E))
 
 
-def _alpha_from(E: FiniteSubset, A: PrimeSet, Pi: PrimeSet) -> AlphaMap:
+def _alpha_from(
+    E: FiniteSubset, A: tuple[int, ...], Pi: tuple[int, ...]
+) -> dict[int, int]:
     """alpha_of(E) given A_E and Pi_E already computed."""
     entries = {}
     for p in A:
@@ -180,7 +146,7 @@ def _alpha_from(E: FiniteSubset, A: PrimeSet, Pi: PrimeSet) -> AlphaMap:
         else:
             (r,) = residue_classes(E, p)
             entries[p] = r
-    return AlphaMap.of(entries)
+    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,33 +156,31 @@ class FilterDescriptor:
     Equality and hashing follow the filter, not the record: descriptors
     compare equal iff the A-sets agree, the odd parts of the Pi-sets
     agree, and the alpha maps agree off Pi and 2. Singleton sources
-    determine their filter by the element alone.
+    determine their filter by the element alone. descriptor() caches
+    and shares these records, so the alpha dict must not be mutated.
     """
 
-    A: PrimeSet
-    Pi: PrimeSet
-    alpha: AlphaMap | None
+    A: tuple[int, ...] | None
+    Pi: tuple[int, ...]
+    alpha: dict[int, int] | None
     source: FiniteSubset
 
     def __post_init__(self) -> None:
         # cached plain views; the hot comparison paths live on these.
         # _free lists (p, alpha(p)) for p in A minus Pi, ascending.
-        a = frozenset() if self.A.is_all else frozenset(self.A.primes)
-        pi = frozenset(self.Pi.primes)
-        object.__setattr__(self, "_a_set", a)
+        pi = frozenset(self.Pi)
+        object.__setattr__(self, "_a_set", frozenset(self.A or ()))
         object.__setattr__(self, "_pi_set", pi)
         free = () if self.alpha is None else tuple(
-            (p, self.alpha._map[p]) for p in self.A.primes if p not in pi
+            (p, r) for p, r in self.alpha.items() if p not in pi
         )
         object.__setattr__(self, "_free", free)
 
     def canonical_key(self):
-        if self.A.is_all:
+        if self.A is None:
             return ("singleton", self.source.elements[0])
-        assert self.alpha is not None
-        pi_odd = tuple(sorted(self.Pi.as_set() - {2}))
-        free = self.A.as_set() - self.Pi.as_set() - {2}
-        return (self.A.primes, pi_odd, self.alpha.restricted(free))
+        pi_odd = tuple(p for p in self.Pi if p != 2)
+        return (self.A, pi_odd, tuple(e for e in self._free if e[0] != 2))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilterDescriptor):
@@ -228,23 +192,21 @@ class FilterDescriptor:
 
     def to_json_dict(self) -> dict:
         return {
-            "A": "all" if self.A.is_all else list(self.A.primes),
-            "Pi": list(self.Pi.primes),
-            "alpha": {} if self.alpha is None else {
-                str(p): r for p, r in self.alpha.entries
-            },
+            "A": "all" if self.A is None else list(self.A),
+            "Pi": list(self.Pi),
+            "alpha": {str(p): r for p, r in (self.alpha or {}).items()},
             "source": list(self.source.elements),
         }
 
     def __str__(self) -> str:
-        alpha = "{}" if self.alpha is None else str(self.alpha)
-        return f"A={self.A} Pi={self.Pi} alpha={alpha}"
+        alpha = _braced(self.alpha or {})
+        return f"A={_braced(self.A)} Pi={_braced(self.Pi)} alpha={alpha}"
 
 
 @lru_cache(maxsize=None)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
-    """Bundle (A_E, Pi_E, alpha_E) for E; singletons get the all-primes
-    marker and no alpha map.
+    """Bundle (A_E, Pi_E, alpha_E) for E; singletons get A = None and no
+    alpha map.
 
     >>> str(descriptor(FiniteSubset.of(5, 10)))
     'A={2, 5} Pi={5} alpha={2:1, 5:0}'
@@ -278,7 +240,7 @@ def _descriptor_leq(dE: FilterDescriptor, dF: FilterDescriptor) -> bool:
         return False
     if not all(p == 2 or p in pie for p in dF._pi_set):
         return False
-    alpha_e, alpha_f = dE.alpha._map, dF.alpha._map
+    alpha_e, alpha_f = dE.alpha, dF.alpha
     return all(alpha_e[p] == alpha_f[p] for p in dF._a_set if p not in pie)
 
 
@@ -351,7 +313,7 @@ def _order_failure(
     """The generator argument of order_oracle: the prime at which the
     inclusion fails and why, or None when it holds."""
     af, pif = dF._a_set, dF._pi_set
-    alpha_f = dF.alpha._map
+    alpha_f = dF.alpha
     for p, r in dE._free:
         if p not in af:
             continue  # viable fix: L' may force 0 mod p
@@ -386,7 +348,7 @@ def _order_witness(
     if why is _PI_BLOCK:
         # bad is an odd common divisor of F: send z somewhere E forbids,
         # i.e. the least nonzero residue differing from alpha_E(bad)
-        extra = (1 if dE.alpha._map[bad] != 1 else 2, bad)
+        extra = (1 if dE.alpha[bad] != 1 else 2, bad)
     elif why is _MISSING and bad in dF._pi_set:
         extra = (1, bad)
     # otherwise z = alpha_F(bad) mod bad already escapes the target
@@ -407,8 +369,7 @@ def _order_witness(
 
 def is_top(E: FiniteSubset) -> bool:
     """Whether the filter of E is the largest one, i.e. A_E = {2}."""
-    A = a_of(E)
-    return not A.is_all and A.as_set() == {2}
+    return a_of(E) == (2,)
 
 
 class FilterClass(enum.Enum):
@@ -429,10 +390,10 @@ def classify(E: FiniteSubset) -> FilterClass:
     'FPrime'
     """
     A = a_of(E)
-    if A.is_all:
+    if A is None:
         return FilterClass.OTHER
-    aset = A.as_set()
-    pi = pi_of(E).as_set()
+    aset = set(A)
+    pi = set(pi_of(E))
     if aset == {2}:
         return FilterClass.TOP
     if len(aset) == 2:
@@ -453,40 +414,47 @@ def upset_in_fprime(E: FiniteSubset) -> list[FilterDescriptor]:
     if classify(E) is not FilterClass.F_DOUBLE_PRIME:
         raise ValueError(f"{E} is not in the FDoublePrime layer")
     d = descriptor(E)
-    aset = d.A.as_set()
-    if len(aset) == 2:
-        (p,) = aset - {2}
+    if len(d.A) == 2:
+        p = d.A[1]
         return [
             descriptor(FiniteSubset.of(a, p, 2 * p)) for a in range(1, p)
         ]
-    out = []
-    for p in sorted(aset - {2}):
-        a = d.alpha[p]
-        out.append(descriptor(FiniteSubset.of(a, p, 2 * p)))
-    return out
+    return [descriptor(FiniteSubset.of(d.alpha[p], p, 2 * p)) for p in d.A[1:]]
 
 
-def realize(A: PrimeSet, alpha: AlphaMap) -> FiniteSubset:
+def realize(A: Iterable[int], alpha: Mapping[int, int]) -> FiniteSubset:
     """Build a set whose invariants are exactly (A, alpha): take x as
     the product of the odd primes of A, y solving the residue system,
-    and return {y, x, 2x}.
+    and return {y, x, 2x}. A is any collection of primes and alpha any
+    mapping from primes to residues; this is where outside input is
+    validated.
 
-    >>> realize(PrimeSet.of(2, 5), AlphaMap.of({2: 1, 5: 2}))
+    >>> realize((2, 5), {2: 1, 5: 2})
     FiniteSubset(elements=(5, 7, 10))
     """
-    if A.is_all:
-        raise ValueError("only finite A-sets are realizable")
+    A = tuple(sorted(set(A)))
+    alpha = dict(sorted(alpha.items()))
+    for p in A:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    for p, r in alpha.items():
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if not 0 <= r < p:
+            raise ValueError(f"residue {r} out of range for prime {p}")
+    if alpha.get(2) != 1:
+        raise ValueError("alpha(2) must be present and equal 1")
     if 2 not in A:
         raise ValueError("A must contain 2")
-    if alpha.domain() != A.as_set():
+    if tuple(alpha) != A:
         raise ValueError("alpha must be defined exactly on A")
-    odd = [p for p in A if p != 2]
-    x = math.prod(odd)
+    x = math.prod(A[1:])
     y = crt_solve(CongruenceSystem(tuple((alpha[p], p) for p in A)))
     E = FiniteSubset.of(y, x, 2 * x)
-    got_a, got_alpha = a_of(E), alpha_of(E)
-    if got_a.as_set() != A.as_set() or got_alpha != alpha:
-        raise AssertionError(f"realization of (A={A}, alpha={alpha}) drifted: {E}")
+    if a_of(E) != A or alpha_of(E) != alpha:
+        raise AssertionError(
+            f"realization of (A={_braced(A)}, alpha={_braced(alpha)}) drifted: {E}"
+        )
     return E
 
 

@@ -85,7 +85,7 @@ def edge_predicate(x: int, y: int, p: int) -> bool:
         raise ValueError("no self-loops")
     vertex_from_value(x, p)
     vertex_from_value(y, p)
-    return a_of_pair_formula(x, y).as_set() == {2, p}
+    return set(a_of_pair_formula(x, y)) == {2, p}
 
 
 # Shift families, per prime class. A same-sign entry (di, dj) joins
@@ -117,6 +117,8 @@ def _rows(p: int, bounds: Bounds) -> range:
     row j = 0 for p = 2, which therefore takes bounds (i, 0)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if min(bounds) < 0:
+        raise ValueError("graph bounds must be nonnegative")
     if p == 2:
         if bounds[1] != 0:
             raise ValueError("the graph for 2 takes bounds (i, 0)")
@@ -203,8 +205,9 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     x - y is even), so A_{x,y} = {2, p} | primes(x - y). The test never
     reads the shift families, so the two sides stay independent.
 
-    Raises OverflowError, before building any vertex, when the largest
-    vertex 2^max_i * p^max_j leaves the 63-bit range.
+    Raises ValueError on a negative bound and OverflowError when the
+    largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
+    before building any vertex.
 
     >>> g = build_gamma(5, (4, 3))
     >>> sorted(g.neighbor_values(GammaVertex(1, 0, 1)))
@@ -214,7 +217,7 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     max_i, max_j = bounds
     # 2^63 and 3^63 both exceed the range, so the power is computed
     # only for exponents that can fit
-    if max_i >= 63 or max_j >= 63 or (p ** max(max_j, 0) << max(max_i, 0)) > MAX_MAGNITUDE:
+    if max_i >= 63 or max_j >= 63 or (p**max_j << max_i) > MAX_MAGNITUDE:
         raise OverflowError(
             f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
         )

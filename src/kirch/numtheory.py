@@ -144,111 +144,18 @@ def factorize(x: int) -> dict[int, int]:
     return dict(out)
 
 
-@dataclass(frozen=True)
-class PrimeSet:
-    """A strictly increasing tuple of primes, or every prime (primes=None).
-
-    The all-primes variant exists only to describe the A-set of a
-    one-element subset, which no finite list captures.
-    """
-
-    primes: tuple[int, ...] | None
-
-    def __post_init__(self) -> None:
-        if self.primes is None:
-            return
-        ps = tuple(self.primes)
-        object.__setattr__(self, "primes", ps)
-        if list(ps) != sorted(set(ps)):
-            raise ValueError("primes must be strictly increasing and distinct")
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-    @classmethod
-    def of(cls, *primes: int) -> "PrimeSet":
-        return cls(tuple(sorted(set(primes))))
-
-    @classmethod
-    def from_iterable(cls, primes) -> "PrimeSet":
-        return cls(tuple(sorted(set(primes))))
-
-    @classmethod
-    def all_primes(cls) -> "PrimeSet":
-        return cls(None)
-
-    @classmethod
-    def _trusted(cls, primes: tuple[int, ...]) -> "PrimeSet":
-        """Wrap a strictly increasing tuple of primes already proved prime
-        (drawn from validated PrimeSets, or the keys of factorize) without
-        proving each member prime again."""
-        ps = object.__new__(cls)
-        object.__setattr__(ps, "primes", primes)
-        return ps
-
-    @property
-    def is_all(self) -> bool:
-        return self.primes is None
-
-    def __contains__(self, p: int) -> bool:
-        if self.primes is None:
-            return is_prime(p)
-        return p in self.primes
-
-    def __iter__(self):
-        if self.primes is None:
-            raise TypeError("cannot iterate over all primes")
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        if self.primes is None:
-            raise TypeError("all-primes variant has no finite size")
-        return len(self.primes)
-
-    def as_set(self) -> frozenset[int]:
-        if self.primes is None:
-            raise TypeError("all-primes variant has no finite extension")
-        return frozenset(self.primes)
-
-    def union(self, other: "PrimeSet") -> "PrimeSet":
-        if self.primes is None or other.primes is None:
-            return PrimeSet(None)
-        return PrimeSet._trusted(tuple(sorted(set(self.primes + other.primes))))
-
-    def issubset(self, other: "PrimeSet") -> bool:
-        if other.primes is None:
-            return True
-        if self.primes is None:
-            return False
-        return set(self.primes) <= set(other.primes)
-
-    def __str__(self) -> str:
-        if self.primes is None:
-            return "all"
-        return "{" + ", ".join(str(p) for p in self.primes) + "}"
-
-
 @lru_cache(maxsize=None)
-def prime_divisors(x: int) -> PrimeSet:
-    """The set of primes dividing |x|; empty for units.
+def prime_divisors(x: int) -> tuple[int, ...]:
+    """The primes dividing |x|, ascending; empty for units.
 
     >>> prime_divisors(63)
-    PrimeSet(primes=(3, 7))
+    (3, 7)
     >>> prime_divisors(-1)
-    PrimeSet(primes=())
+    ()
     """
     if x == 0:
         raise ValueError("every prime divides 0; prime_divisors needs x != 0")
-    # every key of factorize is already proved prime: a table prime, the
-    # smallest wheel divisor left, or a cofactor that passed is_prime
-    return PrimeSet._trusted(tuple(sorted(factorize(x))))
-
-
-def is_squarefree(x: int) -> bool:
-    """True iff no p^2 divides |x|; units are squarefree."""
-    if x == 0:
-        raise ValueError("0 is divisible by every square")
-    return all(k == 1 for k in factorize(x).values())
+    return tuple(sorted(factorize(x)))
 
 
 @dataclass(frozen=True)
@@ -380,12 +287,11 @@ def zsigmondy_is_exception(a: int, n: int) -> bool:
     top = a**n
     if top > MAX_MAGNITUDE:
         raise OverflowError(f"{a}^{n} exceeds the supported 63-bit range")
-    target = prime_divisors(top - 1).as_set()
     seen: set[int] = set()
     for k in range(1, n):
         if a**k - 1 > 1:
-            seen |= prime_divisors(a**k - 1).as_set()
-    return target <= seen
+            seen.update(prime_divisors(a**k - 1))
+    return seen.issuperset(prime_divisors(top - 1))
 
 
 def zsigmondy_closed_form(a: int, n: int) -> bool:

@@ -1,4 +1,4 @@
-"""Progressions, basic open sets, and closures over the nonzero integers.
+"""Progressions and their closures over the nonzero integers.
 
 The ground set everywhere is the punctured line: an arithmetic
 progression enters the data model as (a+bZ) minus {0}, its closure as a
@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .numtheory import PrimeSet, is_squarefree, prime_divisors
+from .numtheory import prime_divisors
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class Progression:
     def __contains__(self, z: int) -> bool:
         return z != 0 and (z - self.a) % self.b == 0
 
-    def sample(self, w: "Window") -> list[int]:
-        return [z for z in w.members() if z in self]
-
     def __str__(self) -> str:
         return f"{self.a}+{self.b}Z"
 
@@ -65,9 +62,6 @@ class Window:
     def members(self):
         return itertools.chain(range(-self.W, 0), range(1, self.W + 1))
 
-    def __contains__(self, z: int) -> bool:
-        return z != 0 and -self.W <= z <= self.W
-
 
 @dataclass(frozen=True)
 class ClosureSet:
@@ -78,12 +72,8 @@ class ClosureSet:
     punctured line.
     """
 
-    modulus_primes: PrimeSet
+    modulus_primes: tuple[int, ...]
     allowed_residue: int
-
-    def __post_init__(self) -> None:
-        if self.modulus_primes.is_all:
-            raise ValueError("closure conditions must involve finitely many primes")
 
     def __contains__(self, z: int) -> bool:
         if z == 0:
@@ -99,27 +89,13 @@ class ClosureSet:
         return [z for z in w.members() if z in self]
 
     def __str__(self) -> str:
-        if self.modulus_primes.primes == ():
+        if not self.modulus_primes:
             return "Z\\{0}"
         conds = ", ".join(
             "z = {} (mod {})".format(" or ".join(str(r) for r in sorted(self.residues_mod(p))), p)
             for p in self.modulus_primes
         )
         return f"{{z != 0 : {conds}}}"
-
-
-def is_kirch_open_basic(a: int, b: int) -> bool:
-    """Whether (a + bZ) minus {0} is a basic open set: squarefree modulus,
-    coprime to the representative.
-
-    >>> is_kirch_open_basic(1, 6), is_kirch_open_basic(3, 6), is_kirch_open_basic(5, 4)
-    (True, False, False)
-    """
-    if a == 0:
-        raise ValueError("representative must be nonzero")
-    if b < 1:
-        raise ValueError("modulus must be positive")
-    return is_squarefree(b) and math.gcd(a, b) == 1
 
 
 def closure(p: Progression) -> ClosureSet:
@@ -152,27 +128,3 @@ def closure_oracle_member(z: int, p: Progression) -> bool:
                 return False
     return True
 
-
-def superconnect_witness(q: int, w: Window) -> set[int]:
-    """Intersection of cl(1+qZ) and cl(2+qZ) inside the window, for odd
-    squarefree q >= 3; checked against its exact value, the nonzero
-    multiples of q.
-
-    >>> sorted(superconnect_witness(3, Window(9)))
-    [-9, -6, -3, 3, 6, 9]
-    """
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"{q} must be odd and >= 3")
-    if not is_squarefree(q):
-        raise ValueError(f"{q} must be squarefree")
-    if w.W < q:
-        raise ValueError(f"window {w.W} too small to contain a multiple of {q}")
-    c1 = closure(Progression(1, q))
-    c2 = closure(Progression(2, q))
-    got = {z for z in w.members() if z in c1 and z in c2}
-    expected = {z for z in w.members() if z % q == 0}
-    if got != expected:
-        raise AssertionError(
-            f"cl(1+{q}Z) & cl(2+{q}Z) differs from {q}Z on window {w.W}"
-        )
-    return got

@@ -18,11 +18,10 @@ import time
 from dataclasses import dataclass, field
 
 from .filters import (
-    AlphaMap,
     FilterClass,
     FilterDescriptor,
     FiniteSubset,
-    PrimeSet,
+    _braced,
     _descriptor_leq,
     _order_failure,
     _order_witness,
@@ -160,9 +159,9 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
         for y in vals[i + 1:]:
             cases += 1
             if fault == "pair_formula_drop_difference":
-                got = prime_divisors(x).union(prime_divisors(y)).as_set()
+                got = {*prime_divisors(x), *prime_divisors(y)}
             else:
-                got = a_of_pair_formula(x, y).as_set()
+                got = set(a_of_pair_formula(x, y))
             # every qualifying prime divides x, y or x-y, so none
             # exceeds the largest of their magnitudes
             want = {
@@ -357,21 +356,19 @@ def _suite_realize(cfg: SuiteConfig, fault: str | None):
     failures = []
     cases = 0
     for rest in a_sets:
-        A = PrimeSet.of(2, *rest)
+        A = (2, *rest)
         residue_spaces = [range(p) for p in rest]
         for residues in product(*residue_spaces):
-            alpha = AlphaMap.of({2: 1, **dict(zip(rest, residues))})
+            alpha = {2: 1, **dict(zip(rest, residues))}
             cases += 1
             E = realize(A, alpha)
             got_a = a_of(E)
             got_alpha = alpha_of(E)
-            if got_a.is_all or got_a.as_set() != A.as_set() or (
-                got_alpha.as_dict() != alpha.as_dict()
-            ):
+            if got_a != A or got_alpha != alpha:
                 failures.append(VerifyFailure(
-                    f"A={A} alpha={alpha}",
+                    f"A={_braced(A)} alpha={_braced(alpha)}",
                     "roundtrip recovery",
-                    f"E={E} A={got_a} alpha={got_alpha}",
+                    f"E={E} A={_braced(got_a)} alpha={_braced(got_alpha)}",
                 ))
     return cases, failures, {"a_sets": len(a_sets)}
 

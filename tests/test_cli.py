@@ -80,7 +80,7 @@ def test_cmp_json_witness(capsys):
 def in_generator(z, d, L):
     """Membership in G(L): nonzero, divisible by L, and at each prime of
     A outside Pi either divisible or in the alpha class."""
-    free = d.A.as_set() - d.Pi.as_set()
+    free = set(d.A) - set(d.Pi)
     return (
         z != 0
         and all(z % r == 0 for r in L)
@@ -135,6 +135,34 @@ def test_realize(capsys):
     code, out, _ = run(capsys, "realize", "--A", "2,5", "--alpha", "2=1,5=2")
     assert code == 0
     assert out.strip() == "{5, 7, 10}"
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (("ae", "7"), "A=all Pi={7} alpha={}\n"),
+    (("ae", "--format", "json", "7"),
+     '{"A": "all", "Pi": [7], "alpha": {}, "source": [7]}\n'),
+    (("ae", "1", "15", "30"), "A={2, 3, 5} Pi={} alpha={2:1, 3:1, 5:1}\n"),
+    (("classify", "1", "15", "30"),
+     "FDoublePrime\n"
+     "  A={2, 3, 5} Pi={} alpha={2:1, 3:1, 5:1}\n"
+     "  upset: 2 descriptors\n"
+     "    A={2, 3} Pi={} alpha={2:1, 3:1}\n"
+     "    A={2, 5} Pi={} alpha={2:1, 5:1}\n"),
+    (("closure", "1", "1", "--window", "3"),
+     "Z\\{0}\n  members in [-3, 3]: -3, -2, -1, 1, 2, 3\n"),
+    (("closure", "--format", "json", "1", "1", "--window", "3"),
+     '{"a": 1, "b": 1, "primes": [], "residues": {}, '
+     '"sample": [-3, -2, -1, 1, 2, 3], "window": 3}\n'),
+    (("realize", "--A", "2", "--alpha", "2=1"), "{1, 2}\n"),
+    (("realize", "--format", "json", "--A", "5,2", "--alpha", "5=3,2=1"),
+     '{"A": [2, 5], "alpha": {"2": 1, "5": 3}, "set": [3, 5, 10]}\n'),
+], ids=[
+    "ae-singleton", "ae-singleton-json", "ae-empty-pi", "classify-upset",
+    "closure-whole-line", "closure-whole-line-json", "realize-top",
+    "realize-json",
+])
+def test_exact_renderings(capsys, argv, stdout):
+    assert run(capsys, *argv) == (0, stdout, "")
 
 
 def test_realize_rejects_bad_alpha(capsys):
@@ -214,6 +242,13 @@ def test_gamma_grid_past_63_bits_is_unusable_input(capsys, p, bounds):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and "63-bit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("p,bounds", [("3", "-3,2"), ("3", "3,-1"), ("2", "-1,0")])
+def test_gamma_negative_bounds_are_unusable_input(capsys, p, bounds):
+    code, out, err = run(capsys, "gamma", p, f"--bounds={bounds}")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_gamma2_at_the_63_bit_edge(capsys):

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirch.filters import (
-    AlphaMap,
     FilterClass,
     FiniteSubset,
     _descriptor_leq,
@@ -30,7 +29,7 @@ from kirch.filters import (
     realize,
     upset_in_fprime,
 )
-from kirch.numtheory import PrimeSet, primes_upto
+from kirch.numtheory import primes_upto
 
 S = FiniteSubset.of
 
@@ -55,26 +54,26 @@ small_sets = st.builds(
 
 class TestASet:
     def test_frozen_examples(self):
-        assert a_of(S(1, 2)).as_set() == {2}
-        assert a_of(S(5, 10)).as_set() == {2, 5}
-        assert a_of(S(3, 6, 12)).as_set() == {2, 3}
-        assert a_of(S(7)).is_all
+        assert a_of(S(1, 2)) == (2,)
+        assert a_of(S(5, 10)) == (2, 5)
+        assert a_of(S(3, 6, 12)) == (2, 3)
+        assert a_of(S(7)) is None
 
     @given(small_sets)
     @settings(max_examples=300, deadline=None)
     def test_matches_naive(self, E):
-        assert a_of(E).as_set() == naive_a_of(E, 200)
+        assert a_of(E) == tuple(sorted(naive_a_of(E, 200)))
 
     @given(small_sets)
     @settings(max_examples=150, deadline=None)
     def test_negation_invariance(self, E):
         mirror = FiniteSubset(tuple(-x for x in E))
-        assert a_of(mirror).as_set() == a_of(E).as_set()
+        assert a_of(mirror) == a_of(E)
 
     def test_pair_formula_frozen(self):
-        assert a_of_pair_formula(3, 6).as_set() == {2, 3}
-        assert a_of_pair_formula(1, 7).as_set() == {2, 3, 7}
-        assert a_of_pair_formula(16, 32).as_set() == {2}
+        assert a_of_pair_formula(3, 6) == (2, 3)
+        assert a_of_pair_formula(1, 7) == (2, 3, 7)
+        assert a_of_pair_formula(16, 32) == (2,)
         with pytest.raises(ValueError):
             a_of_pair_formula(4, 4)
 
@@ -86,33 +85,26 @@ class TestASet:
     def test_pair_formula_matches_general(self, x, y):
         if x == y:
             return
-        assert a_of_pair_formula(x, y).as_set() == a_of(S(x, y)).as_set()
+        assert a_of_pair_formula(x, y) == a_of(S(x, y))
 
 
 class TestAlpha:
     def test_frozen_examples(self):
-        assert alpha_of(S(1, 2)).as_dict() == {2: 1}
-        assert alpha_of(S(5, 10)).as_dict() == {2: 1, 5: 0}
-        assert alpha_of(S(7, 5, 10)).as_dict() == {2: 1, 5: 2}
+        assert alpha_of(S(1, 2)) == {2: 1}
+        assert alpha_of(S(5, 10)) == {2: 1, 5: 0}
+        assert alpha_of(S(7, 5, 10)) == {2: 1, 5: 2}
 
     def test_rejects_singleton(self):
         with pytest.raises(ValueError):
             alpha_of(S(9))
 
-    def test_map_validation(self):
-        with pytest.raises(ValueError):
-            AlphaMap.of({2: 0})
-        with pytest.raises(ValueError):
-            AlphaMap.of({2: 1, 5: 5})
-        with pytest.raises(ValueError):
-            AlphaMap.of({2: 1, 9: 2})
-
     @given(small_sets)
     @settings(max_examples=200, deadline=None)
     def test_covers_source(self, E):
         al = alpha_of(E)
-        pi = pi_of(E).as_set()
-        for p, r in al.entries:
+        pi = pi_of(E)
+        assert tuple(al) == a_of(E)
+        for p, r in al.items():
             assert all(x % p in (0, r) for x in E)
             if p == 2:
                 assert r == 1
@@ -125,20 +117,22 @@ class TestAlpha:
 class TestDescriptor:
     def test_frozen_examples(self):
         d = descriptor(S(5, 10))
-        assert d.A.as_set() == {2, 5}
-        assert d.Pi.as_set() == {5}
-        assert d.alpha.as_dict() == {2: 1, 5: 0}
+        assert d.A == (2, 5)
+        assert d.Pi == (5,)
+        assert d.alpha == {2: 1, 5: 0}
         d3 = descriptor(S(1, 15, 30))
-        assert d3.A.as_set() == {2, 3, 5}
-        assert d3.Pi.primes == ()
-        assert d3.alpha.as_dict() == {2: 1, 3: 1, 5: 1}
-        assert descriptor(S(7)).A.is_all
+        assert d3.A == (2, 3, 5)
+        assert d3.Pi == ()
+        assert d3.alpha == {2: 1, 3: 1, 5: 1}
+        d7 = descriptor(S(7))
+        assert (d7.A, d7.Pi, d7.alpha) == (None, (7,), None)
+        assert str(d7) == "A=all Pi={7} alpha={}"
 
     def test_prime_factor_past_the_table(self):
         # 10000000019 is prime, far past the prime table, and
         # 10000000018 = 2 * 131 * 521 * 73259
         d = descriptor(S(1, 10000000019))
-        assert str(d.A) == "{2, 131, 521, 73259, 10000000019}"
+        assert d.A == (2, 131, 521, 73259, 10000000019)
 
     def test_canonical_equality_ignores_source(self):
         assert descriptor(S(1, 5, 10)) == descriptor(S(6, 5, 10))
@@ -331,31 +325,37 @@ class TestUpset:
 
 class TestRealize:
     def test_frozen_examples(self):
-        assert realize(PrimeSet.of(2, 5), AlphaMap.of({2: 1, 5: 2})) == S(5, 7, 10)
-        assert realize(PrimeSet.of(2), AlphaMap.of({2: 1})) == S(1, 2)
-        assert realize(
-            PrimeSet.of(2, 3, 5), AlphaMap.of({2: 1, 3: 1, 5: 1})
-        ) == S(1, 15, 30)
+        assert realize((2, 5), {2: 1, 5: 2}) == S(5, 7, 10)
+        assert realize((2,), {2: 1}) == S(1, 2)
+        assert realize((2, 3, 5), {2: 1, 3: 1, 5: 1}) == S(1, 15, 30)
+        # any collection of primes, any mapping order
+        assert realize([5, 2, 5], {5: 2, 2: 1}) == S(5, 7, 10)
 
     def test_roundtrip_small(self):
         for pa in ((2,), (2, 3), (2, 5), (2, 3, 5), (2, 3, 7)):
-            A = PrimeSet.of(*pa)
             choices = [[1]] + [list(range(p)) for p in pa[1:]]
             import itertools
 
             for combo in itertools.product(*choices):
-                alpha = AlphaMap.of(dict(zip(pa, combo)))
-                E = realize(A, alpha)
-                assert a_of(E).as_set() == set(pa)
+                alpha = dict(zip(pa, combo))
+                E = realize(pa, alpha)
+                assert a_of(E) == pa
                 assert alpha_of(E) == alpha
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            realize(PrimeSet.of(3, 5), AlphaMap.of({2: 1}))
-        with pytest.raises(ValueError):
-            realize(PrimeSet.of(2, 5), AlphaMap.of({2: 1}))
-        with pytest.raises(ValueError):
-            realize(PrimeSet.all_primes(), AlphaMap.of({2: 1}))
+    @pytest.mark.parametrize("A,alpha,message", [
+        ((2, 9), {2: 1, 9: 2}, "9 is not prime"),
+        ((2, 5), {2: 1, 9: 2}, "9 is not prime"),
+        ((2, 5), {2: 1, 5: 5}, "residue 5 out of range for prime 5"),
+        ((2, 5), {2: 0, 5: 1}, "alpha\\(2\\) must be present and equal 1"),
+        ((3, 5), {2: 1}, "A must contain 2"),
+        ((2, 5), {2: 1}, "alpha must be defined exactly on A"),
+    ], ids=[
+        "composite-in-A", "composite-in-alpha", "residue-out-of-range",
+        "alpha2-not-1", "missing-2", "domain-mismatch",
+    ])
+    def test_rejects_bad_input(self, A, alpha, message):
+        with pytest.raises(ValueError, match=message):
+            realize(A, alpha)
 
 
 class TestDividesViaFilters:

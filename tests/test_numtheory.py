@@ -14,14 +14,12 @@ from hypothesis import strategies as st
 from kirch.numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
-    PrimeSet,
     classify_prime,
     consecutive_power_pairs,
     crt_solve,
     factorize,
     fm_exponent,
     is_prime,
-    is_squarefree,
     perfect_powers,
     prime_divisors,
     primes_upto,
@@ -53,11 +51,11 @@ nonzero_ints = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
 
 class TestFactorization:
     def test_frozen_examples(self):
-        assert prime_divisors(63).as_set() == {3, 7}
-        assert prime_divisors(-1).as_set() == set()
-        assert prime_divisors(360).as_set() == {2, 3, 5}
-        assert prime_divisors(1).as_set() == set()
-        assert prime_divisors(-97).as_set() == {97}
+        assert prime_divisors(63) == (3, 7)
+        assert prime_divisors(-1) == ()
+        assert prime_divisors(360) == (2, 3, 5)
+        assert prime_divisors(1) == ()
+        assert prime_divisors(-97) == (97,)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -85,7 +83,7 @@ class TestFactorization:
     ])
     def test_prime_divisors_are_the_keys_of_factorize(self, x):
         got = prime_divisors(x)
-        assert got == PrimeSet.from_iterable(factorize(x))
+        assert got == tuple(sorted(factorize(x)))
         assert all(is_prime(p) for p in factorize(x))
 
     def test_multiplicities_reconstruct(self):
@@ -98,7 +96,7 @@ class TestFactorization:
     @given(nonzero_ints)
     @settings(max_examples=300, deadline=None)
     def test_matches_naive(self, x):
-        assert prime_divisors(x).as_set() == naive_prime_divisors(x)
+        assert prime_divisors(x) == tuple(sorted(naive_prime_divisors(x)))
 
     @given(st.integers(2, 10**12))
     @settings(max_examples=150, deadline=None)
@@ -117,60 +115,23 @@ class TestFactorization:
         with pytest.raises(ValueError):
             primes_upto(300_001)
 
-    @given(nonzero_ints)
-    @settings(max_examples=200, deadline=None)
-    def test_squarefree_matches_naive(self, x):
-        naive = all(abs(x) % (d * d) for d in range(2, math.isqrt(abs(x)) + 1))
-        assert is_squarefree(x) == naive
-
-    def test_squarefree_frozen(self):
-        assert is_squarefree(30)
-        assert is_squarefree(-1)
-        assert not is_squarefree(12)
-
 
 class TestPrimeSet:
+    """Prime sets are plain ascending tuples of distinct primes."""
+
     def test_of_sorts_and_dedups(self):
-        assert PrimeSet.of(7, 3, 7, 2).primes == (2, 3, 7)
+        assert prime_divisors(7 * 3 * 7 * 2) == (2, 3, 7)
 
-    def test_rejects_composites(self):
-        with pytest.raises(ValueError):
-            PrimeSet.of(2, 9)
-
-    def test_membership_and_ops(self):
-        s = PrimeSet.of(3, 5)
-        assert 5 in s and 7 not in s
-        assert s.union(PrimeSet.of(2, 5)).primes == (2, 3, 5)
-        assert s.issubset(PrimeSet.of(2, 3, 5))
-        assert not PrimeSet.of(2, 3, 5).issubset(s)
-        assert str(s) == "{3, 5}"
-
-    def test_validating_constructors_reject_composites(self):
-        with pytest.raises(ValueError):
-            PrimeSet((4,))
-        with pytest.raises(ValueError):
-            PrimeSet.from_iterable([4])
-
+    # at most 8 primes below 200, so the product stays under 2^63
     @given(
-        st.lists(st.sampled_from(primes_upto(200)), max_size=8),
-        st.lists(st.sampled_from(primes_upto(200)), max_size=8),
+        st.lists(st.sampled_from(primes_upto(200)), max_size=4),
+        st.lists(st.sampled_from(primes_upto(200)), max_size=4),
     )
     @settings(max_examples=100)
     def test_union_matches_from_iterable(self, xs, ys):
-        got = PrimeSet.from_iterable(xs).union(PrimeSet.from_iterable(ys))
-        assert got == PrimeSet.from_iterable(xs + ys)
-        assert got.primes == tuple(sorted(set(xs + ys)))
-
-    def test_all_primes_variant(self):
-        a = PrimeSet.all_primes()
-        assert a.is_all
-        assert 101 in a and 102 not in a
-        assert PrimeSet.of(3, 5).issubset(a) and not a.issubset(PrimeSet.of(3, 5))
-        assert str(a) == "all"
-        with pytest.raises(TypeError):
-            len(a)
-        with pytest.raises(TypeError):
-            list(a)
+        # the primes of a product are the ascending union of both sides
+        got = prime_divisors(math.prod(xs) * math.prod(ys))
+        assert got == tuple(sorted(set(xs + ys)))
 
 
 class TestCrt:

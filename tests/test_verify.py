@@ -207,11 +207,10 @@ def test_gamma_suite_details_include_p3_report():
 
 def test_top_disagreements_are_reported_not_raised(monkeypatch):
     from kirch import filters
-    from kirch.numtheory import PrimeSet
 
     # a broken A_E turns every doubleton's verdict false; the listed
     # ones must come back as failures of both suites that read is_top
-    monkeypatch.setattr(filters, "a_of", lambda E: PrimeSet.of(2, 3))
+    monkeypatch.setattr(filters, "a_of", lambda E: (2, 3))
     top = run_suite("top", small(max_element=8))
     assert len(top.failures) == top.details["listed_doubletons"]
     assert top.failures[0].actual == "is_top=False"
