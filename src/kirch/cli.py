@@ -205,7 +205,7 @@ def _cmd_realize(ns) -> int:
         entries[int(p)] = int(r)
     E = realize(primes, entries)
     payload = {
-        "A": sorted(primes),
+        "A": sorted(set(primes)),
         "alpha": {str(p): r for p, r in entries.items()},
         "set": list(E.elements),
     }

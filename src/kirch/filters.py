@@ -203,7 +203,7 @@ class FilterDescriptor:
         return f"A={_braced(self.A)} Pi={_braced(self.Pi)} alpha={alpha}"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """Bundle (A_E, Pi_E, alpha_E) for E; singletons get A = None and no
     alpha map.

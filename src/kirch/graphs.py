@@ -23,6 +23,7 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .filters import a_of_pair_formula
 from .numtheory import MAX_MAGNITUDE, classify_prime, fm_exponent, is_prime
@@ -30,33 +31,24 @@ from .numtheory import MAX_MAGNITUDE, classify_prime, fm_exponent, is_prime
 Bounds = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GammaVertex:
+class GammaVertex(NamedTuple):
     """One grid point s * 2^two_exp * p^p_exp; p_exp is 0 on the graph
-    for p = 2, whose vertices are plain signed powers of two."""
+    for p = 2, whose vertices are plain signed powers of two. The
+    fields are declared in grid order, so tuple order is grid order."""
 
-    sign: int
-    two_exp: int
     p_exp: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be -1 or +1")
-        if self.two_exp < 0 or self.p_exp < 0:
-            raise ValueError("exponents must be nonnegative")
+    two_exp: int
+    sign: int
 
     def value(self, p: int) -> int:
         return self.sign * 2**self.two_exp * p**self.p_exp
-
-    def grid_key(self) -> tuple[int, int, int]:
-        return (self.p_exp, self.two_exp, self.sign)
 
 
 Edge = tuple[GammaVertex, GammaVertex]
 
 
 def _edge(v: GammaVertex, w: GammaVertex) -> Edge:
-    return (v, w) if v.grid_key() <= w.grid_key() else (w, v)
+    return (v, w) if v <= w else (w, v)
 
 
 def vertex_from_value(x: int, p: int) -> GammaVertex:
@@ -72,7 +64,7 @@ def vertex_from_value(x: int, p: int) -> GammaVertex:
         j += 1
     if n != 1 or (p != 2 and j == 0):
         raise ValueError(f"{x} is not of the form s*2^i*{p}^j with j >= 1")
-    return GammaVertex(1 if x > 0 else -1, i, j)
+    return GammaVertex(j, i, 1 if x > 0 else -1)
 
 
 def edge_predicate(x: int, y: int, p: int) -> bool:
@@ -126,14 +118,11 @@ def _rows(p: int, bounds: Bounds) -> range:
     return range(1, bounds[1] + 1)
 
 
-def _grid(rows: range, max_i: int) -> dict[tuple[int, int, int], GammaVertex]:
-    """Every vertex of the grid, keyed by (sign, i, j)."""
-    return {
-        (s, i, j): GammaVertex(s, i, j)
-        for j in rows
-        for i in range(max_i + 1)
-        for s in (-1, 1)
-    }
+def _grid(rows: range, max_i: int) -> frozenset[GammaVertex]:
+    """Every vertex of the grid."""
+    return frozenset(
+        GammaVertex(j, i, s) for j in rows for i in range(max_i + 1) for s in (-1, 1)
+    )
 
 
 def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
@@ -142,20 +131,17 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
     grid = _grid(_rows(p, bounds), bounds[0])
     same, opp = _families(p)
     out: set[Edge] = set()
-    for (s, i, j), v in grid.items():
+    for v in grid:
+        j, i, s = v
         for di, dj in same:
-            w = grid.get((s, i + di, j + dj))
-            if w is not None:
+            w = GammaVertex(j + dj, i + di, s)
+            if w in grid:
                 out.add(_edge(v, w))
         for di, dj in opp:
-            w = grid.get((-s, i + di, j + dj))
-            if w is not None:
+            w = GammaVertex(j + dj, i + di, -s)
+            if w in grid:
                 out.add(_edge(v, w))
     return frozenset(out)
-
-
-def _edge_order(e: Edge) -> tuple:
-    return (e[0].grid_key(), e[1].grid_key())
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,8 +163,8 @@ class GammaGraph:
     def discrepancies(self) -> dict[str, list[Edge]]:
         """Edges claimed by only one side, never silently reconciled."""
         return {
-            "predicate": sorted(self.predicate - self.closed, key=_edge_order),
-            "closed_form": sorted(self.closed - self.predicate, key=_edge_order),
+            "predicate": sorted(self.predicate - self.closed),
+            "closed_form": sorted(self.closed - self.predicate),
         }
 
     def neighbor_values(self, v: GammaVertex) -> set[int]:
@@ -222,8 +208,8 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
             f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
         )
     grid = _grid(rows, max_i)
-    by_key = sorted(grid.values(), key=GammaVertex.grid_key)
-    values = [v.value(p) for v in by_key]
+    order = sorted(grid)
+    values = [v.value(p) for v in order]
     # the odd parts of {2,p}-smooth differences; no difference of two
     # vertices exceeds 2 * MAX_MAGNITUDE
     p_powers = {1}
@@ -236,15 +222,9 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
         for b in range(a + 1, len(values)):
             d = abs(xa - values[b])
             if d >> ((d & -d).bit_length() - 1) in p_powers:
-                predicate.add(_edge(by_key[a], by_key[b]))
-    closed = closed_form_edges(p, bounds)
-    # key each predicate edge to the closed form's equal tuple, so the
-    # set algebra on the two sides matches by identity instead of
-    # running GammaVertex.__eq__ on every vertex
-    same = {e: e for e in closed}
+                predicate.add((order[a], order[b]))
     return GammaGraph(
-        p, bounds, frozenset(grid.values()),
-        frozenset(same.get(e, e) for e in predicate), closed,
+        p, bounds, grid, frozenset(predicate), closed_form_edges(p, bounds)
     )
 
 
@@ -266,12 +246,7 @@ def interior_vertices(g: GammaGraph) -> list[GammaVertex]:
     m2, mp = interior_margins(g.p)
     max_i, max_j = g.bounds
     return sorted(
-        (
-            v
-            for v in g.vertices
-            if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
-        ),
-        key=GammaVertex.grid_key,
+        v for v in g.vertices if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
     )
 
 
@@ -306,8 +281,7 @@ def emit_dot(g: GammaGraph) -> str:
     (predicate only) or dotted (closed form only)."""
     name = f"gamma_{g.p}"
     lines = [f"graph {name} {{"]
-    order = sorted(g.vertices, key=GammaVertex.grid_key)
-    for v in order:
+    for v in sorted(g.vertices):
         lines.append(f'  "{_label(v, g.p)}";')
     styles = dict.fromkeys(g.predicate - g.closed, " [style=dashed]")
     styles.update(dict.fromkeys(g.closed - g.predicate, " [style=dotted]"))
@@ -324,20 +298,18 @@ def emit_dot(g: GammaGraph) -> str:
 def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
     as value pairs, provenance grouped by tag."""
-    order = sorted(g.vertices, key=GammaVertex.grid_key)
-    edges = sorted(g.edges, key=_edge_order)
     tags = dict.fromkeys(g.predicate - g.closed, "predicate")
     tags.update(dict.fromkeys(g.closed - g.predicate, "closed_form"))
     prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
     pairs = []
-    for e in edges:
+    for e in sorted(g.edges):
         pair = [e[0].value(g.p), e[1].value(g.p)]
         pairs.append(pair)
         prov[tags.get(e, "both")].append(pair)
     return {
         "p": g.p,
         "bounds": list(g.bounds),
-        "vertices": [v.value(g.p) for v in order],
+        "vertices": [v.value(g.p) for v in sorted(g.vertices)],
         "edges": pairs,
         "provenance": prov,
     }
@@ -362,17 +334,17 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
                 j = b
                 flip = 1 if i % 2 == 0 else eps  # eps^(a-1), literally
                 pairs = [
-                    (GammaVertex(eps, i, j), GammaVertex(eps, i, j + 1)),
-                    (GammaVertex(eps, i, j), GammaVertex(flip, 1, j + 2)),
-                    (GammaVertex(eps, i, j), GammaVertex(eps, i + 1, j)),
-                    (GammaVertex(eps, i, j), GammaVertex(eps, i + 2, j)),
-                    (GammaVertex(eps, i, j + 1), GammaVertex(eps, i + 2, j)),
-                    (GammaVertex(eps, a + 1, b), GammaVertex(eps, a, b + 1)),
-                    (GammaVertex(eps, a + 3, b), GammaVertex(eps, a, b + 2)),
-                    (GammaVertex(eps, i, j), GammaVertex(-eps, i, j + 1)),
-                    (GammaVertex(eps, i, j), GammaVertex(-eps, i + 1, j)),
-                    (GammaVertex(eps, i, j), GammaVertex(-eps, i + 3, j)),
-                    (GammaVertex(eps, i, j), GammaVertex(-eps, i, j)),
+                    (GammaVertex(j, i, eps), GammaVertex(j + 1, i, eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j + 2, 1, flip)),
+                    (GammaVertex(j, i, eps), GammaVertex(j, i + 1, eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j, i + 2, eps)),
+                    (GammaVertex(j + 1, i, eps), GammaVertex(j, i + 2, eps)),
+                    (GammaVertex(b, a + 1, eps), GammaVertex(b + 1, a, eps)),
+                    (GammaVertex(b, a + 3, eps), GammaVertex(b + 2, a, eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j + 1, i, -eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j, i + 1, -eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j, i + 3, -eps)),
+                    (GammaVertex(j, i, eps), GammaVertex(j, i, -eps)),
                 ]
                 for v, w in pairs:
                     if grid(v) and grid(w) and v != w:

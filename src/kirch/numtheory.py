@@ -96,7 +96,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def factorize(x: int) -> dict[int, int]:
     """Prime factorization of |x| as {prime: multiplicity}; units give {}.
 
@@ -122,7 +121,7 @@ def factorize(x: int) -> dict[int, int]:
             out[p] = k
             if n > 1 and is_prime(n):
                 out[n] = out.get(n, 0) + 1
-                return dict(out)
+                return out
     if n > 1 and not is_prime(n):
         # remaining factors all exceed the table; wheel from its edge
         f = _SIEVE_LIMIT + 1
@@ -141,10 +140,10 @@ def factorize(x: int) -> dict[int, int]:
             step = 6 - step
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return dict(out)
+    return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def prime_divisors(x: int) -> tuple[int, ...]:
     """The primes dividing |x|, ascending; empty for units.
 

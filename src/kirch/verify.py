@@ -5,10 +5,6 @@ oracle over an exhaustive catalog, collecting mismatches as explicit
 failures. Reports are deterministic: catalogs enumerate in canonical
 order, any sampling is driven by the configured seed, and the JSON
 rendering carries no wall-clock data.
-
-The harness can also sabotage itself: run_suite accepts a fault name
-that swaps in a deliberately broken closed form, which the matching
-suite must then catch. That keeps "zero failures" falsifiable.
 """
 
 from __future__ import annotations
@@ -37,7 +33,6 @@ from .filters import (
     upset_in_fprime,
 )
 from .graphs import (
-    GammaVertex,
     build_gamma,
     degree_signature,
     interior_vertices,
@@ -45,14 +40,11 @@ from .graphs import (
 )
 from .numtheory import (
     consecutive_power_pairs,
-    prime_divisors,
     primes_upto,
     zsigmondy_closed_form,
     zsigmondy_is_exception,
 )
 from .topology import Progression, closure, closure_oracle_member
-
-FAULTS = ("pair_formula_drop_difference", "order_skip_alpha")
 
 
 @dataclass(frozen=True)
@@ -126,7 +118,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _suite_closure(cfg: SuiteConfig, fault: str | None):
+def _suite_closure(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 20
     w = cfg.window
     failures = []
@@ -150,7 +142,7 @@ def _suite_closure(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"progressions": 2 * bound * bound, "window": w}
 
 
-def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
+def _suite_pair_formula(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 50
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     failures = []
@@ -158,10 +150,7 @@ def _suite_pair_formula(cfg: SuiteConfig, fault: str | None):
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             cases += 1
-            if fault == "pair_formula_drop_difference":
-                got = {*prime_divisors(x), *prime_divisors(y)}
-            else:
-                got = set(a_of_pair_formula(x, y))
+            got = set(a_of_pair_formula(x, y))
             # every qualifying prime divides x, y or x-y, so none
             # exceeds the largest of their magnitudes
             want = {
@@ -192,20 +181,13 @@ def _order_catalog(bound: int) -> list[FilterDescriptor]:
     return list(reps.values())
 
 
-def _suite_order(cfg: SuiteConfig, fault: str | None):
+def _suite_order(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 30
     descs = _order_catalog(bound)
     reps = [d.source for d in descs]
     k = len(descs)
     failures = []
     cases = 0
-
-    leq = _descriptor_leq
-    if fault == "order_skip_alpha":
-        def leq(dE, dF):
-            return dF._a_set <= dE._a_set and (
-                dF._pi_set - {2} <= dE._pi_set
-            )
 
     # witnesses_of[j] holds the escaping elements already built for
     # column F_j, keyed by their extra congruence
@@ -214,7 +196,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
     for i, dE in enumerate(descs):
         row = 0
         for j, dF in enumerate(descs):
-            closed = leq(dE, dF)
+            closed = _descriptor_leq(dE, dF)
             failure = _order_failure(dE, dF)
             oracle = failure is None
             if failure is not None:
@@ -269,7 +251,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
         F = draw()
         sampled += 1
         cases += 1
-        closed = leq(descriptor(E), descriptor(F))
+        closed = _descriptor_leq(descriptor(E), descriptor(F))
         oracle = order_oracle(E, F)[0]
         if closed != oracle:
             failures.append(VerifyFailure(
@@ -281,7 +263,7 @@ def _suite_order(cfg: SuiteConfig, fault: str | None):
     return cases, failures, details
 
 
-def _suite_top(cfg: SuiteConfig, fault: str | None):
+def _suite_top(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 64
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     listed = set()
@@ -307,7 +289,7 @@ def _suite_top(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"values": len(vals), "listed_doubletons": len(listed)}
 
 
-def _suite_classify(cfg: SuiteConfig, fault: str | None):
+def _suite_classify(cfg: SuiteConfig):
     failures = []
     cases = 0
     for p in (3, 5, 7, 11, 13):
@@ -346,7 +328,7 @@ def _suite_classify(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {}
 
 
-def _suite_realize(cfg: SuiteConfig, fault: str | None):
+def _suite_realize(cfg: SuiteConfig):
     from itertools import combinations, product
 
     odd = (3, 5, 7, 11, 13)
@@ -373,7 +355,7 @@ def _suite_realize(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"a_sets": len(a_sets)}
 
 
-def _suite_ppix(cfg: SuiteConfig, fault: str | None):
+def _suite_ppix(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 200
     failures = []
     cases = 0
@@ -423,7 +405,7 @@ def _gamma_degree_checks(p: int, g, sig) -> tuple[int, list[VerifyFailure]]:
     return cases, failures
 
 
-def _suite_gamma(cfg: SuiteConfig, fault: str | None):
+def _suite_gamma(cfg: SuiteConfig):
     failures = []
     cases = 0
     details: dict = {}
@@ -434,8 +416,7 @@ def _suite_gamma(cfg: SuiteConfig, fault: str | None):
         pred_in = {e for e in g.predicate if e[0] in inner and e[1] in inner}
         closed_in = {e for e in g.closed if e[0] in inner and e[1] in inner}
         cases += len(pred_in | closed_in)
-        for e in sorted(pred_in ^ closed_in,
-                        key=lambda e: (e[0].grid_key(), e[1].grid_key())):
+        for e in sorted(pred_in ^ closed_in):
             side = "predicate" if e in pred_in else "closed_form"
             failures.append(VerifyFailure(
                 f"p={p} edge {e[0].value(p)},{e[1].value(p)}",
@@ -460,12 +441,12 @@ def _suite_gamma(cfg: SuiteConfig, fault: str | None):
     return cases, failures, details
 
 
-def _suite_gamma2(cfg: SuiteConfig, fault: str | None):
+def _suite_gamma2(cfg: SuiteConfig):
     max_exp = cfg.graph_bounds[0] + 1
     g = build_gamma(2, (max_exp, 0))
     failures = []
     cases = 0
-    order = sorted(g.vertices, key=GammaVertex.grid_key)
+    order = sorted(g.vertices)
     for k, v in enumerate(order):
         for w in order[k + 1:]:
             cases += 1
@@ -489,7 +470,7 @@ def _suite_gamma2(cfg: SuiteConfig, fault: str | None):
     return cases, failures, details
 
 
-def _suite_zsigmondy(cfg: SuiteConfig, fault: str | None):
+def _suite_zsigmondy(cfg: SuiteConfig):
     failures = []
     cases = 0
     computed = []
@@ -507,7 +488,7 @@ def _suite_zsigmondy(cfg: SuiteConfig, fault: str | None):
     return cases, failures, {"exceptions": computed}
 
 
-def _suite_mihailescu(cfg: SuiteConfig, fault: str | None):
+def _suite_mihailescu(cfg: SuiteConfig):
     limit = 10**6
     pairs = consecutive_power_pairs(limit)
     failures = []
@@ -533,16 +514,14 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig, fault: str | None = None) -> SuiteReport:
+def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     """Run one named suite, or all of them merged in fixed order.
 
     >>> run_suite("mihailescu", SuiteConfig()).passed
     True
     """
-    if fault is not None and fault not in FAULTS:
-        raise ValueError(f"unknown fault {fault!r}")
     if name == "all":
-        subs = [run_suite(s, cfg, fault) for s in _SUITES]
+        subs = [run_suite(s, cfg) for s in _SUITES]
         failures = tuple(
             VerifyFailure(f"[{r.suite}] {f.inputs}", f.expected, f.actual)
             for r in subs
@@ -558,7 +537,7 @@ def run_suite(name: str, cfg: SuiteConfig, fault: str | None = None) -> SuiteRep
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
-    cases, failures, details = _SUITES[name](cfg, fault)
+    cases, failures, details = _SUITES[name](cfg)
     millis = (time.perf_counter() - t0) * 1000.0
     return SuiteReport(name, cases, tuple(failures), millis, details)
 

@@ -156,10 +156,40 @@ def test_realize(capsys):
     (("realize", "--A", "2", "--alpha", "2=1"), "{1, 2}\n"),
     (("realize", "--format", "json", "--A", "5,2", "--alpha", "5=3,2=1"),
      '{"A": [2, 5], "alpha": {"2": 1, "5": 3}, "set": [3, 5, 10]}\n'),
+    (("realize", "--format", "json", "--A", "2,5,5", "--alpha", "2=1,5=2"),
+     '{"A": [2, 5], "alpha": {"2": 1, "5": 2}, "set": [5, 7, 10]}\n'),
+    (("gamma", "3", "--bounds", "1,2"),
+     'graph gamma_3 {\n'
+     '  "-3";\n  "3";\n  "-2*3";\n  "2*3";\n'
+     '  "-3^2";\n  "3^2";\n  "-2*3^2";\n  "2*3^2";\n'
+     '  "-2*3" -- "-2*3^2";\n  "-2*3" -- "-3^2";\n'
+     '  "-2*3" -- "2*3";\n  "-2*3" -- "2*3^2";\n'
+     '  "-2*3^2" -- "2*3^2";\n  "-3" -- "-2*3";\n'
+     '  "-3" -- "-3^2";\n  "-3" -- "2*3";\n'
+     '  "-3" -- "3";\n  "-3" -- "3^2";\n'
+     '  "-3^2" -- "-2*3^2";\n  "-3^2" -- "2*3^2";\n'
+     '  "-3^2" -- "3^2";\n  "2*3" -- "-2*3^2";\n'
+     '  "2*3" -- "2*3^2";\n  "2*3" -- "3^2";\n'
+     '  "3" -- "-2*3";\n  "3" -- "-3^2";\n'
+     '  "3" -- "2*3";\n  "3" -- "3^2";\n'
+     '  "3^2" -- "-2*3^2";\n  "3^2" -- "2*3^2";\n'
+     '}\n'),
+    (("gamma", "3", "--bounds", "1,2", "--format", "json"),
+     '{"bounds": [1, 2], "edges": '
+     '[[-3, 3], [-3, -6], [-3, 6], [-3, -9], [-3, 9], [3, -6], [3, 6], '
+     '[3, -9], [3, 9], [-6, 6], [-6, -9], [-6, -18], [-6, 18], [6, 9], '
+     '[6, -18], [6, 18], [-9, 9], [-9, -18], [-9, 18], [9, -18], [9, 18], '
+     '[-18, 18]], "p": 3, "provenance": {"both": '
+     '[[-3, 3], [-3, -6], [-3, 6], [-3, -9], [-3, 9], [3, -6], [3, 6], '
+     '[3, -9], [3, 9], [-6, 6], [-6, -9], [-6, -18], [-6, 18], [6, 9], '
+     '[6, -18], [6, 18], [-9, 9], [-9, -18], [-9, 18], [9, -18], [9, 18], '
+     '[-18, 18]], "closed_form": [], "predicate": []}, '
+     '"vertices": [-3, 3, -6, 6, -9, 9, -18, 18]}\n'),
 ], ids=[
     "ae-singleton", "ae-singleton-json", "ae-empty-pi", "classify-upset",
     "closure-whole-line", "closure-whole-line-json", "realize-top",
-    "realize-json",
+    "realize-json", "realize-json-duplicate-primes", "gamma-dot",
+    "gamma-json",
 ])
 def test_exact_renderings(capsys, argv, stdout):
     assert run(capsys, *argv) == (0, stdout, "")

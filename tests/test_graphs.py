@@ -60,7 +60,7 @@ def test_closed_form_matches_predicate(p, bounds):
 )
 def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
     g = build_gamma(p, bounds)
-    order = sorted(g.vertices, key=GammaVertex.grid_key)
+    order = sorted(g.vertices)
     want = {
         (v, w)
         for k, v in enumerate(order)
@@ -127,9 +127,9 @@ def test_edge_predicate_rejects_non_vertices():
 
 
 def test_vertex_decode():
-    assert vertex_from_value(-24, 3) == GammaVertex(-1, 3, 1)
-    assert vertex_from_value(25, 5) == GammaVertex(1, 0, 2)
-    assert vertex_from_value(8, 2) == GammaVertex(1, 3, 0)
+    assert vertex_from_value(-24, 3) == GammaVertex(p_exp=1, two_exp=3, sign=-1)
+    assert vertex_from_value(25, 5) == GammaVertex(p_exp=2, two_exp=0, sign=1)
+    assert vertex_from_value(8, 2) == GammaVertex(p_exp=0, two_exp=3, sign=1)
     with pytest.raises(ValueError):
         vertex_from_value(7, 5)
     with pytest.raises(ValueError):
@@ -156,7 +156,7 @@ def test_gamma3_degree_facts():
     three = GammaVertex(1, 0, 1)
     assert sig[three] == 8
     assert g.neighbor_values(three) == {9, 27, 6, 12, -3, -9, -6, -24}
-    assert sig[GammaVertex(-1, 0, 1)] == 8
+    assert sig[GammaVertex(p_exp=1, two_exp=0, sign=-1)] == 8
     rest = [d for v, d in sig.items() if (v.two_exp, v.p_exp) != (0, 1)]
     assert rest and min(rest) >= 9
 
@@ -216,8 +216,8 @@ def test_interior_vertices_respect_margins():
 def test_mirror_symmetry():
     g = build_gamma(5, (5, 3))
     for a, b in g.edges:
-        ma = GammaVertex(-a.sign, a.two_exp, a.p_exp)
-        mb = GammaVertex(-b.sign, b.two_exp, b.p_exp)
+        ma = a._replace(sign=-a.sign)
+        mb = b._replace(sign=-b.sign)
         assert (ma, mb) in g.edges or (mb, ma) in g.edges
 
 
@@ -242,7 +242,7 @@ def test_printed_p3_overlap_is_real():
     g = build_gamma(3, (4, 3))
     both = printed & g.predicate
     assert len(both) > 100
-    for a, b in [(GammaVertex(1, 0, 1), GammaVertex(1, 0, 2))]:
+    for a, b in [(GammaVertex(1, 0, 1), GammaVertex(p_exp=2, two_exp=0, sign=1))]:
         assert (a, b) in both or (b, a) in both
 
 

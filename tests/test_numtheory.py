@@ -115,6 +115,14 @@ class TestFactorization:
         with pytest.raises(ValueError):
             primes_upto(300_001)
 
+    def test_caches_are_bounded(self):
+        # factorize is reached only through the cached prime_divisors
+        from kirch.filters import descriptor
+
+        assert not hasattr(factorize, "cache_info")
+        for fn in (prime_divisors, descriptor):
+            assert fn.cache_info().maxsize is not None
+
 
 class TestPrimeSet:
     """Prime sets are plain ascending tuples of distinct primes."""

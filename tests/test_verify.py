@@ -1,13 +1,14 @@
-"""Harness behavior: suite verdicts, determinism, fault injection."""
+"""Harness behavior: suite verdicts, determinism, caught faults."""
 
 import json
 from itertools import combinations
 
 import pytest
 
+from kirch import verify
 from kirch.filters import FiniteSubset, descriptor
+from kirch.numtheory import prime_divisors
 from kirch.verify import (
-    FAULTS,
     SuiteConfig,
     SuiteReport,
     VerifyFailure,
@@ -63,10 +64,13 @@ def test_ppix_suite_small():
     assert report.cases == 116 * 14
 
 
-def test_pair_formula_fault_is_caught():
-    report = run_suite(
-        "pair_formula", small(max_element=15), fault="pair_formula_drop_difference"
+def test_pair_formula_fault_is_caught(monkeypatch):
+    # a broken closed form that drops the primes of the difference
+    monkeypatch.setattr(
+        verify, "a_of_pair_formula",
+        lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)})),
     )
+    report = run_suite("pair_formula", small(max_element=15))
     assert not report.passed
     # (-15, -14) survives the mutation (difference -1 adds nothing and 2
     # comes from -14), so the first catch is the next pair along
@@ -74,8 +78,13 @@ def test_pair_formula_fault_is_caught():
     assert first.inputs == "x=-15 y=-13"
 
 
-def test_order_fault_is_caught():
-    report = run_suite("order", small(max_element=8), fault="order_skip_alpha")
+def test_order_fault_is_caught(monkeypatch):
+    # a broken closed form that skips the alpha condition
+    def leq(dE, dF):
+        return dF._a_set <= dE._a_set and dF._pi_set - {2} <= dE._pi_set
+
+    monkeypatch.setattr(verify, "_descriptor_leq", leq)
+    report = run_suite("order", small(max_element=8))
     assert "oracle=False" in report.failures[0].expected
 
 
@@ -90,7 +99,7 @@ def test_order_suite_checks_every_escape(monkeypatch):
 
 
 def test_order_suite_solves_each_witness_system_once(monkeypatch):
-    from kirch import filters, verify
+    from kirch import filters
 
     column = [None]
     solved = []
@@ -132,17 +141,9 @@ def test_order_catalog_leaves_descriptor_cache_empty():
     assert keys == list(want)
 
 
-def test_fault_ignored_by_unrelated_suite():
-    report = run_suite("top", small(max_element=16), fault="order_skip_alpha")
-    assert report.passed
-
-
 def test_unknown_names_rejected():
     with pytest.raises(ValueError):
         run_suite("bogus", small())
-    with pytest.raises(ValueError):
-        run_suite("order", small(), fault="bogus")
-    assert "order_skip_alpha" in FAULTS
 
 
 def test_config_validation():
