@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numtheory import (
+    MAX_MAGNITUDE,
     CongruenceSystem,
+    _difference_prime_divisors,
     crt_solve,
     is_prime,
     prime_divisors,
@@ -117,12 +119,21 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
 def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     """Closed form for a doubleton: the prime divisors of x, y, and x-y.
 
+    x - y of two in-range elements can pass the 63-bit range; such a
+    difference is factored on the 2^64 difference path.
+
     >>> a_of_pair_formula(3, 6)
     (2, 3)
+    >>> a_of_pair_formula(1, -(2**63 - 1))
+    (2, 7, 73, 127, 337, 92737, 649657)
     """
     if x == y:
         raise ValueError("need two distinct elements")
-    return tuple(sorted({*prime_divisors(x), *prime_divisors(y), *prime_divisors(x - y)}))
+    # x and y first, so that an element past 63 bits meets that guard
+    px, py = prime_divisors(x), prime_divisors(y)
+    d = x - y
+    pd = prime_divisors(d) if abs(d) <= MAX_MAGNITUDE else _difference_prime_divisors(d)
+    return tuple(sorted({*px, *py, *pd}))
 
 
 def alpha_of(E: FiniteSubset) -> dict[int, int]:

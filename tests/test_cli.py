@@ -185,11 +185,19 @@ def test_realize(capsys):
      '[6, -18], [6, 18], [-9, 9], [-9, -18], [-9, 18], [9, -18], [9, 18], '
      '[-18, 18]], "closed_form": [], "predicate": []}, '
      '"vertices": [-3, 3, -6, 6, -9, 9, -18, 18]}\n'),
+    # x - y leaves the 63-bit range: -2^63 and 2^64 - 2
+    (("ae", "1", "-9223372036854775807"),
+     "A={2, 7, 73, 127, 337, 92737, 649657} Pi={} "
+     "alpha={2:1, 7:1, 73:1, 127:1, 337:1, 92737:1, 649657:1}\n"),
+    (("ae", "--", "-9223372036854775807", "9223372036854775807"),
+     "A={2, 7, 73, 127, 337, 92737, 649657} "
+     "Pi={7, 73, 127, 337, 92737, 649657} "
+     "alpha={2:1, 7:0, 73:0, 127:0, 337:0, 92737:0, 649657:0}\n"),
 ], ids=[
     "ae-singleton", "ae-singleton-json", "ae-empty-pi", "classify-upset",
     "closure-whole-line", "closure-whole-line-json", "realize-top",
     "realize-json", "realize-json-duplicate-primes", "gamma-dot",
-    "gamma-json",
+    "gamma-json", "ae-difference-2^63", "ae-difference-2^64-2",
 ])
 def test_exact_renderings(capsys, argv, stdout):
     assert run(capsys, *argv) == (0, stdout, "")
@@ -287,6 +295,22 @@ def test_gamma2_at_the_63_bit_edge(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0 and err == ""
     assert '"-2^62" -- "2^62";' in out
+
+
+# 2^63 - 2 = 2 * 3 * 715827883 * 2147483647, a 63-bit modulus with two
+# factors past the trial primes; 2^62 - (-2^62) = 2^63 in the gamma2 suite
+@pytest.mark.parametrize("argv,lines", [
+    (("closure", "9223372036854775807", "9223372036854775806"),
+     ["  mod 2: {0, 1}", "  mod 3: {0, 1}", "  mod 715827883: {0, 1}",
+      "  mod 2147483647: {0, 1}"]),
+    (("verify", "gamma2", "--bounds", "61,0"), ["gamma2: PASS (7999 cases)"]),
+], ids=["closure-63-bit-modulus", "verify-gamma2-61"])
+def test_63_bit_edge_answers_quickly(capsys, argv, lines):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and err == ""
+    assert all(line in out.splitlines() for line in lines)
 
 
 @pytest.mark.parametrize("module", ["kirch", "kirch.cli"])

@@ -29,7 +29,7 @@ from kirch.filters import (
     realize,
     upset_in_fprime,
 )
-from kirch.numtheory import primes_upto
+from kirch.numtheory import MAX_MAGNITUDE, primes_upto
 
 S = FiniteSubset.of
 
@@ -76,6 +76,17 @@ class TestASet:
         assert a_of_pair_formula(16, 32) == (2,)
         with pytest.raises(ValueError):
             a_of_pair_formula(4, 4)
+
+    def test_pair_formula_past_63_bit_differences(self):
+        # in-range elements whose difference is 2^63, 2^63 + 1 =
+        # 3^3 * 19 * 43 * 5419 * 77158673929, and 2 * (2^63 - 1)
+        m = MAX_MAGNITUDE
+        assert a_of_pair_formula(2**62, -(2**62)) == (2,)
+        assert a_of_pair_formula(m, -2) == (
+            2, 3, 7, 19, 43, 73, 127, 337, 5419, 92737, 649657, 77158673929)
+        assert a_of_pair_formula(m, -m) == (2, 7, 73, 127, 337, 92737, 649657)
+        with pytest.raises(OverflowError):
+            a_of_pair_formula(1, 2**63)
 
     @given(
         st.integers(-50, 50).filter(lambda x: x != 0),

@@ -1,11 +1,14 @@
 """Checks for the exact arithmetic layer.
 
 The oracle here is naive trial division, kept deliberately dumb so the
-table-plus-wheel path in kirch.numtheory has something independent to
-disagree with.
+trial-division-plus-rho path in kirch.numtheory has something
+independent to disagree with. Past the reach of that oracle, a
+factorization is checked by multiplying it back out and by testing
+each key for primality.
 """
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from kirch.numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
+    _difference_prime_divisors,
     classify_prime,
     consecutive_power_pairs,
     crt_solve,
@@ -49,6 +53,16 @@ def naive_is_prime(n: int) -> bool:
 nonzero_ints = st.integers(-10**6, 10**6).filter(lambda x: x != 0)
 
 
+def next_prime(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+# n -> the least prime >= n stays below 2^31, since 2^31 - 1 is prime
+primes_2_30_to_2_31 = st.integers(2**30, 2**31 - 1).map(next_prime)
+
+
 class TestFactorization:
     def test_frozen_examples(self):
         assert prime_divisors(63) == (3, 7)
@@ -75,16 +89,43 @@ class TestFactorization:
             7: 2, 73: 1, 127: 1, 337: 1, 92737: 1, 649657: 1,
         }
 
-    # table primes, a composite cofactor past the table split by the
-    # wheel, a prime cofactor past the table, and a 62-bit prime
+    # table primes, composite cofactors past the trial primes split by
+    # rho, a prime cofactor past the table, a 62-bit prime, prime
+    # squares and cubes near 2^62, balanced semiprimes up to 63 bits,
+    # and the Carmichael number 914521 * 1829041 * 2743561
     @pytest.mark.parametrize("x", [
         -360, 63, 299993, 2 * 3**4 * 29, 12 * 1_000_003,
         300007 * 300017, 3 * 300007**2, 2**62 - 57, MAX_MAGNITUDE,
+        2147483647**2, 3037000493**2, 1664501**3, 2097143**3,
+        300000007 * 300000031, 4294967291 * 2147483647,
+        914521 * 1829041 * 2743561,
     ])
     def test_prime_divisors_are_the_keys_of_factorize(self, x):
+        start = time.perf_counter()
         got = prime_divisors(x)
+        assert time.perf_counter() - start < 1.0
         assert got == tuple(sorted(factorize(x)))
         assert all(is_prime(p) for p in factorize(x))
+
+    @given(st.integers(1, MAX_MAGNITUDE))
+    @settings(max_examples=200, deadline=1000)
+    def test_factorization_multiplies_back_over_63_bits(self, n):
+        f = factorize(n)
+        assert list(f) == sorted(f)
+        assert math.prod(p**k for p, k in f.items()) == n
+        assert all(is_prime(p) for p in f)
+
+    @given(primes_2_30_to_2_31, primes_2_30_to_2_31)
+    @settings(max_examples=40, deadline=1000)
+    def test_splits_balanced_62_bit_semiprimes(self, p, q):
+        want = {p: 2} if p == q else {min(p, q): 1, max(p, q): 1}
+        assert factorize(p * q) == want
+
+    def test_difference_path_reaches_2_64(self):
+        # 2^64 - 2 = 2 * (2^63 - 1), the largest difference of two inputs
+        assert _difference_prime_divisors(-(2**64 - 2)) == (2, *prime_divisors(MAX_MAGNITUDE))
+        with pytest.raises(OverflowError):
+            _difference_prime_divisors(2**64)
 
     def test_multiplicities_reconstruct(self):
         for x in (-360, 1024, 9999, 2 * 3**4 * 29):
