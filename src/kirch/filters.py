@@ -315,7 +315,7 @@ def order_oracle(
     failure = _order_failure(dE, dF)
     if failure is None:
         return True, None
-    return False, _order_witness(dE, dF, failure, {})
+    return False, _order_witness(dE, dF, failure)
 
 
 def _order_failure(
@@ -341,37 +341,22 @@ def _order_failure(
 
 
 def _order_witness(
-    dE: FilterDescriptor,
-    dF: FilterDescriptor,
-    failure: tuple[int, str],
-    memo: dict,
+    dE: FilterDescriptor, dF: FilterDescriptor, failure: tuple[int, str]
 ) -> OrderWitness:
     """An element of the minimal F-side generator G_F(()) escaping
-    G_E(target_L) at the failing prime.
-
-    The element depends only on F and on at most one extra congruence,
-    so memo, which must belong to dF alone, maps that congruence to the
-    element once it has been built and checked against G_F. The escape
-    from the E-side generator is checked on every call.
-    """
+    G_E(target_L) at the failing prime, checked against both."""
     bad, why = failure
-    extra = None
+    system = [(r, p) for p, r in dF._free]
     if why is _PI_BLOCK:
         # bad is an odd common divisor of F: send z somewhere E forbids,
         # i.e. the least nonzero residue differing from alpha_E(bad)
-        extra = (1 if dE.alpha[bad] != 1 else 2, bad)
+        system.append((1 if dE.alpha[bad] != 1 else 2, bad))
     elif why is _MISSING and bad in dF._pi_set:
-        extra = (1, bad)
+        system.append((1, bad))
     # otherwise z = alpha_F(bad) mod bad already escapes the target
-    z = memo.get(extra)
-    if z is None:
-        system = [(r, p) for p, r in dF._free]
-        if extra is not None:
-            system.append(extra)
-        z = crt_solve(CongruenceSystem(tuple(system)))
-        if not _generator_member(z, dF, ()):
-            raise AssertionError("constructed element lies outside the F-side generator")
-        memo[extra] = z
+    z = crt_solve(CongruenceSystem(tuple(system)))
+    if not _generator_member(z, dF, ()):
+        raise AssertionError("constructed element lies outside the F-side generator")
     target_L = (bad,) if why is _MISSING else ()
     if _generator_member(z, dE, target_L):
         raise AssertionError("constructed element fails to escape the E-side generator")

@@ -6,10 +6,11 @@ prime divisors).
 
 All arithmetic is exact. Inputs are bounded to 63-bit magnitude and
 anything beyond raises OverflowError rather than silently wrapping.
-`factorize` trial-divides by the table primes below 1000, splits any
-composite cofactor with Pollard's rho in Brent's form (fixed seeds, so
-the same input always takes the same steps), and proves every factor
-with a deterministic Miller-Rabin test. The difference x - y of two
+`factorize` trial-divides by the 168 primes below 1000, takes the
+square root of a square cofactor, splits any other composite cofactor
+with Pollard's rho in Brent's form (fixed seeds, so the same input
+always takes the same steps), and proves every factor with a
+deterministic Miller-Rabin test. The difference x - y of two
 in-range integers can reach 2^64 - 2, so one private path,
 `_difference_prime_divisors`, factors below 2^64 without the 63-bit
 guard; the Miller-Rabin bases are proved far past that bound.
@@ -27,12 +28,12 @@ from functools import lru_cache, reduce
 MAX_MAGNITUDE = 2**63 - 1
 
 # The prime table behind primes_upto covers primes up to this bound;
-# factorize reads only its first entries, the primes below _TRIAL_LIMIT.
+# it is built on first use, and factorize never reads it.
 _SIEVE_LIMIT = 300_000
-# factorize trial-divides by the table primes below this bound and
-# leaves every larger factor to Pollard-Brent rho. Dividing by the
-# whole table first costs more than rho saves: 5.3 ms against 1.3 ms
-# per balanced 44-bit semiprime on a 2-core 2.1 GHz Xeon VM.
+# factorize trial-divides by the primes below this bound and leaves
+# every larger factor to Pollard-Brent rho. Dividing by the whole
+# table first costs more than rho saves: 5.3 ms against 1.3 ms per
+# balanced 44-bit semiprime on a 2-core 2.1 GHz Xeon VM.
 _TRIAL_LIMIT = 1000
 # bound of the private difference path: |x - y| <= 2^64 - 2
 _WIDE_LIMIT = 2**64
@@ -50,6 +51,9 @@ def _primes_upto(limit: int) -> tuple[int, ...]:
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return tuple(i for i in range(limit + 1) if sieve[i])
+
+
+_TRIAL_PRIMES = _primes_upto(_TRIAL_LIMIT - 1)
 
 
 def small_primes() -> tuple[int, ...]:
@@ -121,10 +125,10 @@ def factorize(x: int) -> dict[int, int]:
     """Prime factorization of |x| as {prime: multiplicity}, in ascending
     prime order; units give {}.
 
-    Trial division by the table primes below 1000, then Pollard-Brent
-    rho on any composite cofactor, with every factor proved prime by
-    Miller-Rabin. Rho starts from fixed seeds, so the result and the
-    work done are the same on every call.
+    Trial division by the primes below 1000, then Pollard-Brent rho on
+    any composite cofactor that is not a square, with every factor
+    proved prime by Miller-Rabin. Rho starts from fixed seeds, so the
+    result and the work done are the same on every call.
 
     >>> factorize(-360)
     {2: 3, 3: 2, 5: 1}
@@ -139,8 +143,8 @@ def factorize(x: int) -> dict[int, int]:
 def _factorize(n: int) -> dict[int, int]:
     """factorize for 1 <= n < 2^64, without the range guard."""
     out: dict[int, int] = {}
-    for p in small_primes():
-        if p >= _TRIAL_LIMIT or p * p > n:
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
             break
         if n % p == 0:
             k = 0
@@ -162,6 +166,13 @@ def _split(n: int, out: dict[int, int]) -> None:
     """Add the prime factors of n, which has none below _TRIAL_LIMIT, to out."""
     if _is_prime(n):
         out[n] = out.get(n, 0) + 1
+        return
+    r = math.isqrt(n)
+    if r * r == n:
+        # rho finds the factor of a prime square no sooner than that
+        # of a balanced semiprime
+        _split(r, out)
+        _split(r, out)
         return
     d = _rho(n)
     _split(d, out)

@@ -6,6 +6,7 @@ under plain pytest the PASSED/FAILED verdict per test carries the same
 information.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -125,6 +126,12 @@ def test_a11_zsigmondy_exceptions(suite):
     _line(11, "primitive-divisor exceptions", rep)
 
 
+# sha256 of `kirch verify all --seed 7 --format json`. Change it only in
+# a change that alters the report on purpose and records why in
+# CHANGES.md.
+VERIFY_ALL_SHA256 = "fe74ce25fd7d9c2b5cc93703dfa161e4bc5efa010d0dc73fcd9208073da4e138"
+
+
 def test_a12_verify_all_deterministic(capsys):
     code1 = main(["verify", "all", "--seed", "7", "--format", "json"])
     out1 = capsys.readouterr().out
@@ -132,6 +139,7 @@ def test_a12_verify_all_deterministic(capsys):
     out2 = capsys.readouterr().out
     assert code1 == 0 and code2 == 0
     assert out1 == out2
+    assert hashlib.sha256(out1.encode()).hexdigest() == VERIFY_ALL_SHA256
     merged = json.loads(out1)
     assert merged["failures"] == []
     names = [s["suite"] for s in merged["details"]["suites"]]

@@ -13,9 +13,6 @@ from hypothesis import strategies as st
 from kirch.filters import (
     FilterClass,
     FiniteSubset,
-    _descriptor_leq,
-    _order_failure,
-    _order_witness,
     a_of,
     a_of_pair_formula,
     alpha_of,
@@ -232,23 +229,6 @@ class TestOrder:
                 assert filter_leq(E, F) == order_oracle(E, F)[0], (E, F)
                 pairs += 1
         assert pairs >= 200
-
-    def test_suite_path_matches_public_functions_on_catalog(self):
-        # the order suite runs the descriptor helpers with one witness
-        # memo per column F; verdicts and witnesses must be exactly the
-        # public ones
-        sets = [E for E in catalog() if len(E) >= 2]
-        memos = [{} for _ in sets]
-        for E in sets:
-            for j, F in enumerate(sets):
-                dE, dF = descriptor(E), descriptor(F)
-                failure = _order_failure(dE, dF)
-                witness = (
-                    None if failure is None
-                    else _order_witness(dE, dF, failure, memos[j])
-                )
-                assert (failure is None, witness) == order_oracle(E, F), (E, F)
-                assert _descriptor_leq(dE, dF) == filter_leq(E, F), (E, F)
 
     def test_partial_order_laws(self):
         sets = catalog()

@@ -127,6 +127,23 @@ class TestFactorization:
         with pytest.raises(OverflowError):
             _difference_prime_divisors(2**64)
 
+    def test_prime_squares_skip_rho(self, monkeypatch):
+        from kirch import numtheory
+
+        def rho(n):
+            raise AssertionError(f"rho ran on {n}")
+
+        monkeypatch.setattr(numtheory, "_rho", rho)
+        for p in (3037000493, 2147483647):
+            assert factorize(p * p) == {p: 2}
+
+    def test_factoring_leaves_the_prime_table_unbuilt(self, monkeypatch):
+        from kirch import numtheory
+
+        monkeypatch.setattr(numtheory, "_sieve_primes", None)
+        assert factorize(2 * 3 * 1000003) == {2: 1, 3: 1, 1000003: 1}
+        assert numtheory._sieve_primes is None
+
     def test_multiplicities_reconstruct(self):
         for x in (-360, 1024, 9999, 2 * 3**4 * 29):
             prod = 1

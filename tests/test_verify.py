@@ -6,12 +6,14 @@ from itertools import combinations
 import pytest
 
 from kirch import verify
-from kirch.filters import FiniteSubset, descriptor
+from kirch.filters import FiniteSubset, descriptor, order_oracle
 from kirch.numtheory import prime_divisors
+from kirch.topology import ClosureSet, Progression
 from kirch.verify import (
     SuiteConfig,
     SuiteReport,
     VerifyFailure,
+    _generator_order,
     _order_catalog,
     run_suite,
 )
@@ -89,44 +91,77 @@ def test_order_fault_is_caught(monkeypatch):
 
 
 def test_order_suite_checks_every_escape(monkeypatch):
-    # with every element a generator member, the F-side check passes and
-    # the per-pair E-side escape check must raise
-    from kirch import filters
+    # with every row a generator member, each witness passes its F-side
+    # check and the escape check of its group must raise
+    monkeypatch.setattr(verify._Generators, "members", lambda self, z, L: self.full)
+    with pytest.raises(AssertionError, match="fails to escape"):
+        run_suite("order", small(max_element=4))
 
-    monkeypatch.setattr(filters, "_generator_member", lambda z, d, L: True)
-    with pytest.raises(AssertionError):
+
+def test_order_suite_checks_each_witness_against_its_column(monkeypatch):
+    # 0 lies in no generator, so the F-side check must refuse it
+    monkeypatch.setattr(verify, "crt_solve", lambda system: 0)
+    with pytest.raises(AssertionError, match="outside the F-side generator"):
         run_suite("order", small(max_element=4))
 
 
 def test_order_suite_solves_each_witness_system_once(monkeypatch):
-    from kirch import filters
-
     column = [None]
     solved = []
     failing_pairs = [0]
-    real_witness, real_crt = verify._order_witness, filters.crt_solve
+    real_column, real_crt = verify._Generators.column, verify.crt_solve
 
-    def witness(dE, dF, failure, memo):
-        failing_pairs[0] += 1
-        column[0] = dF.source
+    def tracked(self, j):
+        column[0] = j
         try:
-            return real_witness(dE, dF, failure, memo)
+            below = real_column(self, j)
         finally:
             column[0] = None
+        failing_pairs[0] += bin(self.full & ~below).count("1")
+        return below
 
     def crt(system):
-        if column[0] is not None:  # not one of the sampled pairs
-            solved.append((column[0], system.congruences))
+        solved.append((column[0], system.congruences))
         return real_crt(system)
 
-    monkeypatch.setattr(verify, "_order_witness", witness)
-    monkeypatch.setattr(filters, "crt_solve", crt)
+    monkeypatch.setattr(verify._Generators, "column", tracked)
+    monkeypatch.setattr(verify, "crt_solve", crt)
     report = run_suite("order", small(max_element=4))
     assert report.passed
+    assert all(j is not None for j, _ in solved)
     # a column's systems differ only in the extra congruence, so distinct
     # (F, system) pairs are distinct (F, extra congruence) pairs
     assert solved and len(solved) == len(set(solved))
     assert len(solved) < failing_pairs[0]
+
+
+def test_generator_order_agrees_with_order_oracle():
+    sources = [d.source for d in _order_catalog(8)]
+    rows = _generator_order(sources)
+    for i, E in enumerate(sources):
+        for j, F in enumerate(sources):
+            assert bool(rows[i] >> j & 1) == order_oracle(E, F)[0], (E, F)
+
+
+def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
+    # a closed form that returns the whole punctured line for 1 + 3Z only
+    broken = Progression(1, 3)
+    real = verify.closure
+    monkeypatch.setattr(
+        verify, "closure",
+        lambda prog: ClosureSet((), prog.a) if prog == broken else real(prog),
+    )
+    report = run_suite("closure", small(window=10, max_element=6))
+    assert report.cases == 2 * 6 * 6 * 20
+    by_pair: dict = {}
+    for f in report.failures:
+        a, b, z = (int(part.split("=")[1]) for part in f.inputs.split())
+        by_pair.setdefault((a, b), []).append(z)
+        assert (f.expected, f.actual) == ("oracle=False", "formula=True")
+    # (1, 3) and (-2, 3) both name 1 + 3Z, as do (4, 3) and (-5, 3)
+    assert set(by_pair) == {(-5, 3), (-2, 3), (1, 3), (4, 3)}
+    zs = [z for z in range(-10, 11) if z % 3 == 2]
+    assert all(found == zs for found in by_pair.values())
 
 
 def test_order_catalog_leaves_descriptor_cache_empty():
