@@ -50,7 +50,8 @@ def _braced(xs) -> str:
 
 @dataclass(frozen=True)
 class FiniteSubset:
-    """A nonempty set of nonzero integers, stored sorted.
+    """A nonempty set of nonzero integers within the 63-bit range,
+    stored sorted.
 
     >>> FiniteSubset.of(10, 5, 10)
     FiniteSubset(elements=(5, 10))
@@ -64,6 +65,10 @@ class FiniteSubset:
             raise ValueError("the empty set carries no filter")
         if 0 in xs:
             raise ValueError("0 is not a point of the space")
+        # sorted, so only the two ends can be out of range
+        for x in (xs[0], xs[-1]):
+            if abs(x) > MAX_MAGNITUDE:
+                raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
         object.__setattr__(self, "elements", xs)
 
     @classmethod

@@ -14,65 +14,66 @@ deterministic Miller-Rabin test. The difference x - y of two
 in-range integers can reach 2^64 - 2, so one private path,
 `_difference_prime_divisors`, factors below 2^64 without the 63-bit
 guard; the Miller-Rabin bases are proved far past that bound.
+`primes_upto` sieves to its own limit, at most 300000, and no prime
+table outlives a call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 MAX_MAGNITUDE = 2**63 - 1
 
-# The prime table behind primes_upto covers primes up to this bound;
-# it is built on first use, and factorize never reads it.
+# primes_upto sieves to its limit, which may not pass this bound, so
+# no input sizes a sieve; small_primes returns every prime up to it.
 _SIEVE_LIMIT = 300_000
 # factorize trial-divides by the primes below this bound and leaves
-# every larger factor to Pollard-Brent rho. Dividing by the whole
-# table first costs more than rho saves: 5.3 ms against 1.3 ms per
-# balanced 44-bit semiprime on a 2-core 2.1 GHz Xeon VM.
+# every larger factor to Pollard-Brent rho. Trial division by every
+# prime up to _SIEVE_LIMIT first costs more than rho saves: 5.3 ms
+# against 1.3 ms per balanced 44-bit semiprime on a 2-core 2.1 GHz
+# Xeon VM.
 _TRIAL_LIMIT = 1000
 # bound of the private difference path: |x - y| <= 2^64 - 2
 _WIDE_LIMIT = 2**64
 # rho steps per gcd in Brent's batched cycle search
 _RHO_BATCH = 128
 
-_sieve_lock = threading.Lock()
-_sieve_primes: tuple[int, ...] | None = None
 
-
-def _primes_upto(limit: int) -> tuple[int, ...]:
+def _primes_upto(limit: int) -> list[int]:
+    """Sieve of Eratosthenes: the primes p <= limit, ascending."""
+    if limit < 2:
+        return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return tuple(i for i in range(limit + 1) if sieve[i])
+            sieve[i * i :: i] = bytes(len(range(i * i, limit + 1, i)))
+    return list(itertools.compress(range(limit + 1), sieve))
 
 
-_TRIAL_PRIMES = _primes_upto(_TRIAL_LIMIT - 1)
+_TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT - 1))
 
 
 def small_primes() -> tuple[int, ...]:
-    """The precomputed prime table (primes up to 300000), built once."""
-    global _sieve_primes
-    if _sieve_primes is None:
-        with _sieve_lock:
-            if _sieve_primes is None:
-                _sieve_primes = _primes_upto(_SIEVE_LIMIT)
-    return _sieve_primes
+    """The 25997 primes up to 300000, sieved afresh on each call."""
+    return tuple(_primes_upto(_SIEVE_LIMIT))
 
 
 def primes_upto(limit: int) -> list[int]:
-    """Primes p <= limit, ascending, read from the prime table; limits
-    past the table raise rather than sieve to the size of the input."""
+    """Primes p <= limit, ascending, sieved to the limit; limits past
+    300000 raise rather than sieve to the size of the input.
+
+    >>> primes_upto(20)
+    [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> primes_upto(-5)
+    []
+    """
     if limit > _SIEVE_LIMIT:
-        raise ValueError(f"limit {limit} exceeds the prime table bound {_SIEVE_LIMIT}")
-    table = small_primes()
-    return list(table[: bisect_right(table, limit)])
+        raise ValueError(f"limit {limit} exceeds the sieve bound {_SIEVE_LIMIT}")
+    return _primes_upto(limit)
 
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24,

@@ -13,13 +13,17 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .numtheory import prime_divisors
+from .numtheory import MAX_MAGNITUDE, prime_divisors
+
+# largest window bound W; a sample of [-W, W] is built and printed whole
+_MAX_WINDOW = 10**6
 
 
 @dataclass(frozen=True)
 class Progression:
     """(a + bZ) minus {0}, with a reduced to the least-magnitude nonzero
     representative of its class (ties broken toward the positive one).
+    Both a and b must lie within the 63-bit range.
 
     >>> Progression(8, 3)
     Progression(a=-1, b=3)
@@ -31,6 +35,9 @@ class Progression:
     b: int
 
     def __post_init__(self) -> None:
+        for v in (self.a, self.b):
+            if abs(v) > MAX_MAGNITUDE:
+                raise OverflowError(f"|{v}| exceeds the supported 63-bit range")
         if self.b < 1:
             raise ValueError(f"modulus {self.b} must be positive")
         r = self.a % self.b
@@ -51,13 +58,16 @@ class Progression:
 
 @dataclass(frozen=True)
 class Window:
-    """The finite test universe [-W, W] minus {0}."""
+    """The finite test universe [-W, W] minus {0}, for 1 <= W <= 10^6.
+
+    The bound keeps a sample small enough to materialize and print.
+    """
 
     W: int
 
     def __post_init__(self) -> None:
-        if self.W < 1:
-            raise ValueError("window bound must be >= 1")
+        if not 1 <= self.W <= _MAX_WINDOW:
+            raise ValueError(f"window bound {self.W} must lie in [1, {_MAX_WINDOW}]")
 
     def members(self):
         return itertools.chain(range(-self.W, 0), range(1, self.W + 1))

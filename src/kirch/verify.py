@@ -160,18 +160,16 @@ def _suite_closure(cfg: SuiteConfig):
 def _suite_pair_formula(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 50
     vals = [v for v in range(-bound, bound + 1) if v != 0]
+    # every qualifying prime divides x, y or x-y, so none exceeds
+    # the largest of their magnitudes, which is at most 2 * bound
+    primes = primes_upto(2 * bound)
     failures = []
     cases = 0
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             cases += 1
             got = set(a_of_pair_formula(x, y))
-            # every qualifying prime divides x, y or x-y, so none
-            # exceeds the largest of their magnitudes
-            want = {
-                p for p in primes_upto(max(abs(x), abs(y), abs(x - y)))
-                if len({x % p, y % p} - {0}) <= 1
-            }
+            want = {p for p in primes if len({x % p, y % p} - {0}) <= 1}
             if got != want:
                 failures.append(VerifyFailure(
                     f"x={x} y={y}", f"A={sorted(want)}", f"formula={sorted(got)}"
@@ -510,7 +508,7 @@ def _suite_ppix(cfg: SuiteConfig):
     return cases, failures, {"primes": len(odd_primes)}
 
 
-def _gamma_degree_checks(p: int, g, sig) -> tuple[int, list[VerifyFailure]]:
+def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
     failures = []
     cases = 0
     if p == 3:
@@ -559,7 +557,7 @@ def _suite_gamma(cfg: SuiteConfig):
                 "claimed by both constructions", f"only {side}",
             ))
         sig = degree_signature(g)
-        dc, df = _gamma_degree_checks(p, g, sig)
+        dc, df = _gamma_degree_checks(p, sig)
         cases += dc
         failures.extend(df)
         whole = g.discrepancies()

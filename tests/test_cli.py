@@ -59,6 +59,14 @@ def test_closure_rejects_zero_modulus(capsys):
     assert out == "" and err != ""
 
 
+def test_closure_rejects_huge_window(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "closure", "1", "3", "--window", "9223372036854775808")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cmp_directions(capsys):
     code, out, _ = run(capsys, "cmp", "5", "10", ";", "1", "5", "10")
     assert code == 0
@@ -262,6 +270,12 @@ TOO_BIG = "9223372036854775808"  # 2^63
     ("closure", "1", TOO_BIG),
     ("prime-class", TOO_BIG),
     ("realize", "--A", f"2,{TOO_BIG}", "--alpha", "2=1"),
+    ("ae", "4", TOO_BIG, "2"),
+    ("classify", "3", "6", TOO_BIG),
+    ("closure", TOO_BIG, "3"),
+    # the element 2 * 3037000427 * 3037000429 passes 2^63
+    ("realize", "--A", "2,3037000427,3037000429",
+     "--alpha", "2=1,3037000427=1,3037000429=1"),
 ])
 def test_out_of_range_is_unusable_input(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -354,6 +368,15 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "bogus")
     assert code == 2 and out == ""
+
+
+def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
+    # the suite sieves to twice its bound, and 300002 passes 300000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "pair_formula", "--max-element", "150001")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_repeated_calls_match_fresh_processes(capsys):

@@ -122,6 +122,19 @@ class TestAlpha:
                 assert 0 < r < p
 
 
+class TestFiniteSubset:
+    @pytest.mark.parametrize("elements", [
+        (4, 2**63, 2), (-(2**63), 1), (1, 2**64, -(2**64)),
+    ])
+    def test_rejects_past_63_bits(self, elements):
+        with pytest.raises(OverflowError, match="63-bit"):
+            FiniteSubset(elements)
+
+    def test_accepts_the_63_bit_ends(self):
+        E = S(MAX_MAGNITUDE, 1, -MAX_MAGNITUDE)
+        assert E.elements == (-MAX_MAGNITUDE, 1, MAX_MAGNITUDE)
+
+
 class TestDescriptor:
     def test_frozen_examples(self):
         d = descriptor(S(5, 10))
@@ -137,7 +150,7 @@ class TestDescriptor:
         assert str(d7) == "A=all Pi={7} alpha={}"
 
     def test_prime_factor_past_the_table(self):
-        # 10000000019 is prime, far past the prime table, and
+        # 10000000019 is prime, far past the 300000 sieve bound, and
         # 10000000018 = 2 * 131 * 521 * 73259
         d = descriptor(S(1, 10000000019))
         assert d.A == (2, 131, 521, 73259, 10000000019)

@@ -27,6 +27,7 @@ from kirch.numtheory import (
     perfect_powers,
     prime_divisors,
     primes_upto,
+    small_primes,
     zsigmondy_closed_form,
     zsigmondy_is_exception,
 )
@@ -137,13 +138,6 @@ class TestFactorization:
         for p in (3037000493, 2147483647):
             assert factorize(p * p) == {p: 2}
 
-    def test_factoring_leaves_the_prime_table_unbuilt(self, monkeypatch):
-        from kirch import numtheory
-
-        monkeypatch.setattr(numtheory, "_sieve_primes", None)
-        assert factorize(2 * 3 * 1000003) == {2: 1, 3: 1, 1000003: 1}
-        assert numtheory._sieve_primes is None
-
     def test_multiplicities_reconstruct(self):
         for x in (-360, 1024, 9999, 2 * 3**4 * 29):
             prod = 1
@@ -168,8 +162,13 @@ class TestFactorization:
     def test_primes_upto(self):
         assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert primes_upto(1) == []
+        assert primes_upto(0) == [] and primes_upto(-5) == []
+        assert primes_upto(2) == [2]
+        for n in range(3, 200):
+            assert primes_upto(n) == [p for p in range(n + 1) if naive_is_prime(p)]
         table = primes_upto(300_000)
         assert table[-1] == 299993 and len(table) == 25997
+        assert small_primes() == tuple(table)
         with pytest.raises(ValueError):
             primes_upto(300_001)
 

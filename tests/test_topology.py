@@ -39,9 +39,23 @@ class TestProgression:
         with pytest.raises(ValueError):
             Progression(1, 0)
 
+    @pytest.mark.parametrize("a,b", [(2**63, 3), (-(2**63), 3), (1, 2**63)])
+    def test_rejects_past_63_bits(self, a, b):
+        with pytest.raises(OverflowError, match="63-bit"):
+            Progression(a, b)
+        Progression(2**63 - 1, 2**63 - 1)
+
     def test_membership_excludes_zero(self):
         p = Progression(3, 3)
         assert 0 not in p and -3 in p and 6 in p
+
+
+class TestWindow:
+    def test_bounds(self):
+        assert Window(10**6).W == 10**6
+        for W in (0, 10**6 + 1, 2**63):
+            with pytest.raises(ValueError):
+                Window(W)
 
 
 class TestClosureFormula:
@@ -105,6 +119,16 @@ class TestSeparationOracle:
                 c = closure(p)
                 for z in Window(60).members():
                     assert (z in c) == closure_oracle_member(z, p), (a, b, z)
+
+    @pytest.mark.parametrize("b", [30, 42, 105, 210])
+    def test_agrees_over_one_period(self, b):
+        # three or four primes of b are usable by the oracle's subset
+        # search, and both sides are periodic in z with period b
+        for a in range(1, b + 1):
+            p = Progression(a, b)
+            c = closure(p)
+            for z in range(1, b + 1):
+                assert (z in c) == closure_oracle_member(z, p), (a, b, z)
 
     @given(reps, moduli)
     @settings(max_examples=200, deadline=None)
