@@ -15,10 +15,11 @@ at least two elements, and inclusion of filters is decidable from the
 triples alone. A_E and Pi_E are ascending tuples of primes and alpha_E
 a dict in ascending p; a singleton fits {0,k}+pZ for every p, so its
 A-set is None, rendered "all". This module computes the triples,
-decides the order from them both by the three-condition comparison
-and by the per-prime generator argument (which also builds an
-escaping element), classifies filters against the layers directly
-under the top one, and realizes a prescribed (A, alpha) pair.
+decides the order from them by the three-condition comparison and,
+independently, from the sets' elements by the per-prime generator
+argument (which also builds an escaping element), classifies filters
+against the layers directly under the top one, and realizes a
+prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
@@ -182,21 +183,18 @@ class FilterDescriptor:
     source: FiniteSubset
 
     def __post_init__(self) -> None:
-        # cached plain views; the hot comparison paths live on these.
-        # _free lists (p, alpha(p)) for p in A minus Pi, ascending.
-        pi = frozenset(self.Pi)
+        # cached plain views; the hot comparison path lives on these
         object.__setattr__(self, "_a_set", frozenset(self.A or ()))
-        object.__setattr__(self, "_pi_set", pi)
-        free = () if self.alpha is None else tuple(
-            (p, r) for p, r in self.alpha.items() if p not in pi
-        )
-        object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_pi_set", frozenset(self.Pi))
 
     def canonical_key(self):
         if self.A is None:
             return ("singleton", self.source.elements[0])
         pi_odd = tuple(p for p in self.Pi if p != 2)
-        return (self.A, pi_odd, tuple(e for e in self._free if e[0] != 2))
+        free = tuple(
+            (p, r) for p, r in self.alpha.items() if p != 2 and p not in self._pi_set
+        )
+        return (self.A, pi_odd, free)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilterDescriptor):
@@ -278,94 +276,150 @@ class OrderWitness:
     reason: str
 
 
-def _generator_member(z: int, d: FilterDescriptor, L: tuple[int, ...]) -> bool:
-    if z == 0:
-        return False
-    for r in L:
-        if z % r:
-            return False
-    for p, r in d._free:
-        m = z % p
-        if m and m != r:
-            return False
-    return True
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Generators:
+    """The generator conditions of a list of sets, read off the residues
+    of their elements, as per-prime bitsets over the rows.
+
+    For a set E of at least two elements and a prime p, let R be the
+    nonzero residues of E mod p. Then p lies in A_E iff R has at most
+    one element, and the generator G_E(()) allows the residues
+    S_E(p) = {0, r} mod p when R = {r}, and every residue when R is
+    empty; mod 2 that is {0, 1}, kept as r = 1. Only the given primes
+    are scanned, so a caller must pass every prime of A_F for each
+    column F it asks for. Row masks are Python ints, bit i standing
+    for the i-th set.
+    """
+
+    def __init__(self, sources: list[FiniteSubset], primes: Iterable[int]):
+        self.primes = tuple(primes)
+        self.full = (1 << len(sources)) - 1
+        self.conds = [self.conditions(E) for E in sources]
+        # rows_with[p] maps r to the rows E with S_E(p) = {0, r}; r = 0
+        # stands for every residue
+        self.rows_with: dict[int, dict[int, int]] = {p: {} for p in self.primes}
+        for i, conds in enumerate(self.conds):
+            for p, r in conds.items():
+                self.rows_with[p][r] = self.rows_with[p].get(r, 0) | 1 << i
+        # the groups at p are disjoint, so their sum is their union
+        self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
+
+    def conditions(self, E: FiniteSubset) -> dict[int, int]:
+        """S_E(p) for each p in A_E, ascending: r for {0, r}, and 0 for
+        every residue mod an odd p."""
+        conds = {}
+        for p in self.primes:
+            nonzero = {x % p for x in E.elements} - {0}
+            if len(nonzero) <= 1:
+                conds[p] = nonzero.pop() if nonzero else 1 if p == 2 else 0
+        return conds
+
+    def allowing(self, p: int, r: int) -> int:
+        """The rows E with p in A_E and S_E(p) holding {0, r}, or every
+        residue when r = 0."""
+        groups = self.rows_with[p]
+        return groups.get(0, 0) | groups.get(r, 0)
+
+    def members(self, z: int, L: tuple[int, ...]) -> int:
+        """The rows E whose generator G_E(L) contains z, among the rows
+        with L outside A_E. Scanning fewer primes than A_E only adds
+        members, so a z outside every returned row escapes for good."""
+        if z == 0 or any(z % r for r in L):
+            return 0
+        rows = self.full
+        for p in self.primes:
+            if m := z % p:
+                rows &= ~self.in_a[p] | self.allowing(p, m)
+        return rows
+
+    def column(self, j: int) -> tuple[int, list[tuple[int, OrderWitness]]]:
+        """The rows E whose filter lies inside that of F, the set of row
+        j, and a witness for each group of the other rows, after
+        checking it against every row of its group.
+
+        The filter of E lies inside that of F iff every p in A_F lies in
+        A_E with S_F(p) inside S_E(p). If p lies outside A_E, G_E({p})
+        forces 0 mod p, which no generator G_F(L') can do, since L'
+        avoids A_F. If S_F(p) reaches outside S_E(p), G_E(()) forbids a
+        residue mod p that every G_F(L') still takes. Otherwise each
+        G_E(L) contains G_F(L'), where L' adds to L the primes of A_E
+        outside A_F: 0 lies in every S_E(p).
+
+        A failing row is grouped by its least failing prime p, by
+        whether p lies in A_E, and by the least nonzero residue t of
+        S_F(p) that its target forbids: G_E({p}) when p lies outside
+        A_E (it allows only 0 mod p), else G_E(()). The escaping element
+        z solves z = r (mod q) for each S_F(q) = {0, r}, plus z = t
+        (mod p) when S_F(p) is every residue. It is built once per extra
+        congruence, checked once against G_F(()), and checked against
+        each group's targets with one mask test.
+        """
+        conds = self.conds[j]
+        system = tuple((r, q) for q, r in conds.items() if r)
+        solved: dict[tuple[int, int] | None, tuple[int, int]] = {}
+        witnesses = []
+        below = self.full
+        for p, r in conds.items():
+            failing = below & ~self.allowing(p, r)
+            if not failing:
+                continue
+            below ^= failing
+            in_a = self.in_a[p]
+            # every residue: a row's S_E(p) = {0, 1} forbids 2, any other
+            # forbids 1 (p is odd, since mod 2 no row fails)
+            for t in ((r,) if r else (1, 2)):
+                group = failing & ~self.allowing(p, t)
+                if not group:
+                    continue
+                failing ^= group
+                extra = None if r else (t, p)
+                if extra not in solved:
+                    z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
+                    inside = self.members(z, ())
+                    if not inside >> j & 1:
+                        raise AssertionError("constructed element lies outside the F-side generator")
+                    solved[extra] = z, inside
+                z, inside = solved[extra]
+                caught = self.members(z, (p,)) & ~in_a | inside & in_a
+                if group & caught:
+                    raise AssertionError("constructed element fails to escape the E-side generator")
+                if group & ~in_a:
+                    witnesses.append((group & ~in_a, OrderWitness(p, z, (p,), _MISSING)))
+                if group & in_a:
+                    why = _ALPHA if r else _PI_BLOCK
+                    witnesses.append((group & in_a, OrderWitness(p, z, (), why)))
+        return below, witnesses
 
 
 def order_oracle(
     E: FiniteSubset, F: FiniteSubset
 ) -> tuple[bool, OrderWitness | None]:
-    """Inclusion test via generators: the per-prime generator argument,
-    plus an escaping element built by CRT and checked against both
-    generators.
+    """Inclusion test from the sets' elements: the generator argument
+    of _Generators.column on the two-row instance [E, F], with the
+    escaping element it builds and checks on failure.
 
-    The filter of E sits inside the filter of F iff every generator
-    G_E(L) contains some generator G_F(L'). Enlarging L' only shrinks
-    G_F(L'), so the smallest-first search over L' (subsets of candidate
-    primes outside A_F) succeeds iff taking every viable single-prime
-    fix at once succeeds, and per prime the implication is pure residue
-    logic: a fix is viable exactly when the prime avoids A_F, a residue
-    clash or an odd common divisor of F at a prime constrained by E can
-    never be fixed. Dually, G_E(L) over arbitrary L is covered by the
-    single-prime targets G_E({r}), which are obstructed exactly when r
-    lands in A_F. On failure an explicit escaping element of the
-    minimal F-side generator is built by CRT and checked against both
-    generators.
+    Every prime of A_F divides f1, f2 or f1 - f2 for two elements of F,
+    so the primes of a_of_pair_formula(f1, f2) are all that is scanned.
+    A_E may reach past them, but an element escaping G_E on fewer
+    primes escapes it on all of them. The witness names the least
+    prime of A_F at which the inclusion fails.
 
-    >>> order_oracle(FiniteSubset.of(5, 10), FiniteSubset.of(7, 14))[0]
-    False
+    >>> order_oracle(FiniteSubset.of(5, 10), FiniteSubset.of(7, 14))
+    (False, OrderWitness(prime=7, element=1, target_L=(7,), reason='A(F) reaches outside A(E)'))
     """
     if min(len(E), len(F)) < 2:
         raise ValueError("generator form needs at least two elements per set")
-    dE, dF = descriptor(E), descriptor(F)
-    failure = _order_failure(dE, dF)
-    if failure is None:
+    below, witnesses = _Generators([E, F], a_of_pair_formula(*F.elements[:2])).column(1)
+    if below & 1:
         return True, None
-    return False, _order_witness(dE, dF, failure)
-
-
-def _order_failure(
-    dE: FilterDescriptor, dF: FilterDescriptor
-) -> tuple[int, str] | None:
-    """The generator argument of order_oracle: the prime at which the
-    inclusion fails and why, or None when it holds."""
-    af, pif = dF._a_set, dF._pi_set
-    alpha_f = dF.alpha
-    for p, r in dE._free:
-        if p not in af:
-            continue  # viable fix: L' may force 0 mod p
-        if p in pif:
-            if p != 2:
-                return p, _PI_BLOCK
-        elif alpha_f[p] != r:
-            return p, _ALPHA
-    # a target G_E({r}) with r outside A_E is obstructed exactly when r
-    # lies in A_F
-    if af <= dE._a_set:
-        return None
-    return min(af - dE._a_set), _MISSING
-
-
-def _order_witness(
-    dE: FilterDescriptor, dF: FilterDescriptor, failure: tuple[int, str]
-) -> OrderWitness:
-    """An element of the minimal F-side generator G_F(()) escaping
-    G_E(target_L) at the failing prime, checked against both."""
-    bad, why = failure
-    system = [(r, p) for p, r in dF._free]
-    if why is _PI_BLOCK:
-        # bad is an odd common divisor of F: send z somewhere E forbids,
-        # i.e. the least nonzero residue differing from alpha_E(bad)
-        system.append((1 if dE.alpha[bad] != 1 else 2, bad))
-    elif why is _MISSING and bad in dF._pi_set:
-        system.append((1, bad))
-    # otherwise z = alpha_F(bad) mod bad already escapes the target
-    z = crt_solve(CongruenceSystem(tuple(system)))
-    if not _generator_member(z, dF, ()):
-        raise AssertionError("constructed element lies outside the F-side generator")
-    target_L = (bad,) if why is _MISSING else ()
-    if _generator_member(z, dE, target_L):
-        raise AssertionError("constructed element fails to escape the E-side generator")
-    return OrderWitness(bad, z, target_L, why)
+    return False, next(w for rows, w in witnesses if rows & 1)
 
 
 def is_top(E: FiniteSubset) -> bool:

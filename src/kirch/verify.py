@@ -2,11 +2,12 @@
 
 Each suite pits a closed-form statement against its definitional
 oracle over an exhaustive catalog, collecting mismatches as explicit
-failures. The `order` suite decides its 1450^2 catalog pairs from the
-residues of each set's elements, never from the (A, Pi, alpha)
-descriptors its closed form compares. Reports are deterministic:
-catalogs enumerate in canonical order, any sampling is driven by the
-configured seed, and the JSON rendering carries no wall-clock data.
+failures. The `order` suite decides its 1450^2 catalog pairs and its
+sampled pairs from the residues of each set's elements, never from
+the (A, Pi, alpha) descriptors its closed form compares. Reports are
+deterministic: catalogs enumerate in canonical order, any sampling is
+driven by the configured seed, and the JSON rendering carries no
+wall-clock data.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .filters import (
     FilterClass,
     FilterDescriptor,
     FiniteSubset,
+    _bits,
     _braced,
     _descriptor_leq,
+    _Generators,
     a_of,
     a_of_pair_formula,
     alpha_of,
@@ -39,14 +43,12 @@ from .graphs import (
     printed_p3_report,
 )
 from .numtheory import (
-    CongruenceSystem,
     consecutive_power_pairs,
-    crt_solve,
     primes_upto,
     zsigmondy_closed_form,
     zsigmondy_is_exception,
 )
-from .topology import Progression, closure, closure_oracle_member
+from .topology import Progression, Window, closure, closure_oracle_member
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,7 @@ class SuiteConfig:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be positive")
+        Window(self.window)
         if self.max_element is not None and self.max_element < 1:
             raise ValueError("max_element must be positive")
         if min(self.graph_bounds) < 0:
@@ -130,8 +131,7 @@ def _suite_closure(cfg: SuiteConfig):
     reported under every pair that names it.
     """
     bound = cfg.max_element if cfg.max_element is not None else 20
-    w = cfg.window
-    window = [z for z in range(-w, w + 1) if z]
+    window = list(Window(cfg.window).members())
     mismatches: dict[Progression, list[tuple[int, bool, bool]]] = {}
     failures = []
     cases = 0
@@ -154,7 +154,7 @@ def _suite_closure(cfg: SuiteConfig):
                 failures.append(VerifyFailure(
                     f"a={a} b={b} z={z}", f"oracle={rhs}", f"formula={lhs}"
                 ))
-    return cases, failures, {"progressions": 2 * bound * bound, "window": w}
+    return cases, failures, {"progressions": 2 * bound * bound, "window": cfg.window}
 
 
 def _suite_pair_formula(cfg: SuiteConfig):
@@ -183,8 +183,6 @@ def _order_catalog(bound: int) -> list[FilterDescriptor]:
     Built with the uncached descriptor function, so the tens of
     thousands of subsets it scans do not stay in descriptor's cache.
     """
-    from itertools import combinations
-
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     reps: dict = {}
     for size in (2, 3):
@@ -194,130 +192,19 @@ def _order_catalog(bound: int) -> list[FilterDescriptor]:
     return list(reps.values())
 
 
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class _Generators:
-    """The generator conditions of a catalog of sets, read off the
-    residues of their elements, as per-prime bitsets over the rows.
-
-    For a set E of at least two elements and a prime p, let R be the
-    nonzero residues of E mod p. Then p lies in A_E iff R has at most
-    one element, and the generator G_E(()) allows the residues
-    S_E(p) = {0, r} mod p when R = {r}, and every residue when R is
-    empty. Every p in A_E divides x, y or x - y for two distinct
-    elements of E, so no prime past twice the largest magnitude in the
-    catalog lies in any A_E, and those primes are all that is scanned.
-    Row masks are Python ints, bit i standing for the catalog's i-th
-    set.
-    """
-
-    def __init__(self, sources: list[FiniteSubset]):
-        if min(map(len, sources)) < 2:
-            raise ValueError("generator conditions need at least two elements per set")
-        self.primes = primes_upto(2 * max(abs(x) for E in sources for x in E))
-        self.sources = sources
-        self.full = (1 << len(sources)) - 1
-        # rows_with[p] maps each S_E(p) to the rows E that have it
-        self.rows_with: dict[int, dict[frozenset[int], int]] = {p: {} for p in self.primes}
-        for i, E in enumerate(sources):
-            for p, S in self.conditions(E).items():
-                groups = self.rows_with[p]
-                groups[S] = groups.get(S, 0) | 1 << i
-        self._allowing: dict[tuple[int, frozenset[int]], int] = {}
-
-    def conditions(self, E: FiniteSubset) -> dict[int, frozenset[int]]:
-        """S_E(p) for each p in A_E, ascending."""
-        conds = {}
-        for p in self.primes:
-            nonzero = {x % p for x in E} - {0}
-            if len(nonzero) <= 1:
-                conds[p] = frozenset({0, *nonzero}) if nonzero else frozenset(range(p))
-        return conds
-
-    def allowing(self, p: int, S: frozenset[int]) -> int:
-        """The rows E with p in A_E and S inside S_E(p)."""
-        key = (p, S)
-        if key not in self._allowing:
-            mask = 0
-            for allowed, rows in self.rows_with[p].items():
-                if S <= allowed:
-                    mask |= rows
-            self._allowing[key] = mask
-        return self._allowing[key]
-
-    def members(self, z: int, L: tuple[int, ...]) -> int:
-        """The rows E whose generator G_E(L) contains z, among the rows
-        with L outside A_E."""
-        if z == 0 or any(z % r for r in L):
-            return 0
-        rows = self.full
-        for p in self.primes:
-            rows &= ~self.allowing(p, frozenset()) | self.allowing(p, frozenset({z % p}))
-        return rows
-
-    def column(self, j: int) -> int:
-        """The rows E whose filter lies inside that of F, the set of row
-        j, after checking an escaping element against every other row.
-
-        The filter of E lies inside that of F iff every p in A_F lies in
-        A_E with S_F(p) inside S_E(p). If p lies outside A_E, G_E({p})
-        forces 0 mod p, which no generator G_F(L') can do, since L'
-        avoids A_F. If S_F(p) reaches outside S_E(p), G_E(()) forbids a
-        residue mod p that every G_F(L') still takes. Otherwise each
-        G_E(L) contains G_F(L'), where L' adds to L the primes of A_E
-        outside A_F: 0 lies in every S_E(p).
-
-        A failing row is grouped by its first failing prime p and by
-        the least nonzero residue t of S_F(p) that its target forbids:
-        G_E({p}) when p lies outside A_E (it allows only 0 mod p),
-        else G_E(()). The escaping element z solves the congruences
-        z = r (mod q) for each S_F(q) = {0, r}, plus z = t (mod p) when
-        S_F(p) is every residue. It is built once per extra congruence,
-        checked once against G_F(()), and checked against each group's
-        targets with one mask test.
-        """
-        conds = self.conditions(self.sources[j])
-        system = tuple((max(S), q) for q, S in conds.items() if len(S) == 2)
-        witnesses: dict[tuple[int, int] | None, int] = {}
-        below = self.full
-        for p, S in conds.items():
-            failing = below & ~self.allowing(p, S)
-            if not failing:
-                continue
-            below ^= failing
-            in_a = self.allowing(p, frozenset())
-            for t in sorted(S - {0}):
-                group = failing & ~self.allowing(p, frozenset({t}))
-                if not group:
-                    continue
-                failing ^= group
-                extra = None if len(S) == 2 else (t, p)
-                if extra not in witnesses:
-                    z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
-                    if not self.members(z, ()) >> j & 1:
-                        raise AssertionError("constructed element lies outside the F-side generator")
-                    witnesses[extra] = z
-                z = witnesses[extra]
-                caught = self.members(z, (p,)) & ~in_a | self.members(z, ()) & in_a
-                if group & caught:
-                    raise AssertionError("constructed element fails to escape the E-side generator")
-        return below
-
-
 def _generator_order(sources: list[FiniteSubset]) -> list[int]:
     """The order of the filters of sources, from their elements alone:
     bit j of entry i is set iff the filter of sources[i] lies inside
-    that of sources[j]."""
-    gens = _Generators(sources)
+    that of sources[j].
+
+    Every p in A_E divides x, y or x - y for two distinct elements of
+    E, so no prime past twice the largest magnitude among the sources
+    lies in any A_E, and those primes are all that is scanned.
+    """
+    gens = _Generators(sources, primes_upto(2 * max(abs(x) for E in sources for x in E)))
     rows = [0] * len(sources)
     for j in range(len(sources)):
-        for i in _bits(gens.column(j)):
+        for i in _bits(gens.column(j)[0]):
             rows[i] |= 1 << j
     return rows
 
@@ -326,7 +213,8 @@ def _suite_order(cfg: SuiteConfig):
     """The three-condition comparison _descriptor_leq on every pair of
     the catalog's descriptors, against _generator_order on its source
     sets; the partial-order laws on the comparison's rows; and 400
-    seeded pairs of larger sets against order_oracle."""
+    seeded pairs of larger sets against order_oracle. Both oracles run
+    the generator argument of filters._Generators on the sets' elements."""
     bound = cfg.max_element if cfg.max_element is not None else 30
     descs = _order_catalog(bound)
     reps = [d.source for d in descs]
@@ -379,12 +267,9 @@ def _suite_order(cfg: SuiteConfig):
                 elems.add(v)
         return FiniteSubset(tuple(sorted(elems)))
 
-    sampled = 0
-    while sampled < 400:
-        E = draw()
-        F = draw()
-        sampled += 1
-        cases += 1
+    samples = 400
+    for _ in range(samples):
+        E, F = draw(), draw()
         closed = _descriptor_leq(descriptor(E), descriptor(F))
         oracle = order_oracle(E, F)[0]
         if closed != oracle:
@@ -392,8 +277,9 @@ def _suite_order(cfg: SuiteConfig):
                 f"sampled E={E} F={F}", f"oracle={oracle}", f"closed={closed}"
             ))
 
+    cases += samples
     failures.extend(law_failures)
-    details = {"descriptors": k, "exhaustive_pairs": k * k, "sampled_pairs": sampled}
+    details = {"descriptors": k, "exhaustive_pairs": k * k, "sampled_pairs": samples}
     return cases, failures, details
 
 
@@ -463,8 +349,6 @@ def _suite_classify(cfg: SuiteConfig):
 
 
 def _suite_realize(cfg: SuiteConfig):
-    from itertools import combinations, product
-
     odd = (3, 5, 7, 11, 13)
     a_sets = [()]
     a_sets += [(p,) for p in odd]

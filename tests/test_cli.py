@@ -67,6 +67,14 @@ def test_closure_rejects_huge_window(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_verify_rejects_huge_window(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "closure", "--window", "200000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cmp_directions(capsys):
     code, out, _ = run(capsys, "cmp", "5", "10", ";", "1", "5", "10")
     assert code == 0

@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kirch.filters import (
+    _ALPHA,
+    _MISSING,
+    _PI_BLOCK,
     FilterClass,
     FiniteSubset,
     a_of,
@@ -27,6 +30,7 @@ from kirch.filters import (
     upset_in_fprime,
 )
 from kirch.numtheory import MAX_MAGNITUDE, primes_upto
+from test_cli import in_generator
 
 S = FiniteSubset.of
 
@@ -233,6 +237,30 @@ class TestOrder:
         # 3 divides all of F but E constrains residues mod 3
         holds, w = order_oracle(S(1, 3), S(3, 6))
         assert not holds and w.prime == 3 and w.element % 3 not in (0, 1)
+
+    def test_witnesses_checked_against_descriptors(self):
+        # each witness lies in G_F(()), escapes G_E(target_L), and its
+        # reason names the role of its prime in the descriptors
+        failing = 0
+        for E in catalog():
+            for F in catalog():
+                holds, w = order_oracle(E, F)
+                if holds:
+                    continue
+                failing += 1
+                dE, dF = descriptor(E), descriptor(F)
+                assert in_generator(w.element, dF, ()), (E, F, w)
+                assert not in_generator(w.element, dE, w.target_L), (E, F, w)
+                p = w.prime
+                assert p in dF.A, (E, F, w)
+                if p not in dE.A:
+                    assert (w.reason, w.target_L) == (_MISSING, (p,)), (E, F, w)
+                elif p in dF.Pi:
+                    assert (w.reason, w.target_L) == (_PI_BLOCK, ()), (E, F, w)
+                else:
+                    assert (w.reason, w.target_L) == (_ALPHA, ()), (E, F, w)
+                    assert p not in dE.Pi and dE.alpha[p] != dF.alpha[p], (E, F, w)
+        assert failing >= 200
 
     def test_agreement_on_catalog(self):
         sets = catalog()

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from kirch import verify
+from kirch import filters, verify
 from kirch.filters import FiniteSubset, descriptor, order_oracle
 from kirch.numtheory import prime_divisors
 from kirch.topology import ClosureSet, Progression
@@ -93,42 +93,44 @@ def test_order_fault_is_caught(monkeypatch):
 def test_order_suite_checks_every_escape(monkeypatch):
     # with every row a generator member, each witness passes its F-side
     # check and the escape check of its group must raise
-    monkeypatch.setattr(verify._Generators, "members", lambda self, z, L: self.full)
+    monkeypatch.setattr(filters._Generators, "members", lambda self, z, L: self.full)
     with pytest.raises(AssertionError, match="fails to escape"):
         run_suite("order", small(max_element=4))
 
 
 def test_order_suite_checks_each_witness_against_its_column(monkeypatch):
     # 0 lies in no generator, so the F-side check must refuse it
-    monkeypatch.setattr(verify, "crt_solve", lambda system: 0)
+    monkeypatch.setattr(filters, "crt_solve", lambda system: 0)
     with pytest.raises(AssertionError, match="outside the F-side generator"):
         run_suite("order", small(max_element=4))
 
 
 def test_order_suite_solves_each_witness_system_once(monkeypatch):
+    # the sampled pairs build a two-row instance each, so a column is
+    # named by its instance and its index
     column = [None]
     solved = []
     failing_pairs = [0]
-    real_column, real_crt = verify._Generators.column, verify.crt_solve
+    real_column, real_crt = filters._Generators.column, filters.crt_solve
 
     def tracked(self, j):
-        column[0] = j
+        column[0] = (self, j)
         try:
-            below = real_column(self, j)
+            below, witnesses = real_column(self, j)
         finally:
             column[0] = None
         failing_pairs[0] += bin(self.full & ~below).count("1")
-        return below
+        return below, witnesses
 
     def crt(system):
         solved.append((column[0], system.congruences))
         return real_crt(system)
 
-    monkeypatch.setattr(verify._Generators, "column", tracked)
-    monkeypatch.setattr(verify, "crt_solve", crt)
+    monkeypatch.setattr(filters._Generators, "column", tracked)
+    monkeypatch.setattr(filters, "crt_solve", crt)
     report = run_suite("order", small(max_element=4))
     assert report.passed
-    assert all(j is not None for j, _ in solved)
+    assert all(col is not None for col, _ in solved)
     # a column's systems differ only in the extra congruence, so distinct
     # (F, system) pairs are distinct (F, extra congruence) pairs
     assert solved and len(solved) == len(set(solved))
