@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .filters import (
@@ -76,11 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("prime-class", "Fermat/Mersenne class of a prime")
     p.add_argument("p", type=int)
 
+    defaults = SuiteConfig()
     p = add("verify", "run a verification suite")
     p.add_argument("suite", choices=_SUITE_NAMES)
-    p.add_argument("--window", type=int, default=2000)
-    p.add_argument("--bounds", default="9,5")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--window", type=int, default=defaults.window)
+    p.add_argument("--bounds", default="%d,%d" % defaults.graph_bounds)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--max-element", type=int, default=None)
     return parser
 
@@ -92,11 +94,20 @@ def _parse_bounds(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _write(text: str, end: str = "\n") -> None:
+    """Print and flush text. Once the reader of stdout has gone (as
+    after `| head -1`), stdout points at the null device, and the
+    command keeps its own exit status."""
+    try:
+        print(text, end=end, flush=True)
+    except BrokenPipeError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+
+
 def _emit(ns, payload: dict, text: str) -> None:
-    if ns.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    _write(json.dumps(payload, sort_keys=True) if ns.format == "json" else text)
 
 
 def _cmd_closure(ns) -> int:
@@ -217,9 +228,9 @@ def _cmd_gamma(ns) -> int:
     max_i, max_j = _parse_bounds(ns.bounds)
     g = build_gamma(ns.p, (max_i, 0) if ns.p == 2 else (max_i, max_j))
     if ns.format == "json":
-        print(json.dumps(graph_json_dict(g), sort_keys=True))
+        _write(json.dumps(graph_json_dict(g), sort_keys=True))
     else:
-        print(emit_dot(g), end="")
+        _write(emit_dot(g), end="")
     return 0
 
 
@@ -245,10 +256,8 @@ def _cmd_verify(ns) -> int:
         seed=ns.seed,
     )
     report = run_suite(ns.suite, cfg)
-    if ns.format == "json":
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        print(report.render_text())
+    _write(json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+           if ns.format == "json" else report.render_text())
     return 0 if report.passed else 1
 
 

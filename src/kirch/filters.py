@@ -284,6 +284,24 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _conditions(elements: tuple[int, ...], primes: Iterable[int]) -> dict[int, int]:
+    """S_E(p) for each given p in A_E, E the set of elements, in the
+    form _Generators keeps; a prime's scan stops at the second distinct
+    nonzero residue."""
+    conds = {}
+    for p in primes:
+        r = 0
+        for x in elements:
+            m = x % p
+            if m and m != r:
+                if r:
+                    break
+                r = m
+        else:
+            conds[p] = r or (1 if p == 2 else 0)
+    return conds
+
+
 class _Generators:
     """The generator conditions of a list of sets, read off the residues
     of their elements, as per-prime bitsets over the rows.
@@ -291,17 +309,17 @@ class _Generators:
     For a set E of at least two elements and a prime p, let R be the
     nonzero residues of E mod p. Then p lies in A_E iff R has at most
     one element, and the generator G_E(()) allows the residues
-    S_E(p) = {0, r} mod p when R = {r}, and every residue when R is
-    empty; mod 2 that is {0, 1}, kept as r = 1. Only the given primes
-    are scanned, so a caller must pass every prime of A_F for each
-    column F it asks for. Row masks are Python ints, bit i standing
-    for the i-th set.
+    S_E(p) = {0, r} mod p when R = {r}, kept as r, and every residue
+    when R is empty, kept as 0; mod 2 that is {0, 1}, kept as 1. Only
+    the given primes are scanned, so a caller must pass every prime of
+    A_F for each column F it asks for. Row masks are Python ints, bit
+    i standing for the i-th set.
     """
 
     def __init__(self, sources: list[FiniteSubset], primes: Iterable[int]):
         self.primes = tuple(primes)
         self.full = (1 << len(sources)) - 1
-        self.conds = [self.conditions(E) for E in sources]
+        self.conds = [_conditions(E.elements, self.primes) for E in sources]
         # rows_with[p] maps r to the rows E with S_E(p) = {0, r}; r = 0
         # stands for every residue
         self.rows_with: dict[int, dict[int, int]] = {p: {} for p in self.primes}
@@ -310,16 +328,6 @@ class _Generators:
                 self.rows_with[p][r] = self.rows_with[p].get(r, 0) | 1 << i
         # the groups at p are disjoint, so their sum is their union
         self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
-
-    def conditions(self, E: FiniteSubset) -> dict[int, int]:
-        """S_E(p) for each p in A_E, ascending: r for {0, r}, and 0 for
-        every residue mod an odd p."""
-        conds = {}
-        for p in self.primes:
-            nonzero = {x % p for x in E.elements} - {0}
-            if len(nonzero) <= 1:
-                conds[p] = nonzero.pop() if nonzero else 1 if p == 2 else 0
-        return conds
 
     def allowing(self, p: int, r: int) -> int:
         """The rows E with p in A_E and S_E(p) holding {0, r}, or every

@@ -2,16 +2,19 @@
 
 Each suite pits a closed-form statement against its definitional
 oracle over an exhaustive catalog, collecting mismatches as explicit
-failures. The `order` suite decides its 1450^2 catalog pairs and its
-sampled pairs from the residues of each set's elements, never from
-the (A, Pi, alpha) descriptors its closed form compares. Reports are
-deterministic: catalogs enumerate in canonical order, any sampling is
-driven by the configured seed, and the JSON rendering carries no
-wall-clock data.
+failures, and refuses with ValueError before it starts when its
+config plans more than _MAX_CASES cases. The `order` suite names a
+filter by its generator conditions, read from the residues of a set's
+elements: they pick its 1450 catalog sets and decide its 1450^2
+catalog pairs and its sampled pairs, never the (A, Pi, alpha)
+descriptors its closed form compares. Reports are deterministic:
+catalogs enumerate in canonical order, any sampling is driven by the
+configured seed, and the JSON rendering carries no wall-clock data.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -19,10 +22,10 @@ from itertools import combinations, product
 
 from .filters import (
     FilterClass,
-    FilterDescriptor,
     FiniteSubset,
     _bits,
     _braced,
+    _conditions,
     _descriptor_leq,
     _Generators,
     a_of,
@@ -68,6 +71,16 @@ class SuiteConfig:
             raise ValueError("max_element must be positive")
         if min(self.graph_bounds) < 0:
             raise ValueError("graph bounds must be nonnegative")
+
+
+# the most cases a suite may plan; the defaults plan at most 3.2 M
+_MAX_CASES = 10**7
+
+
+def _within_budget(cases: int, what: str) -> int:
+    if cases > _MAX_CASES:
+        raise ValueError(f"{cases} {what} exceed the budget of {_MAX_CASES} cases")
+    return cases
 
 
 @dataclass(frozen=True)
@@ -131,10 +144,10 @@ def _suite_closure(cfg: SuiteConfig):
     reported under every pair that names it.
     """
     bound = cfg.max_element if cfg.max_element is not None else 20
+    cases = _within_budget(2 * bound * bound * 2 * cfg.window, "closure cases")
     window = list(Window(cfg.window).members())
     mismatches: dict[Progression, list[tuple[int, bool, bool]]] = {}
     failures = []
-    cases = 0
     for a in range(-bound, bound + 1):
         if a == 0:
             continue
@@ -149,7 +162,6 @@ def _suite_closure(cfg: SuiteConfig):
                     if lhs != rhs:
                         found.append((z, lhs, rhs))
                 mismatches[prog] = found
-            cases += len(window)
             for z, lhs, rhs in mismatches[prog]:
                 failures.append(VerifyFailure(
                     f"a={a} b={b} z={z}", f"oracle={rhs}", f"formula={lhs}"
@@ -159,15 +171,14 @@ def _suite_closure(cfg: SuiteConfig):
 
 def _suite_pair_formula(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 50
+    cases = _within_budget(math.comb(2 * bound, 2), "pair_formula cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     # every qualifying prime divides x, y or x-y, so none exceeds
     # the largest of their magnitudes, which is at most 2 * bound
     primes = primes_upto(2 * bound)
     failures = []
-    cases = 0
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
-            cases += 1
             got = set(a_of_pair_formula(x, y))
             want = {p for p in primes if len({x % p, y % p} - {0}) <= 1}
             if got != want:
@@ -177,83 +188,62 @@ def _suite_pair_formula(cfg: SuiteConfig):
     return cases, failures, {"values": len(vals)}
 
 
-def _order_catalog(bound: int) -> list[FilterDescriptor]:
-    """One descriptor per filter among all two- and three-element sets.
-
-    Built with the uncached descriptor function, so the tens of
-    thousands of subsets it scans do not stay in descriptor's cache.
-    """
+def _order_catalog(bound: int) -> list[FiniteSubset]:
+    """One set per filter among the two- and three-element sets of
+    nonzero integers in [-bound, bound], the first of each in
+    combination order, keyed on its generator conditions over the
+    primes up to 2 * bound (each prime of an A-set divides x, y or
+    x - y for two of the set's elements). No descriptor is built."""
+    _within_budget(math.comb(2 * bound, 2) + math.comb(2 * bound, 3), "order catalog subsets")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
+    primes = primes_upto(2 * bound)
     reps: dict = {}
     for size in (2, 3):
         for combo in combinations(vals, size):
-            d = descriptor.__wrapped__(FiniteSubset(combo))
-            reps.setdefault(d.canonical_key(), d)
-    return list(reps.values())
-
-
-def _generator_order(sources: list[FiniteSubset]) -> list[int]:
-    """The order of the filters of sources, from their elements alone:
-    bit j of entry i is set iff the filter of sources[i] lies inside
-    that of sources[j].
-
-    Every p in A_E divides x, y or x - y for two distinct elements of
-    E, so no prime past twice the largest magnitude among the sources
-    lies in any A_E, and those primes are all that is scanned.
-    """
-    gens = _Generators(sources, primes_upto(2 * max(abs(x) for E in sources for x in E)))
-    rows = [0] * len(sources)
-    for j in range(len(sources)):
-        for i in _bits(gens.column(j)[0]):
-            rows[i] |= 1 << j
-    return rows
+            reps.setdefault(tuple(_conditions(combo, primes).items()), combo)
+    return [FiniteSubset(combo) for combo in reps.values()]
 
 
 def _suite_order(cfg: SuiteConfig):
     """The three-condition comparison _descriptor_leq on every pair of
-    the catalog's descriptors, against _generator_order on its source
-    sets; the partial-order laws on the comparison's rows; and 400
-    seeded pairs of larger sets against order_oracle. Both oracles run
-    the generator argument of filters._Generators on the sets' elements."""
+    the catalog, column by column against _Generators.column on the
+    catalog's sets; reflexivity, transitivity and antisymmetry on the
+    comparison's columns; and 400 seeded pairs of larger sets against
+    order_oracle. Both oracles read the sets' elements, and no two
+    catalog sets share generator conditions, so antisymmetry tests the
+    closed form."""
     bound = cfg.max_element if cfg.max_element is not None else 30
-    descs = _order_catalog(bound)
-    reps = [d.source for d in descs]
-    k = len(descs)
-    oracle_rows = _generator_order(reps)
+    reps = _order_catalog(bound)
+    k = len(reps)
+    _within_budget(k * k, "order catalog pairs")
+    descs = [descriptor(E) for E in reps]
+    gens = _Generators(reps, primes_upto(2 * bound))
     failures = []
-    cases = 0
-
-    rows = [0] * k
-    for i, dE in enumerate(descs):
-        row = 0
-        for j, dF in enumerate(descs):
+    # column j holds the rows i with E_i <= E_j
+    cols = []
+    for j, dF in enumerate(descs):
+        col = 0
+        for i, dE in enumerate(descs):
             if _descriptor_leq(dE, dF):
-                row |= 1 << j
-        for j in _bits(row ^ oracle_rows[i]):
-            closed = bool(row >> j & 1)
+                col |= 1 << i
+        for i in _bits(col ^ gens.column(j)[0]):
+            closed = bool(col >> i & 1)
             failures.append(VerifyFailure(
                 f"E={reps[i]} F={reps[j]}", f"oracle={not closed}", f"closed={closed}"
             ))
-        rows[i] = row
-    cases += k * k
+        cols.append(col)
 
     law_failures = []
-    for i in range(k):
-        if not rows[i] >> i & 1:
-            law_failures.append(VerifyFailure(f"E={reps[i]}", "E<=E", "false"))
-        row = rows[i]
-        for j in _bits(row):
-            if rows[j] & ~row:
+    for j, col in enumerate(cols):
+        if not col >> j & 1:
+            law_failures.append(VerifyFailure(f"E={reps[j]}", "E<=E", "false"))
+        for i in _bits(col):
+            if cols[i] & ~col:
                 law_failures.append(VerifyFailure(
-                    f"E={reps[i]} F={reps[j]}",
-                    "transitive closure inside row", "escape"
-                ))
-            if j != i and rows[j] >> i & 1:
+                    f"E={reps[i]} F={reps[j]}", "transitivity", "escape"))
+            if i != j and cols[i] >> j & 1:
                 law_failures.append(VerifyFailure(
-                    f"E={reps[i]} F={reps[j]}",
-                    "antisymmetry up to canonical equality", "mutual order"
-                ))
-    cases += k  # one law audit per catalog row
+                    f"E={reps[i]} F={reps[j]}", "antisymmetry", "mutual order"))
 
     rng = random.Random(cfg.seed)
     sample_bound = max(bound, 50)
@@ -277,7 +267,7 @@ def _suite_order(cfg: SuiteConfig):
                 f"sampled E={E} F={F}", f"oracle={oracle}", f"closed={closed}"
             ))
 
-    cases += samples
+    cases = k * k + k + samples  # the pairs, one law audit per column, the samples
     failures.extend(law_failures)
     details = {"descriptors": k, "exhaustive_pairs": k * k, "sampled_pairs": samples}
     return cases, failures, details
@@ -285,6 +275,7 @@ def _suite_order(cfg: SuiteConfig):
 
 def _suite_top(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 64
+    cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     listed = set()
     n = 1
@@ -296,10 +287,8 @@ def _suite_top(cfg: SuiteConfig):
         listed.add(frozenset({-n, n}))
         n *= 2
     failures = []
-    cases = 0
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
-            cases += 1
             got = is_top(FiniteSubset.of(x, y))
             want = frozenset({x, y}) in listed
             if got != want:
@@ -375,14 +364,14 @@ def _suite_realize(cfg: SuiteConfig):
 
 def _suite_ppix(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 200
-    failures = []
-    cases = 0
     odd_primes = [p for p in primes_upto(50) if p != 2]
+    # x runs over [-bound, bound] minus -2..2
+    cases = _within_budget(max(2 * bound - 4, 0) * len(odd_primes), "ppix cases")
+    failures = []
     for x in range(-bound, bound + 1):
         if x in (-2, -1, 0, 1, 2):
             continue
         for p in odd_primes:
-            cases += 1
             got = divides_via_filters(x, p)
             want = x % p == 0
             if got != want:

@@ -387,6 +387,46 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("order", "--max-element", "1000"),  # 1.3 G catalog subsets
+    ("order", "--max-element", "41"),  # 3164^2 catalog pairs
+    ("closure", "--max-element", "100000"),
+    ("closure", "--window", "10000"),
+    ("pair_formula", "--max-element", "3000"),  # below the sieve bound
+    ("top", "--max-element", "100000"),
+    ("ppix", "--max-element", "10000000"),
+], ids=["order-1000", "order-41", "closure-100000", "closure-window-10000",
+        "pair_formula-3000", "top-100000", "ppix-10000000"])
+def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("verify", "gamma", "--format", "json"), 0),
+    (("gamma", "3"), 0),
+    (("ae", "5", "10"), 0),
+    (("verify", "closure", "--window", "0"), 2),
+], ids=["verify-gamma-json", "gamma-dot", "ae", "unusable-input"])
+def test_closed_stdout_keeps_the_exit_status(argv, code):
+    # the reader is gone before the first write, as in `kirch ... | head -1`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kirch", *argv], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr and "Broken" not in proc.stderr
+
+
 def test_repeated_calls_match_fresh_processes(capsys):
     # main reuses one parser; a usage error in between must not leak
     # into the next call

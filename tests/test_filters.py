@@ -16,6 +16,7 @@ from kirch.filters import (
     _PI_BLOCK,
     FilterClass,
     FiniteSubset,
+    _conditions,
     a_of,
     a_of_pair_formula,
     alpha_of,
@@ -124,6 +125,17 @@ class TestAlpha:
                 assert r == 0
             else:
                 assert 0 < r < p
+
+
+class TestGeneratorConditions:
+    @given(small_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_invariants(self, E):
+        # every prime of A_E is at most 2 max|x|, so the scan sees them all
+        conds = _conditions(E.elements, primes_upto(2 * max(abs(x) for x in E)))
+        assert tuple(conds) == a_of(E)
+        assert [p for p, r in conds.items() if r == 0] == [p for p in pi_of(E) if p != 2]
+        assert conds == alpha_of(E)
 
 
 class TestFiniteSubset:

@@ -6,14 +6,13 @@ from itertools import combinations
 import pytest
 
 from kirch import filters, verify
-from kirch.filters import FiniteSubset, descriptor, order_oracle
-from kirch.numtheory import prime_divisors
+from kirch.filters import FiniteSubset, _Generators, descriptor, order_oracle
+from kirch.numtheory import prime_divisors, primes_upto
 from kirch.topology import ClosureSet, Progression
 from kirch.verify import (
     SuiteConfig,
     SuiteReport,
     VerifyFailure,
-    _generator_order,
     _order_catalog,
     run_suite,
 )
@@ -138,11 +137,14 @@ def test_order_suite_solves_each_witness_system_once(monkeypatch):
 
 
 def test_generator_order_agrees_with_order_oracle():
-    sources = [d.source for d in _order_catalog(8)]
-    rows = _generator_order(sources)
-    for i, E in enumerate(sources):
-        for j, F in enumerate(sources):
-            assert bool(rows[i] >> j & 1) == order_oracle(E, F)[0], (E, F)
+    # the suite's batch over the sieve primes against the two-row
+    # instances of order_oracle over the primes of one pair of F
+    sources = _order_catalog(8)
+    gens = _Generators(sources, primes_upto(16))
+    for j, F in enumerate(sources):
+        below = gens.column(j)[0]
+        for i, E in enumerate(sources):
+            assert bool(below >> i & 1) == order_oracle(E, F)[0], (E, F)
 
 
 def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
@@ -167,15 +169,19 @@ def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
 
 
 def test_order_catalog_leaves_descriptor_cache_empty():
-    descriptor.cache_clear()
-    keys = [d.canonical_key() for d in _order_catalog(8)]
-    assert descriptor.cache_info().currsize == 0
-    vals = [v for v in range(-8, 9) if v != 0]
-    want: dict = {}
-    for size in (2, 3):
-        for combo in combinations(vals, size):
-            want.setdefault(descriptor(FiniteSubset(combo)).canonical_key(), None)
-    assert keys == list(want)
+    # keyed on generator conditions, the catalog keeps the same sets in
+    # the same order as deduplicating every subset on its descriptor
+    for bound in (8, 12):
+        descriptor.cache_clear()
+        catalog = _order_catalog(bound)
+        assert descriptor.cache_info().currsize == 0
+        vals = [v for v in range(-bound, bound + 1) if v != 0]
+        want: dict = {}
+        for size in (2, 3):
+            for combo in combinations(vals, size):
+                E = FiniteSubset(combo)
+                want.setdefault(descriptor(E).canonical_key(), E)
+        assert catalog == list(want.values())
 
 
 def test_unknown_names_rejected():
