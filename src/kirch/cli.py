@@ -32,20 +32,26 @@ from .verify import _SUITES, SuiteConfig, run_suite
 _SUITE_NAMES = (*_SUITES, "all")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors take one stderr line, as every other
+    refusal does; --help still prints the usage."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kirch",
         description="progressions, filters and prime-power graphs over the nonzero integers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument(
-            "--format", choices=("text", "json", "dot"), default="text",
-            help="output rendering (dot applies to gamma only)",
-        )
+    def add(name, help_text, formats=("text", "json")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=formats, default="text",
+                       help="output rendering")
         return p
 
     p = add("closure", "closure of the progression a + bZ")
@@ -69,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True,
                    help="comma-separated residue choices, e.g. 2=1,5=2")
 
-    p = add("gamma", "emit the prime-power graph (DOT by default)")
+    p = add("gamma", "emit the prime-power graph (DOT by default; text is DOT too)",
+            formats=("text", "json", "dot"))
     p.add_argument("p", type=int)
     p.add_argument("--bounds", default="9,5",
                    help="exponent bounds i,j (for p=2 only i is used)")

@@ -14,8 +14,9 @@ and L runs over finite prime sets disjoint from A_E. The triple
 at least two elements, and inclusion of filters is decidable from the
 triples alone. A_E and Pi_E are ascending tuples of primes and alpha_E
 a dict in ascending p; a singleton fits {0,k}+pZ for every p, so its
-A-set is None, rendered "all". This module computes the triples,
-decides the order from them by the three-condition comparison and,
+A-set is None, rendered "all". This module computes each triple in
+one pass over the residues that decide A_E (descriptor), decides the
+order from the triples by the three-condition comparison and,
 independently, from the sets' elements by the per-prime generator
 argument (which also builds an escaping element), classifies filters
 against the layers directly under the top one, and realizes a
@@ -85,41 +86,24 @@ class FiniteSubset:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def issubset(self, other: "FiniteSubset") -> bool:
-        return set(self.elements) <= set(other.elements)
-
     def __str__(self) -> str:
         return "{" + ", ".join(str(x) for x in self.elements) + "}"
 
 
-def residue_classes(E: FiniteSubset, p: int) -> frozenset[int]:
-    """The nonzero residues of E mod p."""
-    return frozenset(x % p for x in E) - {0}
-
-
-def pi_of(E: FiniteSubset) -> tuple[int, ...]:
-    """Common prime divisors of the elements, ascending.
-
-    >>> pi_of(FiniteSubset.of(6, -12, 30))
-    (2, 3)
-    """
-    g = math.gcd(*E.elements)
-    return prime_divisors(g) if g > 1 else ()
-
-
 def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
-    """The primes p with E inside {0,k}+pZ for some single k, ascending.
+    """The primes p with E inside {0,k}+pZ for some single k, ascending:
+    those at which E has at most one nonzero residue.
 
     A singleton fits such a set for every p, so it gets None. Otherwise
     any two distinct elements x, y bound the answer: a qualifying p
     must divide x, y, or x-y, so only the primes of
-    a_of_pair_formula(x, y) need the residue test.
+    a_of_pair_formula(x, y) need the residue test. Uncached: is_top
+    needs it alone, and descriptor() caches the whole triple.
     """
     if len(E) == 1:
         return None
-    x, y = E.elements[0], E.elements[1]
-    candidates = a_of_pair_formula(x, y)
-    return tuple(p for p in candidates if len(residue_classes(E, p)) <= 1)
+    candidates = a_of_pair_formula(*E.elements[:2])
+    return tuple(p for p in candidates if len({x % p for x in E} - {0}) <= 1)
 
 
 def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
@@ -140,30 +124,6 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     d = x - y
     pd = prime_divisors(d) if abs(d) <= MAX_MAGNITUDE else _difference_prime_divisors(d)
     return tuple(sorted({*px, *py, *pd}))
-
-
-def alpha_of(E: FiniteSubset) -> dict[int, int]:
-    """The residue data of E: 1 at 2, 0 at the other common divisors,
-    and the unique shared nonzero residue class elsewhere on A_E."""
-    if len(E) == 1:
-        raise ValueError("a singleton has no finite residue data")
-    return _alpha_from(E, a_of(E), pi_of(E))
-
-
-def _alpha_from(
-    E: FiniteSubset, A: tuple[int, ...], Pi: tuple[int, ...]
-) -> dict[int, int]:
-    """alpha_of(E) given A_E and Pi_E already computed."""
-    entries = {}
-    for p in A:
-        if p == 2:
-            entries[p] = 1
-        elif p in Pi:
-            entries[p] = 0
-        else:
-            (r,) = residue_classes(E, p)
-            entries[p] = r
-    return entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,13 +148,11 @@ class FilterDescriptor:
         object.__setattr__(self, "_pi_set", frozenset(self.Pi))
 
     def canonical_key(self):
+        # alpha's keys are A, its zeros the odd primes of Pi and its
+        # other values off 2 the free residues
         if self.A is None:
             return ("singleton", self.source.elements[0])
-        pi_odd = tuple(p for p in self.Pi if p != 2)
-        free = tuple(
-            (p, r) for p, r in self.alpha.items() if p != 2 and p not in self._pi_set
-        )
-        return (self.A, pi_odd, free)
+        return tuple(self.alpha.items())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FilterDescriptor):
@@ -219,16 +177,27 @@ class FilterDescriptor:
 
 @lru_cache(maxsize=2**16)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
-    """Bundle (A_E, Pi_E, alpha_E) for E; singletons get A = None and no
-    alpha map.
+    """Bundle (A_E, Pi_E, alpha_E) for E, the one place Pi_E and alpha_E
+    are computed: one pass over A_E = a_of(E), which holds every common
+    prime (each divides x and y). A prime where E has no nonzero
+    residue joins Pi_E; alpha_E(p) is 1 at 2, 0 on Pi_E, else that
+    residue. A singleton {x} gets A = None, no alpha, Pi the primes of x.
 
     >>> str(descriptor(FiniteSubset.of(5, 10)))
     'A={2, 5} Pi={5} alpha={2:1, 5:0}'
+    >>> descriptor(FiniteSubset.of(6, -12, 30)).Pi
+    (2, 3)
     """
     A = a_of(E)
-    Pi = pi_of(E)
-    alpha = _alpha_from(E, A, Pi) if len(E) >= 2 else None
-    return FilterDescriptor(A, Pi, alpha, E)
+    if A is None:
+        return FilterDescriptor(None, prime_divisors(E.elements[0]), None, E)
+    Pi, alpha = [], {}
+    for p in A:
+        r = next((m for x in E if (m := x % p)), 0)
+        if not r:
+            Pi.append(p)
+        alpha[p] = 1 if p == 2 else r
+    return FilterDescriptor(A, tuple(Pi), alpha, E)
 
 
 def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
@@ -242,7 +211,7 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
     True
     """
     if min(len(E), len(F)) == 1:
-        return len(E) == 1 and E.issubset(F)
+        return len(E) == 1 and E.elements[0] in F
     return _descriptor_leq(descriptor(E), descriptor(F))
 
 
@@ -452,17 +421,15 @@ def classify(E: FiniteSubset) -> FilterClass:
     >>> str(classify(FiniteSubset.of(1, 5, 10)))
     'FPrime'
     """
-    A = a_of(E)
-    if A is None:
+    d = descriptor(E)
+    if d.A is None:
         return FilterClass.OTHER
-    aset = set(A)
-    pi = set(pi_of(E))
-    if aset == {2}:
+    # A holds 2 and is ascending
+    if d.A == (2,):
         return FilterClass.TOP
-    if len(aset) == 2:
-        (p,) = aset - {2}
-        return FilterClass.F_DOUBLE_PRIME if p in pi else FilterClass.F_PRIME
-    if len(aset) == 3 and pi <= {2}:
+    if len(d.A) == 2:
+        return FilterClass.F_DOUBLE_PRIME if d.A[1] in d._pi_set else FilterClass.F_PRIME
+    if len(d.A) == 3 and d._pi_set <= {2}:
         return FilterClass.F_DOUBLE_PRIME
     return FilterClass.OTHER
 
@@ -514,7 +481,8 @@ def realize(A: Iterable[int], alpha: Mapping[int, int]) -> FiniteSubset:
     x = math.prod(A[1:])
     y = crt_solve(CongruenceSystem(tuple((alpha[p], p) for p in A)))
     E = FiniteSubset.of(y, x, 2 * x)
-    if a_of(E) != A or alpha_of(E) != alpha:
+    d = descriptor(E)
+    if d.A != A or d.alpha != alpha:
         raise AssertionError(
             f"realization of (A={_braced(A)}, alpha={_braced(alpha)}) drifted: {E}"
         )

@@ -3,7 +3,7 @@
 Each suite pits a closed-form statement against its definitional
 oracle over an exhaustive catalog, collecting mismatches as explicit
 failures, and refuses with ValueError before it starts when its
-config plans more than _MAX_CASES cases. The `order` suite names a
+config plans more than _MAX_CASES cases, or none. The `order` suite names a
 filter by its generator conditions, read from the residues of a set's
 elements: they pick its 1450 catalog sets and decide its 1450^2
 catalog pairs and its sampled pairs, never the (A, Pi, alpha)
@@ -28,9 +28,7 @@ from .filters import (
     _conditions,
     _descriptor_leq,
     _Generators,
-    a_of,
     a_of_pair_formula,
-    alpha_of,
     classify,
     descriptor,
     divides_via_filters,
@@ -42,6 +40,7 @@ from .filters import (
 from .graphs import (
     build_gamma,
     degree_signature,
+    interior_margins,
     interior_vertices,
     printed_p3_report,
 )
@@ -79,7 +78,9 @@ _MAX_CASES = 10**7
 
 def _within_budget(cases: int, what: str) -> int:
     if cases > _MAX_CASES:
-        raise ValueError(f"{cases} {what} exceed the budget of {_MAX_CASES} cases")
+        raise ValueError(f"{cases} {what} exceed the budget of {_MAX_CASES}")
+    if cases == 0:
+        raise ValueError(f"no {what} to check: a pass would be vacuous")
     return cases
 
 
@@ -171,11 +172,13 @@ def _suite_closure(cfg: SuiteConfig):
 
 def _suite_pair_formula(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 50
-    cases = _within_budget(math.comb(2 * bound, 2), "pair_formula cases")
-    vals = [v for v in range(-bound, bound + 1) if v != 0]
     # every qualifying prime divides x, y or x-y, so none exceeds
     # the largest of their magnitudes, which is at most 2 * bound
     primes = primes_upto(2 * bound)
+    # each case tests every prime, so the budget counts prime tests
+    cases = math.comb(2 * bound, 2)
+    _within_budget(cases * len(primes), "pair_formula prime tests")
+    vals = [v for v in range(-bound, bound + 1) if v != 0]
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -301,6 +304,8 @@ def _suite_top(cfg: SuiteConfig):
 def _suite_classify(cfg: SuiteConfig):
     failures = []
     cases = 0
+    # FDoublePrime sets with the size of their FPrime upset
+    doubles = []
     for p in (3, 5, 7, 11, 13):
         for a in range(1, p):
             cases += 1
@@ -309,20 +314,10 @@ def _suite_classify(cfg: SuiteConfig):
                 failures.append(VerifyFailure(
                     f"E={{{a}, {p}, {2 * p}}}", "FPrime", str(got)
                 ))
-        cases += 1
-        E = FiniteSubset.of(p, 2 * p)
-        got = classify(E)
-        if got is not FilterClass.F_DOUBLE_PRIME:
-            failures.append(VerifyFailure(f"E={E}", "FDoublePrime", str(got)))
-            continue
-        up = upset_in_fprime(E)
-        cases += 1
-        if len(up) != p - 1:
-            failures.append(VerifyFailure(
-                f"upset({E})", f"{p - 1} descriptors", f"{len(up)}"
-            ))
+        doubles.append((FiniteSubset.of(p, 2 * p), p - 1))
     for p, q, x in ((3, 5, 1), (3, 5, 2), (3, 7, 2), (5, 7, 1)):
-        E = FiniteSubset.of(x, p * q, 2 * p * q)
+        doubles.append((FiniteSubset.of(x, p * q, 2 * p * q), 2))
+    for E, size in doubles:
         cases += 1
         got = classify(E)
         if got is not FilterClass.F_DOUBLE_PRIME:
@@ -330,9 +325,9 @@ def _suite_classify(cfg: SuiteConfig):
             continue
         up = upset_in_fprime(E)
         cases += 1
-        if len(up) != 2:
+        if len(up) != size:
             failures.append(VerifyFailure(
-                f"upset({E})", "2 descriptors", f"{len(up)}"
+                f"upset({E})", f"{size} descriptors", f"{len(up)}"
             ))
     return cases, failures, {}
 
@@ -351,13 +346,12 @@ def _suite_realize(cfg: SuiteConfig):
             alpha = {2: 1, **dict(zip(rest, residues))}
             cases += 1
             E = realize(A, alpha)
-            got_a = a_of(E)
-            got_alpha = alpha_of(E)
-            if got_a != A or got_alpha != alpha:
+            got = descriptor(E)
+            if got.A != A or got.alpha != alpha:
                 failures.append(VerifyFailure(
                     f"A={_braced(A)} alpha={_braced(alpha)}",
                     "roundtrip recovery",
-                    f"E={E} A={_braced(got_a)} alpha={_braced(got_alpha)}",
+                    f"E={E} A={_braced(got.A)} alpha={_braced(got.alpha)}",
                 ))
     return cases, failures, {"a_sets": len(a_sets)}
 
@@ -384,22 +378,16 @@ def _suite_ppix(cfg: SuiteConfig):
 def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
     failures = []
     cases = 0
-    if p == 3:
+    if p in (3, 5, 7, 31):
+        # the vertices +-p have degree low, every other one more
+        low = 8 if p == 3 else 4
         for v, d in sig.items():
             cases += 1
-            want_eight = (v.two_exp, v.p_exp) == (0, 1)
-            if want_eight and d != 8:
-                failures.append(VerifyFailure(f"deg({v.value(3)})", "8", str(d)))
-            if not want_eight and d < 9:
-                failures.append(VerifyFailure(f"deg({v.value(3)})", ">=9", str(d)))
-    elif p in (5, 7, 31):
-        for v, d in sig.items():
-            cases += 1
-            want_four = (v.two_exp, v.p_exp) == (0, 1)
-            if want_four and d != 4:
-                failures.append(VerifyFailure(f"deg({v.value(p)})", "4", str(d)))
-            if not want_four and d < 5:
-                failures.append(VerifyFailure(f"deg({v.value(p)})", ">=5", str(d)))
+            if (v.two_exp, v.p_exp) == (0, 1):
+                if d != low:
+                    failures.append(VerifyFailure(f"deg({v.value(p)})", str(low), str(d)))
+            elif d <= low:
+                failures.append(VerifyFailure(f"deg({v.value(p)})", f">={low + 1}", str(d)))
     else:
         expected = {v.value(p) for v in sig if v.two_exp == 0}
         got = {v.value(p) for v, d in sig.items() if d == 2}
@@ -413,11 +401,20 @@ def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
 
 
 def _suite_gamma(cfg: SuiteConfig):
+    """The edge families and degree lemmas of Gamma_p on each grid's
+    interior; a grid without interior vertices would pass on nothing,
+    so it is refused before any graph is built."""
+    i, j = cfg.graph_bounds
+    grids = {p: (i, j + 1) if p == 3 else (i, j) for p in (3, 5, 7, 11, 13, 29, 31)}
+    for p, (max_i, max_j) in grids.items():
+        m2, mp = interior_margins(p)
+        # odd-p rows start at j = 1
+        if max_i < m2 or max_j <= mp:
+            raise ValueError(f"graph bounds {i},{j} leave Gamma_{p} without interior vertices")
     failures = []
     cases = 0
     details: dict = {}
-    for p in (3, 5, 7, 11, 13, 29, 31):
-        bounds = (cfg.graph_bounds[0], cfg.graph_bounds[1] + 1) if p == 3 else cfg.graph_bounds
+    for p, bounds in grids.items():
         g = build_gamma(p, bounds)
         inner = set(interior_vertices(g))
         pred_in = {e for e in g.predicate if e[0] in inner and e[1] in inner}
@@ -442,9 +439,7 @@ def _suite_gamma(cfg: SuiteConfig):
             "grid_predicate_only": len(whole["predicate"]),
             "grid_closed_only": len(whole["closed_form"]),
         }
-    details["p3_printed"] = printed_p3_report(
-        (cfg.graph_bounds[0], cfg.graph_bounds[1] + 1)
-    )
+    details["p3_printed"] = printed_p3_report(grids[3])
     return cases, failures, details
 
 

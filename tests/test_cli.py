@@ -387,22 +387,28 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("order", "--max-element", "1000"),  # 1.3 G catalog subsets
-    ("order", "--max-element", "41"),  # 3164^2 catalog pairs
-    ("closure", "--max-element", "100000"),
-    ("closure", "--window", "10000"),
-    ("pair_formula", "--max-element", "3000"),  # below the sieve bound
-    ("top", "--max-element", "100000"),
-    ("ppix", "--max-element", "10000000"),
+@pytest.mark.parametrize("argv,why", [
+    (("order", "--max-element", "1000"), "budget"),  # 1.3 G catalog subsets
+    (("order", "--max-element", "41"), "budget"),  # 3164^2 catalog pairs
+    (("closure", "--max-element", "100000"), "budget"),
+    (("closure", "--window", "10000"), "budget"),
+    (("pair_formula", "--max-element", "3000"), "budget"),  # below the sieve bound
+    (("top", "--max-element", "100000"), "budget"),
+    (("ppix", "--max-element", "10000000"), "budget"),
+    (("pair_formula", "--max-element", "235"), "budget"),  # 110215 cases of 91 prime tests
+    # plans that would pass on nothing
+    (("gamma", "--bounds", "6,2"), "interior"),  # none in Gamma_3, 5, 7, 31
+    (("gamma", "--bounds", "5,3"), "interior"),  # none in Gamma_31
+    (("ppix", "--max-element", "2"), "vacuous"),  # no x outside -2..2
 ], ids=["order-1000", "order-41", "closure-100000", "closure-window-10000",
-        "pair_formula-3000", "top-100000", "ppix-10000000"])
-def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv):
+        "pair_formula-3000", "top-100000", "ppix-10000000", "pair_formula-235",
+        "gamma-6,2", "gamma-5,3", "ppix-2"])
+def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv, why):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
-    assert err.count("\n") == 1 and "budget" in err and "Traceback" not in err
+    assert err.count("\n") == 1 and why in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -450,3 +456,4 @@ def test_usage_errors(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "ae", "x")[0] == 2
+    assert run(capsys, "ae", "--format", "dot", "5")[0] == 2

@@ -6,6 +6,8 @@ path bounds its candidates through one element pair, so agreement is
 meaningful evidence.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,18 +21,16 @@ from kirch.filters import (
     _conditions,
     a_of,
     a_of_pair_formula,
-    alpha_of,
     classify,
     descriptor,
     divides_via_filters,
     filter_leq,
     is_top,
     order_oracle,
-    pi_of,
     realize,
     upset_in_fprime,
 )
-from kirch.numtheory import MAX_MAGNITUDE, primes_upto
+from kirch.numtheory import MAX_MAGNITUDE, prime_divisors, primes_upto
 from test_cli import in_generator
 
 S = FiniteSubset.of
@@ -101,21 +101,27 @@ class TestASet:
         assert a_of_pair_formula(x, y) == a_of(S(x, y))
 
 
+def common_primes(E: FiniteSubset) -> tuple[int, ...]:
+    """Pi_E from its definition, apart from descriptor's residue scan."""
+    return prime_divisors(math.gcd(*E.elements))
+
+
 class TestAlpha:
     def test_frozen_examples(self):
-        assert alpha_of(S(1, 2)) == {2: 1}
-        assert alpha_of(S(5, 10)) == {2: 1, 5: 0}
-        assert alpha_of(S(7, 5, 10)) == {2: 1, 5: 2}
+        assert descriptor(S(1, 2)).alpha == {2: 1}
+        assert descriptor(S(5, 10)).alpha == {2: 1, 5: 0}
+        assert descriptor(S(7, 5, 10)).alpha == {2: 1, 5: 2}
 
     def test_rejects_singleton(self):
-        with pytest.raises(ValueError):
-            alpha_of(S(9))
+        assert descriptor(S(9)).alpha is None
 
     @given(small_sets)
     @settings(max_examples=200, deadline=None)
     def test_covers_source(self, E):
-        al = alpha_of(E)
-        pi = pi_of(E)
+        d = descriptor(E)
+        al = d.alpha
+        pi = common_primes(E)
+        assert d.Pi == pi
         assert tuple(al) == a_of(E)
         for p, r in al.items():
             assert all(x % p in (0, r) for x in E)
@@ -133,9 +139,11 @@ class TestGeneratorConditions:
     def test_match_the_invariants(self, E):
         # every prime of A_E is at most 2 max|x|, so the scan sees them all
         conds = _conditions(E.elements, primes_upto(2 * max(abs(x) for x in E)))
+        pi = common_primes(E)
+        assert descriptor(E).Pi == pi
         assert tuple(conds) == a_of(E)
-        assert [p for p, r in conds.items() if r == 0] == [p for p in pi_of(E) if p != 2]
-        assert conds == alpha_of(E)
+        assert [p for p, r in conds.items() if r == 0] == [p for p in pi if p != 2]
+        assert conds == descriptor(E).alpha
 
 
 class TestFiniteSubset:
@@ -384,7 +392,7 @@ class TestRealize:
                 alpha = dict(zip(pa, combo))
                 E = realize(pa, alpha)
                 assert a_of(E) == pa
-                assert alpha_of(E) == alpha
+                assert descriptor(E).alpha == alpha
 
     @pytest.mark.parametrize("A,alpha,message", [
         ((2, 9), {2: 1, 9: 2}, "9 is not prime"),
