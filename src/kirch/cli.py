@@ -25,7 +25,7 @@ from .filters import (
     realize,
 )
 from .graphs import build_gamma, emit_dot, graph_json_dict
-from .numtheory import classify_prime, fm_exponent
+from .numtheory import classify_prime
 from .topology import Progression, Window, closure
 from .verify import _SUITES, SuiteConfig, run_suite
 
@@ -219,8 +219,10 @@ def _cmd_realize(ns) -> int:
             continue
         if "=" not in part:
             raise ValueError(f"alpha entries look like p=r, got {part!r}")
-        p, r = part.split("=", 1)
-        entries[int(p)] = int(r)
+        p, r = (int(t) for t in part.split("=", 1))
+        if p in entries:
+            raise ValueError(f"alpha gives prime {p} twice")
+        entries[p] = r
     E = realize(primes, entries)
     payload = {
         "A": sorted(set(primes)),
@@ -243,13 +245,12 @@ def _cmd_gamma(ns) -> int:
 
 def _cmd_prime_class(ns) -> int:
     cls = classify_prime(ns.p)
-    m = fm_exponent(ns.p) if cls.is_fermat_mersenne else None
-    text = str(cls) if m is None else f"{cls} (m={m})"
+    text = str(cls) if cls.m is None else f"{cls} (m={cls.m})"
     payload = {
         "p": ns.p,
         "fermat": cls.is_fermat,
         "mersenne": cls.is_mersenne,
-        "m": m,
+        "m": cls.m,
     }
     _emit(ns, payload, text)
     return 0

@@ -34,7 +34,7 @@ from functools import lru_cache
 from .numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
-    _difference_prime_divisors,
+    _factorize,
     crt_solve,
     is_prime,
     prime_divisors,
@@ -109,8 +109,8 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
 def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     """Closed form for a doubleton: the prime divisors of x, y, and x-y.
 
-    x - y of two in-range elements can pass the 63-bit range; such a
-    difference is factored on the 2^64 difference path.
+    x and y meet the 63-bit guard of prime_divisors first, so
+    |x - y| < 2^64, the bound _factorize works to.
 
     >>> a_of_pair_formula(3, 6)
     (2, 3)
@@ -121,9 +121,7 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
         raise ValueError("need two distinct elements")
     # x and y first, so that an element past 63 bits meets that guard
     px, py = prime_divisors(x), prime_divisors(y)
-    d = x - y
-    pd = prime_divisors(d) if abs(d) <= MAX_MAGNITUDE else _difference_prime_divisors(d)
-    return tuple(sorted({*px, *py, *pd}))
+    return tuple(sorted({*px, *py, *_factorize(abs(x - y))}))
 
 
 @dataclass(frozen=True, eq=False)

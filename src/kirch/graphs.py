@@ -12,6 +12,8 @@ anything. The graph is a two-sheeted grid in (i, j) and
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
 p is a Fermat prime, a Mersenne prime, both (p = 3), or neither.
+_families holds them, and interior_margins reads from them how far
+from the grid's upper bounds a vertex keeps its whole neighborhood.
 
 The closed-form lists here were re-derived from the definitional
 predicate by exhausting the coprime smooth pairs with smooth difference
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .filters import a_of_pair_formula
-from .numtheory import MAX_MAGNITUDE, classify_prime, fm_exponent, is_prime
+from .numtheory import MAX_MAGNITUDE, classify_prime, is_prime
 
 Bounds = tuple[int, int]
 
@@ -96,11 +98,9 @@ def _families(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int
         return _P3_SAME, _P3_OPP
     cls = classify_prime(p)
     if cls.is_fermat:
-        m = fm_exponent(p)
-        return ((0, 1), (1, 0), (m, -1)), ((0, 0), (m, 0))
+        return ((0, 1), (1, 0), (cls.m, -1)), ((0, 0), (cls.m, 0))
     if cls.is_mersenne:
-        m = fm_exponent(p)
-        return ((1, 0), (m, 0), (m, -1)), ((0, 0), (0, 1))
+        return ((1, 0), (cls.m, 0), (cls.m, -1)), ((0, 0), (0, 1))
     return ((1, 0),), ((0, 0),)
 
 
@@ -229,17 +229,13 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
 
 
 def interior_margins(p: int) -> tuple[int, int]:
-    """Per-axis safety margins: one more than the largest exponent
-    shift any edge family applies on that axis, so an interior vertex
-    keeps its full neighborhood inside the grid."""
-    if p == 2:
-        return (1, 0)
-    if p == 3:
-        return (4, 3)
-    cls = classify_prime(p)
-    if cls.is_fermat_mersenne:
-        return (fm_exponent(p) + 1, 2)
-    return (2, 1)
+    """Per-axis margins: the largest |di| and the largest |dj| over the
+    shift families of p. No edge reaches further on either axis, so a
+    vertex that far from the grid's upper bounds keeps its whole
+    neighborhood; the lower edges of the grid (i = 0, and j = 1 for
+    odd p) are edges of the graph itself, not truncation."""
+    shifts = [shift for family in _families(p) for shift in family]
+    return max(abs(di) for di, _ in shifts), max(abs(dj) for _, dj in shifts)
 
 
 def interior_vertices(g: GammaGraph) -> list[GammaVertex]:

@@ -11,9 +11,9 @@ square root of a square cofactor, splits any other composite cofactor
 with Pollard's rho in Brent's form (fixed seeds, so the same input
 always takes the same steps), and proves every factor with a
 deterministic Miller-Rabin test. The difference x - y of two
-in-range integers can reach 2^64 - 2, so one private path,
-`_difference_prime_divisors`, factors below 2^64 without the 63-bit
-guard; the Miller-Rabin bases are proved far past that bound.
+in-range integers can reach 2^64 - 2, so the private `_factorize`
+works on any n below 2^64, without the 63-bit guard; the Miller-Rabin
+bases are proved far past that bound.
 `primes_upto` sieves to its own limit, at most 300000, and no prime
 table outlives a call.
 """
@@ -36,8 +36,6 @@ _SIEVE_LIMIT = 300_000
 # against 1.3 ms per balanced 44-bit semiprime on a 2-core 2.1 GHz
 # Xeon VM.
 _TRIAL_LIMIT = 1000
-# bound of the private difference path: |x - y| <= 2^64 - 2
-_WIDE_LIMIT = 2**64
 # rho steps per gcd in Brent's batched cycle search
 _RHO_BATCH = 128
 
@@ -225,21 +223,6 @@ def prime_divisors(x: int) -> tuple[int, ...]:
     return tuple(factorize(x))
 
 
-def _difference_prime_divisors(d: int) -> tuple[int, ...]:
-    """The primes dividing a difference d = x - y of two distinct
-    in-range integers, ascending. |d| may pass the 63-bit range, up to
-    2^64 - 2; this is the only path that factors past it.
-
-    >>> _difference_prime_divisors(-2**63)
-    (2,)
-    """
-    if d == 0:
-        raise ValueError("every prime divides 0; need x != y")
-    if abs(d) >= _WIDE_LIMIT:
-        raise OverflowError(f"|{d}| exceeds the 2^64 bound of a difference")
-    return tuple(_factorize(abs(d)))
-
-
 @dataclass(frozen=True)
 class CongruenceSystem:
     """Congruences x = a_i (mod b_i) with pairwise coprime moduli."""
@@ -287,14 +270,13 @@ def crt_solve(sys: CongruenceSystem) -> int:
 
 @dataclass(frozen=True)
 class PrimeClass:
-    """Fermat/Mersenne membership flags; both hold only for 3."""
+    """Fermat/Mersenne membership flags, both true only for 3, and the
+    exponent m with p = 2^m + 1 or p = 2^m - 1 (the Fermat form first,
+    so m = 1 for 3); m is None for every other prime."""
 
     is_fermat: bool
     is_mersenne: bool
-
-    @property
-    def is_fermat_mersenne(self) -> bool:
-        return self.is_fermat or self.is_mersenne
+    m: int | None
 
     def __str__(self) -> str:
         names = [n for n, f in (("fermat", self.is_fermat), ("mersenne", self.is_mersenne)) if f]
@@ -306,29 +288,26 @@ def _is_power_of_two(v: int) -> bool:
 
 
 def classify_prime(p: int) -> PrimeClass:
-    """Flags for p = 2^n + 1 (Fermat) and p = 2^n - 1 (Mersenne), n >= 1.
+    """Flags for p = 2^m + 1 (Fermat) and p = 2^m - 1 (Mersenne), m >= 1,
+    with that m, from one primality test.
 
     >>> classify_prime(3)
-    PrimeClass(is_fermat=True, is_mersenne=True)
+    PrimeClass(is_fermat=True, is_mersenne=True, m=1)
+    >>> classify_prime(31)
+    PrimeClass(is_fermat=False, is_mersenne=True, m=5)
     >>> classify_prime(11)
-    PrimeClass(is_fermat=False, is_mersenne=False)
+    PrimeClass(is_fermat=False, is_mersenne=False, m=None)
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return PrimeClass(_is_power_of_two(p - 1), _is_power_of_two(p + 1))
-
-
-def fm_exponent(p: int) -> int:
-    """The n with p = 2^n + 1 or p = 2^n - 1, preferring the Fermat form.
-
-    For 3 this gives 1 (3 = 2^1 + 1); non-Fermat-Mersenne primes raise.
-    """
-    cls = classify_prime(p)
-    if cls.is_fermat:
-        return (p - 1).bit_length() - 1
-    if cls.is_mersenne:
-        return (p + 1).bit_length() - 1
-    raise ValueError(f"{p} is neither Fermat nor Mersenne")
+    fermat, mersenne = _is_power_of_two(p - 1), _is_power_of_two(p + 1)
+    if fermat:
+        m = (p - 1).bit_length() - 1
+    elif mersenne:
+        m = (p + 1).bit_length() - 1
+    else:
+        m = None
+    return PrimeClass(fermat, mersenne, m)
 
 
 def perfect_powers(limit: int) -> list[int]:

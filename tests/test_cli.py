@@ -224,6 +224,8 @@ def test_realize_rejects_bad_alpha(capsys):
     assert code == 2 and err != ""
     code, _, err = run(capsys, "realize", "--A", "2,5", "--alpha", "whatever")
     assert code == 2 and "p=r" in err
+    code, out, err = run(capsys, "realize", "--A", "2,3", "--alpha", "2=1,3=1,3=2")
+    assert code == 2 and out == "" and err.count("\n") == 1 and "twice" in err
 
 
 def test_gamma_dot(capsys):
@@ -373,6 +375,20 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_verify_gamma_smallest_admitted_bounds(capsys):
+    code, out, err = run(capsys, "verify", "gamma", "--bounds", "5,2")
+    assert (code, err) == (0, "") and "gamma: PASS" in out
+
+
+def test_realize_drift_is_a_verify_failure(capsys, monkeypatch):
+    from kirch import filters, numtheory
+
+    monkeypatch.setattr(filters, "crt_solve", lambda system: numtheory.crt_solve(system) + 1)
+    code, out, err = run(capsys, "verify", "realize")
+    assert code == 1 and "realize: FAIL" in out and "drifted" in out
+    assert err == ""
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "bogus")
     assert code == 2 and out == ""
@@ -397,12 +413,12 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     (("ppix", "--max-element", "10000000"), "budget"),
     (("pair_formula", "--max-element", "235"), "budget"),  # 110215 cases of 91 prime tests
     # plans that would pass on nothing
-    (("gamma", "--bounds", "6,2"), "interior"),  # none in Gamma_3, 5, 7, 31
-    (("gamma", "--bounds", "5,3"), "interior"),  # none in Gamma_31
+    (("gamma", "--bounds", "5,1"), "interior"),  # none in Gamma_3, 5, 7, 31
+    (("gamma", "--bounds", "4,2"), "interior"),  # none in Gamma_31
     (("ppix", "--max-element", "2"), "vacuous"),  # no x outside -2..2
 ], ids=["order-1000", "order-41", "closure-100000", "closure-window-10000",
         "pair_formula-3000", "top-100000", "ppix-10000000", "pair_formula-235",
-        "gamma-6,2", "gamma-5,3", "ppix-2"])
+        "gamma-5,1", "gamma-4,2", "ppix-2"])
 def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv, why):
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", *argv)

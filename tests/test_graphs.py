@@ -193,23 +193,51 @@ def test_gamma11_interior_degree_two_set():
     g = build_gamma(11, (7, 4))
     sig = degree_signature(g)
     twos = sorted(v.value(11) for v, d in sig.items() if d == 2)
-    assert twos == sorted(s * 11**b for s in (-1, 1) for b in (1, 2, 3))
+    assert twos == sorted(s * 11**b for s in (-1, 1) for b in (1, 2, 3, 4))
 
 
 def test_interior_margins_by_class():
     assert interior_margins(2) == (1, 0)
-    assert interior_margins(3) == (4, 3)
-    assert interior_margins(5) == (3, 2)
-    assert interior_margins(7) == (4, 2)
-    assert interior_margins(31) == (6, 2)
-    assert interior_margins(11) == (2, 1)
-    assert interior_margins(13) == (2, 1)
+    assert interior_margins(3) == (3, 2)
+    assert interior_margins(5) == (2, 1)
+    assert interior_margins(7) == (3, 1)
+    assert interior_margins(31) == (5, 1)
+    assert interior_margins(11) == (1, 0)
+    assert interior_margins(13) == (1, 0)
+
+
+def _degrees(g):
+    out = dict.fromkeys(g.vertices, 0)
+    for a, b in g.predicate:
+        out[a] += 1
+        out[b] += 1
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 17, 127])
+def test_interior_margins_are_exact_and_tight(p):
+    m2, mp = interior_margins(p)
+    bounds = (m2 + 2, 0) if p == 2 else (m2 + 2, mp + 2)
+    g = build_gamma(p, bounds)
+    small = _degrees(g)
+    big = _degrees(build_gamma(p, (bounds[0] + 3, 0 if p == 2 else bounds[1] + 3)))
+    # exact: no interior vertex gains a neighbor on a larger grid
+    sig = degree_signature(g)
+    assert sig and all(d == big[v] for v, d in sig.items())
+    # tight: one step past a nonzero margin, some vertex does
+    for axis, margin in ((0, m2), (1, mp)):
+        if margin == 0:
+            continue
+        reach = [bounds[0] - m2, bounds[1] - mp]
+        reach[axis] += 1
+        past = [v for v in small if v.two_exp <= reach[0] and v.p_exp <= reach[1]]
+        assert any(small[v] != big[v] for v in past), (p, axis)
 
 
 def test_interior_vertices_respect_margins():
     g = build_gamma(5, (7, 5))
     inner = interior_vertices(g)
-    assert all(v.two_exp <= 4 and v.p_exp <= 3 for v in inner)
+    assert all(v.two_exp <= 5 and v.p_exp <= 4 for v in inner)
     assert GammaVertex(1, 0, 1) in inner
 
 

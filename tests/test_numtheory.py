@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from kirch.numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
-    _difference_prime_divisors,
     classify_prime,
     consecutive_power_pairs,
     crt_solve,
     factorize,
-    fm_exponent,
     is_prime,
     perfect_powers,
     prime_divisors,
@@ -124,9 +122,9 @@ class TestFactorization:
 
     def test_difference_path_reaches_2_64(self):
         # 2^64 - 2 = 2 * (2^63 - 1), the largest difference of two inputs
-        assert _difference_prime_divisors(-(2**64 - 2)) == (2, *prime_divisors(MAX_MAGNITUDE))
-        with pytest.raises(OverflowError):
-            _difference_prime_divisors(2**64)
+        from kirch.filters import a_of_pair_formula
+
+        assert a_of_pair_formula(-(2**63 - 1), 2**63 - 1) == (2, *prime_divisors(MAX_MAGNITUDE))
 
     def test_prime_squares_skip_rho(self, monkeypatch):
         from kirch import numtheory
@@ -237,16 +235,14 @@ class TestPrimeClasses:
         assert classify_prime(7).is_mersenne and not classify_prime(7).is_fermat
         assert classify_prime(31).is_mersenne
         for p in (2, 11, 13, 29):
-            assert not classify_prime(p).is_fermat_mersenne
+            assert classify_prime(p).m is None
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             classify_prime(9)
 
     def test_exponents(self):
-        assert [fm_exponent(p) for p in (3, 5, 7, 17, 31)] == [1, 2, 3, 4, 5]
-        with pytest.raises(ValueError):
-            fm_exponent(11)
+        assert [classify_prime(p).m for p in (3, 5, 7, 17, 31)] == [1, 2, 3, 4, 5]
 
     def test_against_power_tables(self):
         two_powers = {2**n for n in range(1, 20)}
@@ -254,6 +250,12 @@ class TestPrimeClasses:
             c = classify_prime(p)
             assert c.is_fermat == (p - 1 in two_powers)
             assert c.is_mersenne == (p + 1 in two_powers)
+            if c.is_fermat:
+                assert 2**c.m + 1 == p
+            elif c.is_mersenne:
+                assert 2**c.m - 1 == p
+            else:
+                assert c.m is None
 
 
 class TestPowerGaps:

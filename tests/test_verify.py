@@ -1,5 +1,6 @@
 """Harness behavior: suite verdicts, determinism, caught faults."""
 
+import dataclasses
 import json
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 
 from kirch import filters, verify
 from kirch.filters import FiniteSubset, _Generators, descriptor, order_oracle
+from kirch.graphs import build_gamma, degree_signature
 from kirch.numtheory import prime_divisors, primes_upto
 from kirch.topology import ClosureSet, Progression
 from kirch.verify import (
@@ -247,6 +249,32 @@ def test_gamma_suite_details_include_p3_report():
     assert [6, 9] in rep3["predicate_only"]
     assert rep3["printed_only"]
     assert report.details["3"]["grid_predicate_only"] == 0
+
+
+def test_gamma_suite_compares_the_whole_grid(monkeypatch):
+    real = verify.build_gamma
+
+    def build(p, bounds):
+        # drop the closed-form edges at the grid's far corner, which
+        # no interior reaches
+        g = real(p, bounds)
+        corner = max(g.vertices)
+        return dataclasses.replace(g, closed=frozenset(e for e in g.closed if corner not in e))
+
+    monkeypatch.setattr(verify, "build_gamma", build)
+    report = run_suite("gamma", small())
+    assert {f.actual for f in report.failures} == {"only predicate"}
+    assert {f.inputs.split()[0] for f in report.failures} == {
+        f"p={p}" for p in (3, 5, 7, 11, 13, 29, 31)
+    }
+
+
+@pytest.mark.parametrize("p,bounds", [(17, (9, 5)), (127, (20, 4)), (257, (20, 3))])
+def test_degree_lemma_follows_the_prime_class(p, bounds):
+    # Fermat and Mersenne primes past 31 take the lemma of their class
+    sig = degree_signature(build_gamma(p, bounds))
+    cases, failures = verify._gamma_degree_checks(p, sig)
+    assert cases == len(sig) and failures == []
 
 
 def test_top_disagreements_are_reported_not_raised(monkeypatch):
