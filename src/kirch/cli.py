@@ -87,10 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = SuiteConfig()
     p = add("verify", "run a verification suite")
     p.add_argument("suite", choices=_SUITE_NAMES)
-    p.add_argument("--window", type=int, default=defaults.window)
-    p.add_argument("--bounds", default="%d,%d" % defaults.graph_bounds)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--max-element", type=int, default=None)
+    p.add_argument("--window", type=int, default=defaults.window,
+                   help="half-width of the window of z that closure checks")
+    p.add_argument("--bounds", default="%d,%d" % defaults.graph_bounds,
+                   help="exponent bounds i,j of gamma (Gamma_3 gets one more row) "
+                        "and gamma2 (which uses i + 1)")
+    p.add_argument("--seed", type=int, default=defaults.seed,
+                   help="seed of order's sampled pairs")
+    p.add_argument("--max-element", type=int, default=None,
+                   help="the bound that closure, pair_formula, order, top and ppix "
+                        "range over; each keeps its own default when omitted")
     return parser
 
 

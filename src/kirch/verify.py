@@ -37,12 +37,7 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import (
-    build_gamma,
-    degree_signature,
-    interior_margins,
-    printed_p3_report,
-)
+from .graphs import build_gamma, closed_form_edges, degree_signature, printed_p3_report
 from .numtheory import (
     classify_prime,
     consecutive_power_pairs,
@@ -277,18 +272,17 @@ def _suite_order(cfg: SuiteConfig):
 
 
 def _suite_top(cfg: SuiteConfig):
+    """is_top on every doubleton of nonzero integers in [-bound, bound]
+    against the edges of Gamma_2's closed form on the powers of two up
+    to bound: the doubling chains {n, 2n} and {-n, -2n} and the mirrors
+    {-n, n}. is_top reads A_E through a_of, not the shift families."""
     bound = cfg.max_element if cfg.max_element is not None else 64
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
-    listed = set()
-    n = 1
-    while 2 * n <= bound:
-        listed |= {frozenset({n, 2 * n}), frozenset({-n, -2 * n})}
-        n *= 2
-    n = 1
-    while n <= bound:
-        listed.add(frozenset({-n, n}))
-        n *= 2
+    listed = {
+        frozenset({v.value(2), w.value(2)})
+        for v, w in closed_form_edges(2, (bound.bit_length() - 1, 0))
+    }
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -375,28 +369,26 @@ def _suite_ppix(cfg: SuiteConfig):
 
 
 def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
+    """The degree lemma of p's class, one case per interior vertex of
+    sig. For a Fermat or Mersenne prime the vertices +-p have degree 4
+    (8 for p = 3) and every other vertex more; for every other prime,
+    2 included, the column two_exp = 0 has degree 2 and every other
+    vertex 3."""
     failures = []
-    cases = 0
     if classify_prime(p).m is not None:
-        # the vertices +-p have degree low, every other one more
         low = 8 if p == 3 else 4
         for v, d in sig.items():
-            cases += 1
             if (v.two_exp, v.p_exp) == (0, 1):
                 if d != low:
                     failures.append(VerifyFailure(f"deg({v.value(p)})", str(low), str(d)))
             elif d <= low:
                 failures.append(VerifyFailure(f"deg({v.value(p)})", f">={low + 1}", str(d)))
     else:
-        expected = {v.value(p) for v in sig if v.two_exp == 0}
-        got = {v.value(p) for v, d in sig.items() if d == 2}
-        cases += 1
-        if got != expected:
-            failures.append(VerifyFailure(
-                f"degree-2 interior set of p={p}",
-                f"{sorted(expected)}", f"{sorted(got)}",
-            ))
-    return cases, failures
+        for v, d in sig.items():
+            want = 2 if v.two_exp == 0 else 3
+            if d != want:
+                failures.append(VerifyFailure(f"deg({v.value(p)})", str(want), str(d)))
+    return len(sig), failures
 
 
 def _suite_gamma(cfg: SuiteConfig):
@@ -404,14 +396,10 @@ def _suite_gamma(cfg: SuiteConfig):
     grid, where the closed form adds an edge only when both endpoints
     fit, so the two agree exactly; and the degree lemmas on the grid's
     interior. A grid without interior vertices would pass the lemmas
-    on nothing, so it is refused before any graph is built."""
+    on nothing, so the bounds are refused as soon as a built graph has
+    none; such a grid has i < 5 or at most two rows, so it is small."""
     i, j = cfg.graph_bounds
     grids = {p: (i, j + 1) if p == 3 else (i, j) for p in (3, 5, 7, 11, 13, 29, 31)}
-    for p, (max_i, max_j) in grids.items():
-        m2, mp = interior_margins(p)
-        # odd-p rows start at j = 1
-        if max_i < m2 or max_j <= mp:
-            raise ValueError(f"graph bounds {i},{j} leave Gamma_{p} without interior vertices")
     failures = []
     cases = 0
     details: dict = {}
@@ -426,6 +414,8 @@ def _suite_gamma(cfg: SuiteConfig):
                     "claimed by both constructions", f"only {side}",
                 ))
         sig = degree_signature(g)
+        if not sig:
+            raise ValueError(f"graph bounds {i},{j} leave Gamma_{p} without interior vertices")
         dc, df = _gamma_degree_checks(p, sig)
         cases += dc
         failures.extend(df)
@@ -459,13 +449,10 @@ def _suite_gamma2(cfg: SuiteConfig):
                     f"predicate={pred} closed_form={closed}",
                 ))
     sig = degree_signature(g)
-    profile = {}
-    for v, d in sig.items():
-        cases += 1
-        want = 2 if v.two_exp == 0 else 3
-        profile[str(v.value(2))] = d
-        if d != want:
-            failures.append(VerifyFailure(f"deg({v.value(2)})", str(want), str(d)))
+    dc, df = _gamma_degree_checks(2, sig)
+    cases += dc
+    failures.extend(df)
+    profile = {str(v.value(2)): d for v, d in sig.items()}
     details = {"max_exp": max_exp, "profile": dict(sorted(profile.items()))}
     return cases, failures, details
 

@@ -1,5 +1,6 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -9,7 +10,7 @@ import time
 
 import pytest
 
-from kirch.cli import main
+from kirch.cli import _build_parser, main
 from kirch.filters import FiniteSubset, descriptor
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -465,6 +466,14 @@ def test_repeated_calls_match_fresh_processes(capsys):
             capture_output=True, text=True, env=env, timeout=60,
         )
         assert run(capsys, *argv) == (proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_every_verify_option_has_help():
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = [a for a in sub.choices["verify"]._actions if a.option_strings]
+    assert {"window", "bounds", "seed", "max_element"} <= {a.dest for a in options}
+    assert [a.dest for a in options if not a.help] == []
 
 
 def test_usage_errors(capsys):

@@ -54,11 +54,13 @@ def test_order_suite_small():
     assert report.details["sampled_pairs"] == 400
 
 
-def test_top_suite():
-    report = run_suite("top", small(max_element=32))
+@pytest.mark.parametrize("bound,listed", [(32, 16), (1, 1), (3, 4)])
+def test_top_suite(bound, listed):
+    report = run_suite("top", small(max_element=bound))
     assert report.passed
-    # chains {2^n, 2^(n+1)} up to 32 on both signs, mirrors at each power
-    assert report.details["listed_doubletons"] == 16
+    # chains {2^n, 2^(n+1)} up to the bound on both signs, mirrors at
+    # each power; 1 and 3 sit at the ends of the bit_length derivation
+    assert report.details["listed_doubletons"] == listed
 
 
 def test_ppix_suite_small():
@@ -269,12 +271,25 @@ def test_gamma_suite_compares_the_whole_grid(monkeypatch):
     }
 
 
-@pytest.mark.parametrize("p,bounds", [(17, (9, 5)), (127, (20, 4)), (257, (20, 3))])
+@pytest.mark.parametrize("p,bounds", [
+    (17, (9, 5)), (127, (20, 4)), (257, (20, 3)), (2, (10, 0)),
+])
 def test_degree_lemma_follows_the_prime_class(p, bounds):
-    # Fermat and Mersenne primes past 31 take the lemma of their class
+    # Fermat and Mersenne primes past 31 take the lemma of their class,
+    # and 2 the lemma of the other primes, one case per interior vertex
     sig = degree_signature(build_gamma(p, bounds))
     cases, failures = verify._gamma_degree_checks(p, sig)
     assert cases == len(sig) and failures == []
+
+
+def test_degree_lemma_sees_one_vertex_off_column_zero():
+    # a vertex of Gamma_11 whose degree grows from 3 to 4 keeps the
+    # degree-2 set as it was, and must still fail the lemma
+    sig = degree_signature(build_gamma(11, (9, 5)))
+    v = next(v for v in sig if v.two_exp > 0)
+    cases, failures = verify._gamma_degree_checks(11, {**sig, v: 4})
+    assert cases == len(sig)
+    assert failures == [VerifyFailure(f"deg({v.value(11)})", "3", "4")]
 
 
 def test_top_disagreements_are_reported_not_raised(monkeypatch):
