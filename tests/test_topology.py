@@ -6,10 +6,13 @@ other, so every agreement test here is two independent computations of
 the same verdict.
 """
 
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kirch.numtheory import MAX_MAGNITUDE
 from kirch.topology import (
     ClosureSet,
     Progression,
@@ -143,6 +146,40 @@ class TestSeparationOracle:
         assert (z in closure(Progression(a, b))) == (
             -z in closure(Progression(-a, b))
         )
+
+
+def period(p: Progression) -> int:
+    return math.lcm(p.b, math.prod(closure(p).modulus_primes))
+
+
+class TestPeriod:
+    """The `closure` suite decides one point per sign and residue class
+    mod this period, so each side must read z only through its class."""
+
+    def test_both_sides_repeat_near_zero(self):
+        progs = {
+            Progression(a, b) for a in range(-20, 21) if a for b in range(1, 21)
+        }
+        for p in progs:
+            c, t = closure(p), period(p)
+            for z in range(-60, 61):
+                if z == 0 or z + t == 0:
+                    continue
+                assert (z in c) == (z + t in c), (p, z)
+                assert closure_oracle_member(z, p) == closure_oracle_member(z + t, p), (p, z)
+
+    @given(reps, moduli, st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE),
+           st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE))
+    @settings(max_examples=300, deadline=None)
+    def test_both_sides_repeat_across_63_bits(self, a, b, z, y):
+        p = Progression(a, b)
+        t = period(p)
+        # the point of z's class at most one period below y
+        y = z + (y - z) // t * t
+        assume(z != 0 and y != 0 and abs(y) <= MAX_MAGNITUDE)
+        c = closure(p)
+        assert (z in c) == (y in c)
+        assert closure_oracle_member(z, p) == closure_oracle_member(y, p)
 
 
 class TestSuperconnectWitness:

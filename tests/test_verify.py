@@ -172,6 +172,63 @@ def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
     assert all(found == zs for found in by_pair.values())
 
 
+def test_closure_with_a_foreign_prime_fails_as_per_z(monkeypatch):
+    # 7 divides no modulus up to 6, so the suite's period must take it in
+    real = verify.closure
+    monkeypatch.setattr(
+        verify, "closure",
+        lambda prog: ClosureSet(real(prog).modulus_primes + (7,), prog.a),
+    )
+    report = run_suite("closure", small(window=10, max_element=6))
+    expected = []
+    for a in range(-6, 7):
+        for b in range(1, 7):
+            if a == 0:
+                continue
+            prog = Progression(a, b)
+            cs = verify.closure(prog)
+            for z in [*range(-10, 0), *range(1, 11)]:
+                lhs, rhs = z in cs, verify.closure_oracle_member(z, prog)
+                if lhs != rhs:
+                    expected.append(VerifyFailure(
+                        f"a={a} b={b} z={z}", f"oracle={rhs}", f"formula={lhs}"
+                    ))
+    assert expected
+    assert list(report.failures) == expected
+
+
+def test_closure_lie_on_positive_points_fails(monkeypatch):
+    class Flipped(ClosureSet):
+        def __contains__(self, z):
+            return (z > 0) != ClosureSet.__contains__(self, z)
+
+    real = verify.closure
+    monkeypatch.setattr(
+        verify, "closure",
+        lambda prog: Flipped(real(prog).modulus_primes, prog.a),
+    )
+    report = run_suite("closure", small(window=10, max_element=6))
+    zs = sorted(int(f.inputs.split("z=")[1]) for f in report.failures)
+    # every positive window point of every (a, b) pair, and nothing else
+    assert zs == sorted(list(range(1, 11)) * 2 * 6 * 6)
+
+
+def test_closure_suite_calls_the_oracle_once_per_class(monkeypatch):
+    calls = 0
+    real = verify.closure_oracle_member
+
+    def counted(z, prog):
+        nonlocal calls
+        calls += 1
+        return real(z, prog)
+
+    monkeypatch.setattr(verify, "closure_oracle_member", counted)
+    report = run_suite("closure", small())
+    assert report.passed and report.cases == 3_200_000
+    # b classes for each of the b progressions of modulus b, on each sign
+    assert calls <= 2 * sum(b * b for b in range(1, 21)) == 2 * 2870
+
+
 def test_order_catalog_leaves_descriptor_cache_empty():
     # keyed on generator conditions, the catalog keeps the same sets in
     # the same order as deduplicating every subset on its descriptor
