@@ -165,8 +165,9 @@ class TestPeriod:
             for z in range(-60, 61):
                 if z == 0 or z + t == 0:
                     continue
-                assert (z in c) == (z + t in c), (p, z)
-                assert closure_oracle_member(z, p) == closure_oracle_member(z + t, p), (p, z)
+                y = z + t
+                assert (z in c) == (y in c), (p, z)
+                assert closure_oracle_member(z, p) == closure_oracle_member(y, p), (p, z)
 
     @given(reps, moduli, st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE),
            st.integers(-MAX_MAGNITUDE, MAX_MAGNITUDE))
