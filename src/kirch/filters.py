@@ -234,12 +234,12 @@ _ALPHA = "residue choices disagree"
 @dataclass(frozen=True)
 class OrderWitness:
     """Evidence that one generator inclusion fails: an element of the
-    minimal F-side generator escaping the E-side generator G_E(target_L)
-    through the named prime."""
+    minimal F-side generator G_F(()) escaping an E-side generator through
+    the named prime p. The reason names that generator: G_E({p}) when
+    p reaches outside A_E (_MISSING), else G_E(())."""
 
     prime: int
     element: int
-    target_L: tuple[int, ...]
     reason: str
 
 
@@ -302,11 +302,11 @@ class _Generators:
         groups = self.rows_with[p]
         return groups.get(0, 0) | groups.get(r, 0)
 
-    def members(self, z: int, L: tuple[int, ...]) -> int:
-        """The rows E whose generator G_E(L) contains z, among the rows
-        with L outside A_E. Scanning fewer primes than A_E only adds
-        members, so a z outside every returned row escapes for good."""
-        if z == 0 or any(z % r for r in L):
+    def members(self, z: int) -> int:
+        """The rows E whose generator G_E(()) contains z. Scanning fewer
+        primes than A_E only adds members, so a z outside every
+        returned row escapes for good."""
+        if z == 0:
             return 0
         rows = self.full
         for p in self.primes:
@@ -357,19 +357,20 @@ class _Generators:
                 extra = None if r else (t, p)
                 if extra not in solved:
                     z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
-                    inside = self.members(z, ())
+                    inside = self.members(z)
                     if not inside >> j & 1:
                         raise AssertionError("constructed element lies outside the F-side generator")
                     solved[extra] = z, inside
                 z, inside = solved[extra]
-                caught = self.members(z, (p,)) & ~in_a | inside & in_a
+                # G_E({p}) is G_E(()) cut with pZ, for p outside A_E
+                caught = (inside if z % p == 0 else 0) & ~in_a | inside & in_a
                 if group & caught:
                     raise AssertionError("constructed element fails to escape the E-side generator")
                 if group & ~in_a:
-                    witnesses.append((group & ~in_a, OrderWitness(p, z, (p,), _MISSING)))
+                    witnesses.append((group & ~in_a, OrderWitness(p, z, _MISSING)))
                 if group & in_a:
                     why = _ALPHA if r else _PI_BLOCK
-                    witnesses.append((group & in_a, OrderWitness(p, z, (), why)))
+                    witnesses.append((group & in_a, OrderWitness(p, z, why)))
         return below, witnesses
 
 
@@ -387,7 +388,7 @@ def order_oracle(
     prime of A_F at which the inclusion fails.
 
     >>> order_oracle(FiniteSubset.of(5, 10), FiniteSubset.of(7, 14))
-    (False, OrderWitness(prime=7, element=1, target_L=(7,), reason='A(F) reaches outside A(E)'))
+    (False, OrderWitness(prime=7, element=1, reason='A(F) reaches outside A(E)'))
     """
     if min(len(E), len(F)) < 2:
         raise ValueError("generator form needs at least two elements per set")

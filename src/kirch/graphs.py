@@ -54,7 +54,9 @@ def _edge(v: GammaVertex, w: GammaVertex) -> Edge:
 
 
 def vertex_from_value(x: int, p: int) -> GammaVertex:
-    """Decode a nonzero integer as a grid point, or fail."""
+    """Decode a nonzero integer as a grid point of Gamma_p, or fail."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if x == 0:
         raise ValueError("0 is not a vertex")
     n, i, j = abs(x), 0, 0
@@ -238,17 +240,10 @@ def interior_margins(p: int) -> tuple[int, int]:
     return max(abs(di) for di, _ in shifts), max(abs(dj) for _, dj in shifts)
 
 
-def interior_vertices(g: GammaGraph) -> list[GammaVertex]:
-    m2, mp = interior_margins(g.p)
-    max_i, max_j = g.bounds
-    return sorted(
-        v for v in g.vertices if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
-    )
-
-
 def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
-    """Predicate-side degrees of the interior vertices; the margin
-    keeps boundary truncation from faking low degrees.
+    """Predicate-side degrees of the interior vertices, in grid order:
+    those at least interior_margins(p) below the grid's upper bounds.
+    The margin keeps boundary truncation from faking low degrees.
 
     >>> sig = degree_signature(build_gamma(2, (4, 0)))
     >>> sorted(v.value(2) for v, d in sig.items() if d == 2)
@@ -258,7 +253,13 @@ def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
     for a, b in g.predicate:
         incidence[a] = incidence.get(a, 0) + 1
         incidence[b] = incidence.get(b, 0) + 1
-    return {v: incidence.get(v, 0) for v in interior_vertices(g)}
+    m2, mp = interior_margins(g.p)
+    max_i, max_j = g.bounds
+    return {
+        v: incidence.get(v, 0)
+        for v in sorted(g.vertices)
+        if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
+    }
 
 
 def _label(v: GammaVertex, p: int) -> str:

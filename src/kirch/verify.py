@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -92,13 +91,13 @@ class VerifyFailure:
 @dataclass(frozen=True)
 class SuiteReport:
     """Outcome of one suite (or of all of them merged): passed iff
-    failures is empty. millis is measured but never serialized, so
-    identical configurations produce byte-identical JSON."""
+    failures is empty. No wall time is measured: the JSON key millis
+    is always null, so identical configurations produce byte-identical
+    JSON."""
 
     suite: str
     cases: int
     failures: tuple[VerifyFailure, ...]
-    millis: float
     details: dict = field(default_factory=dict)
 
     @property
@@ -532,13 +531,10 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
             suite="all",
             cases=sum(r.cases for r in subs),
             failures=failures,
-            millis=sum(r.millis for r in subs),
             details={"suites": [r.to_json_dict() for r in subs]},
         )
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    t0 = time.perf_counter()
     cases, failures, details = _SUITES[name](cfg)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return SuiteReport(name, cases, tuple(failures), millis, details)
+    return SuiteReport(name, cases, tuple(failures), details)
 

@@ -368,7 +368,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     from kirch.verify import SuiteReport, VerifyFailure
 
     failing = SuiteReport(
-        "classify", 1, (VerifyFailure("E={1}", "FPrime", "Other"),), 0.0, {}
+        "classify", 1, (VerifyFailure("E={1}", "FPrime", "Other"),), {}
     )
     monkeypatch.setattr("kirch.cli.run_suite", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "classify")

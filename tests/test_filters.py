@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kirch import filters
 from kirch.filters import (
     _ALPHA,
     _MISSING,
@@ -250,7 +251,7 @@ class TestOrder:
 
     def test_witness_paths(self):
         holds, w = order_oracle(S(5, 10), S(7, 14))
-        assert not holds and w.prime == 7 and w.target_L == (7,)
+        assert not holds and w.prime == 7 and w.reason == _MISSING
         # residue clash at 3: E wants 1, F wants 2
         holds, w = order_oracle(S(1, 3), S(2, 3, 8))
         assert not holds and w.prime == 3 and w.element % 3 == 2
@@ -258,9 +259,18 @@ class TestOrder:
         holds, w = order_oracle(S(1, 3), S(3, 6))
         assert not holds and w.prime == 3 and w.element % 3 not in (0, 1)
 
+    def test_escape_from_the_generator_at_a_missing_prime(self, monkeypatch):
+        # 7 lies outside A_E for E = {5, 10}, so the target is G_E({7});
+        # a constructed element divisible by 7 lies in it and must not
+        # pass as a witness
+        monkeypatch.setattr(filters, "crt_solve", lambda system: 7)
+        with pytest.raises(AssertionError, match="fails to escape"):
+            order_oracle(S(5, 10), S(7, 14))
+
     def test_witnesses_checked_against_descriptors(self):
-        # each witness lies in G_F(()), escapes G_E(target_L), and its
-        # reason names the role of its prime in the descriptors
+        # each witness lies in G_F(()), escapes the E-side generator its
+        # reason names, and that reason names the role of its prime in
+        # the descriptors
         failing = 0
         for E in catalog():
             for F in catalog():
@@ -270,15 +280,16 @@ class TestOrder:
                 failing += 1
                 dE, dF = descriptor(E), descriptor(F)
                 assert in_generator(w.element, dF, ()), (E, F, w)
-                assert not in_generator(w.element, dE, w.target_L), (E, F, w)
                 p = w.prime
+                target = (p,) if w.reason == _MISSING else ()
+                assert not in_generator(w.element, dE, target), (E, F, w)
                 assert p in dF.A, (E, F, w)
                 if p not in dE.A:
-                    assert (w.reason, w.target_L) == (_MISSING, (p,)), (E, F, w)
+                    assert w.reason == _MISSING, (E, F, w)
                 elif p in dF.Pi:
-                    assert (w.reason, w.target_L) == (_PI_BLOCK, ()), (E, F, w)
+                    assert w.reason == _PI_BLOCK, (E, F, w)
                 else:
-                    assert (w.reason, w.target_L) == (_ALPHA, ()), (E, F, w)
+                    assert w.reason == _ALPHA, (E, F, w)
                     assert p not in dE.Pi and dE.alpha[p] != dF.alpha[p], (E, F, w)
         assert failing >= 200
 

@@ -17,7 +17,6 @@ from kirch.graphs import (
     emit_dot,
     graph_json_dict,
     interior_margins,
-    interior_vertices,
     printed_p3_edges,
     printed_p3_report,
     vertex_from_value,
@@ -136,6 +135,14 @@ def test_vertex_decode():
         vertex_from_value(0, 3)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3, 4])
+def test_decode_refuses_a_non_prime(p):
+    with pytest.raises(ValueError, match=f"^{p} is not prime"):
+        vertex_from_value(9, p)
+    with pytest.raises(ValueError, match=f"^{p} is not prime"):
+        edge_predicate(9, 18, p)
+
+
 @given(
     st.sampled_from([3, 5, 7, 11, 13]),
     st.tuples(st.sampled_from([-1, 1]), st.integers(0, 5), st.integers(1, 4)),
@@ -236,7 +243,7 @@ def test_interior_margins_are_exact_and_tight(p):
 
 def test_interior_vertices_respect_margins():
     g = build_gamma(5, (7, 5))
-    inner = interior_vertices(g)
+    inner = degree_signature(g).keys()
     assert all(v.two_exp <= 5 and v.p_exp <= 4 for v in inner)
     assert GammaVertex(1, 0, 1) in inner
 
