@@ -16,11 +16,12 @@ triples alone. A_E and Pi_E are ascending tuples of primes and alpha_E
 a dict in ascending p; a singleton fits {0,k}+pZ for every p, so its
 A-set is None, rendered "all". This module computes each triple in
 one pass over the residues that decide A_E (descriptor), decides the
-order from the triples by the three-condition comparison and,
-independently, from the sets' elements by the per-prime generator
-argument (which also builds an escaping element), classifies filters
-against the layers directly under the top one, and realizes a
-prescribed (A, alpha) pair.
+order twice, each time a column at a time from per-prime bitsets over
+a list of sets: from the triples by the three-condition comparison
+(_DescriptorIndex) and, independently, from the sets' elements by the
+per-prime generator argument (_Generators, which also builds an
+escaping element), classifies filters against the layers directly
+under the top one, and realizes a prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import enum
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .numtheory import (
     MAX_MAGNITUDE,
@@ -141,9 +142,14 @@ class FilterDescriptor:
     source: FiniteSubset
 
     def __post_init__(self) -> None:
-        # cached plain views; the hot comparison path lives on these
-        object.__setattr__(self, "_a_set", frozenset(self.A or ()))
+        # a cached plain view for the order's column and classify
         object.__setattr__(self, "_pi_set", frozenset(self.Pi))
+
+    @cached_property
+    def _row(self) -> "_DescriptorIndex":
+        """The one-row instance [self] that filter_leq runs, built on
+        first use and kept, so that repeated comparisons build none."""
+        return _DescriptorIndex([self])
 
     def canonical_key(self):
         # alpha's keys are A, its zeros the odd primes of Pi and its
@@ -203,26 +209,54 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
 
     With a singleton on either side the answer is set membership: the
     inclusion holds iff E is a singleton contained in F. Otherwise it
-    reduces to three comparisons of the descriptor triples.
+    is the three-condition comparison of the descriptor triples, run as
+    _DescriptorIndex.column on E's one-row instance.
 
     >>> filter_leq(FiniteSubset.of(1, 15), FiniteSubset.of(1, 5, 10))
     True
     """
     if min(len(E), len(F)) == 1:
         return len(E) == 1 and E.elements[0] in F
-    return _descriptor_leq(descriptor(E), descriptor(F))
+    return descriptor(E)._row.column(descriptor(F)) == 1
 
 
-def _descriptor_leq(dE: FilterDescriptor, dF: FilterDescriptor) -> bool:
-    """The three-condition comparison behind filter_leq, for sets of at
-    least two elements."""
-    ae, pie = dE._a_set, dE._pi_set
-    if not dF._a_set <= ae:
-        return False
-    if not all(p == 2 or p in pie for p in dF._pi_set):
-        return False
-    alpha_e, alpha_f = dE.alpha, dF.alpha
-    return all(alpha_e[p] == alpha_f[p] for p in dF._a_set if p not in pie)
+class _DescriptorIndex:
+    """The descriptors of a list of sets of at least two elements, as
+    per-prime bitsets over the rows, read from the fields A, Pi and
+    alpha alone: the rows with p in A_E, the rows with p in Pi_E, and
+    the rows with alpha_E(p) = r. Row masks are Python ints, bit i
+    standing for the i-th set.
+    """
+
+    __slots__ = ("full", "in_a", "in_pi", "alpha_is")
+
+    def __init__(self, descs: list[FilterDescriptor]):
+        self.full = (1 << len(descs)) - 1
+        self.in_a: dict[int, int] = {}
+        self.in_pi: dict[int, int] = {}
+        # keyed on (p, r)
+        self.alpha_is: dict[tuple[int, int], int] = {}
+        for i, d in enumerate(descs):
+            bit = 1 << i
+            for p, r in d.alpha.items():
+                self.in_a[p] = self.in_a.get(p, 0) | bit
+                self.alpha_is[p, r] = self.alpha_is.get((p, r), 0) | bit
+            for p in d.Pi:
+                self.in_pi[p] = self.in_pi.get(p, 0) | bit
+
+    def column(self, dF: FilterDescriptor) -> int:
+        """The rows E whose filter lies inside that of F: the AND, over
+        p in A_F, of three conditions. p lies in A_E; p lies in Pi_E
+        when it is an odd prime of Pi_F; and alpha_E(p) = alpha_F(p)
+        unless p lies in Pi_E."""
+        rows = self.full
+        for p, r in dF.alpha.items():
+            in_pi = self.in_pi.get(p, 0)
+            rows &= self.in_a.get(p, 0)
+            if p != 2 and p in dF._pi_set:
+                rows &= in_pi
+            rows &= in_pi | self.alpha_is.get((p, r), 0)
+        return rows
 
 
 # why an inclusion fails, as OrderWitness.reason reports it

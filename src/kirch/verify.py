@@ -7,7 +7,9 @@ config plans more than _MAX_CASES cases, or none. The `order` suite names a
 filter by its generator conditions, read from the residues of a set's
 elements: they pick its 1450 catalog sets and decide its 1450^2
 catalog pairs and its sampled pairs, never the (A, Pi, alpha)
-descriptors its closed form compares. Reports are deterministic:
+descriptors its closed form compares. Both sides decide the catalog
+a column at a time, from per-prime bitsets over its rows, with no
+loop over pairs. Reports are deterministic:
 catalogs enumerate in canonical order, any sampling is driven by the
 configured seed, and the JSON rendering carries no wall-clock data.
 """
@@ -25,12 +27,13 @@ from .filters import (
     _bits,
     _braced,
     _conditions,
-    _descriptor_leq,
+    _DescriptorIndex,
     _Generators,
     a_of_pair_formula,
     classify,
     descriptor,
     divides_via_filters,
+    filter_leq,
     is_top,
     order_oracle,
     realize,
@@ -204,39 +207,49 @@ def _order_catalog(bound: int) -> list[FiniteSubset]:
     nonzero integers in [-bound, bound], the first of each in
     combination order, keyed on its generator conditions over the
     primes up to 2 * bound (each prime of an A-set divides x, y or
-    x - y for two of the set's elements). No descriptor is built."""
+    x - y for two of the set's elements). No descriptor is built.
+
+    Each pair's conditions are computed once; a triple's extend those
+    of its first two elements by the third, since only a prime of the
+    pair's A-set can lie in the triple's. At p the pair keeps one
+    residue r (0 for none, 1 mod 2), and z keeps p iff z = 0 or r
+    (mod p), or r = 0; the triple then keeps r, or z's residue."""
     _within_budget(math.comb(2 * bound, 2) + math.comb(2 * bound, 3), "order catalog subsets")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     primes = primes_upto(2 * bound)
     reps: dict = {}
-    for size in (2, 3):
-        for combo in combinations(vals, size):
-            reps.setdefault(tuple(_conditions(combo, primes).items()), combo)
+    pairs = {}
+    for pair in combinations(vals, 2):
+        pairs[pair] = conds = tuple(_conditions(pair, primes).items())
+        reps.setdefault(conds, pair)
+    for (x, y), conds in pairs.items():
+        for z in vals[vals.index(y) + 1:]:
+            key = tuple((p, r or m) for p, r in conds if not (m := z % p) or m == r or not r)
+            reps.setdefault(key, (x, y, z))
     return [FiniteSubset(combo) for combo in reps.values()]
 
 
 def _suite_order(cfg: SuiteConfig):
-    """The three-condition comparison _descriptor_leq on every pair of
-    the catalog, column by column against _Generators.column on the
-    catalog's sets; reflexivity, transitivity and antisymmetry on the
-    comparison's columns; and 400 seeded pairs of larger sets against
-    order_oracle. Both oracles read the sets' elements, and no two
-    catalog sets share generator conditions, so antisymmetry tests the
-    closed form."""
+    """The three-condition comparison on every pair of the catalog, a
+    column at a time from _DescriptorIndex over the catalog's
+    descriptors, against _Generators.column on the catalog's sets;
+    reflexivity, transitivity and antisymmetry on the comparison's
+    columns; and 400 seeded pairs of larger sets, filter_leq against
+    order_oracle. Both oracles read the sets' elements, never the
+    descriptors, and no two catalog sets share generator conditions,
+    so antisymmetry tests the closed form."""
     bound = cfg.max_element if cfg.max_element is not None else 30
     reps = _order_catalog(bound)
     k = len(reps)
     _within_budget(k * k, "order catalog pairs")
     descs = [descriptor(E) for E in reps]
+    index = _DescriptorIndex(descs)
     gens = _Generators(reps, primes_upto(2 * bound))
     failures = []
     # column j holds the rows i with E_i <= E_j
     cols = []
     for j, dF in enumerate(descs):
-        col = 0
-        for i, dE in enumerate(descs):
-            if _descriptor_leq(dE, dF):
-                col |= 1 << i
+        col = index.column(dF)
         for i in _bits(col ^ gens.column(j)[0]):
             closed = bool(col >> i & 1)
             failures.append(VerifyFailure(
@@ -271,7 +284,7 @@ def _suite_order(cfg: SuiteConfig):
     samples = 400
     for _ in range(samples):
         E, F = draw(), draw()
-        closed = _descriptor_leq(descriptor(E), descriptor(F))
+        closed = filter_leq(E, F)
         oracle = order_oracle(E, F)[0]
         if closed != oracle:
             failures.append(VerifyFailure(

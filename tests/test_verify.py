@@ -7,7 +7,14 @@ from itertools import combinations
 import pytest
 
 from kirch import filters, verify
-from kirch.filters import FiniteSubset, _Generators, descriptor, order_oracle
+from kirch.filters import (
+    FiniteSubset,
+    _DescriptorIndex,
+    _Generators,
+    descriptor,
+    filter_leq,
+    order_oracle,
+)
 from kirch.graphs import build_gamma, degree_signature
 from kirch.numtheory import prime_divisors, primes_upto
 from kirch.topology import ClosureSet, Progression
@@ -84,13 +91,23 @@ def test_pair_formula_fault_is_caught(monkeypatch):
 
 
 def test_order_fault_is_caught(monkeypatch):
-    # a broken closed form that skips the alpha condition
-    def leq(dE, dF):
-        return dF._a_set <= dE._a_set and dF._pi_set - {2} <= dE._pi_set
+    # a broken closed form that skips the alpha condition; filter_leq
+    # runs the same column, so the sampled pairs see it too
+    def column(self, dF):
+        rows = self.full
+        for p in dF.alpha:
+            in_pi = self.in_pi.get(p, 0)
+            rows &= self.in_a.get(p, 0)
+            if p != 2 and p in dF._pi_set:
+                rows &= in_pi
+        return rows
 
-    monkeypatch.setattr(verify, "_descriptor_leq", leq)
+    monkeypatch.setattr(filters._DescriptorIndex, "column", column)
     report = run_suite("order", small(max_element=8))
-    assert "oracle=False" in report.failures[0].expected
+    # the catalog's columns come first, so a catalog pair leads
+    first = report.failures[0]
+    assert not first.inputs.startswith("sampled"), first
+    assert (first.expected, first.actual) == ("oracle=False", "closed=True")
 
 
 def test_order_suite_checks_every_escape(monkeypatch):
@@ -149,6 +166,24 @@ def test_generator_order_agrees_with_order_oracle():
         below = gens.column(j)[0]
         for i, E in enumerate(sources):
             assert bool(below >> i & 1) == order_oracle(E, F)[0], (E, F)
+
+
+def test_filter_leq_agrees_with_the_catalog_column(monkeypatch):
+    # the one-row instance of filter_leq against the suite's batch over
+    # the whole catalog; neither reads the generator conditions
+    sources = _order_catalog(8)
+    descs = [descriptor(E) for E in sources]
+
+    def refuse(*args):
+        raise AssertionError("the closed form read the sets' elements")
+
+    monkeypatch.setattr(filters, "_conditions", refuse)
+    monkeypatch.setattr(filters, "_Generators", refuse)
+    index = _DescriptorIndex(descs)
+    for F, dF in zip(sources, descs):
+        col = index.column(dF)
+        for i, E in enumerate(sources):
+            assert bool(col >> i & 1) == filter_leq(E, F), (E, F)
 
 
 def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
