@@ -141,12 +141,8 @@ class FilterDescriptor:
     alpha: dict[int, int] | None
     source: FiniteSubset
 
-    def __post_init__(self) -> None:
-        # a cached plain view for the order's column and classify
-        object.__setattr__(self, "_pi_set", frozenset(self.Pi))
-
     @cached_property
-    def _row(self) -> "_DescriptorIndex":
+    def _row(self) -> _DescriptorIndex:
         """The one-row instance [self] that filter_leq runs, built on
         first use and kept, so that repeated comparisons build none."""
         return _DescriptorIndex([self])
@@ -215,8 +211,8 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
     >>> filter_leq(FiniteSubset.of(1, 15), FiniteSubset.of(1, 5, 10))
     True
     """
-    if min(len(E), len(F)) == 1:
-        return len(E) == 1 and E.elements[0] in F
+    if len(E.elements) == 1 or len(F.elements) == 1:
+        return len(E.elements) == 1 and E.elements[0] in F.elements
     return descriptor(E)._row.column(descriptor(F)) == 1
 
 
@@ -236,13 +232,14 @@ class _DescriptorIndex:
         self.in_pi: dict[int, int] = {}
         # keyed on (p, r)
         self.alpha_is: dict[tuple[int, int], int] = {}
+        in_a, in_pi, alpha_is = self.in_a, self.in_pi, self.alpha_is
         for i, d in enumerate(descs):
             bit = 1 << i
             for p, r in d.alpha.items():
-                self.in_a[p] = self.in_a.get(p, 0) | bit
-                self.alpha_is[p, r] = self.alpha_is.get((p, r), 0) | bit
+                in_a[p] = in_a.get(p, 0) | bit
+                alpha_is[p, r] = alpha_is.get((p, r), 0) | bit
             for p in d.Pi:
-                self.in_pi[p] = self.in_pi.get(p, 0) | bit
+                in_pi[p] = in_pi.get(p, 0) | bit
 
     def column(self, dF: FilterDescriptor) -> int:
         """The rows E whose filter lies inside that of F: the AND, over
@@ -250,12 +247,15 @@ class _DescriptorIndex:
         when it is an odd prime of Pi_F; and alpha_E(p) = alpha_F(p)
         unless p lies in Pi_E."""
         rows = self.full
+        in_a, in_pi, alpha_is = self.in_a, self.in_pi, self.alpha_is
         for p, r in dF.alpha.items():
-            in_pi = self.in_pi.get(p, 0)
-            rows &= self.in_a.get(p, 0)
-            if p != 2 and p in dF._pi_set:
-                rows &= in_pi
-            rows &= in_pi | self.alpha_is.get((p, r), 0)
+            rows &= in_a.get(p, 0)
+            if not rows:
+                return 0
+            pi = in_pi.get(p, 0)
+            if p != 2 and p in dF.Pi:
+                rows &= pi
+            rows &= pi | alpha_is.get((p, r), 0)
         return rows
 
 
@@ -461,8 +461,8 @@ def classify(E: FiniteSubset) -> FilterClass:
     if d.A == (2,):
         return FilterClass.TOP
     if len(d.A) == 2:
-        return FilterClass.F_DOUBLE_PRIME if d.A[1] in d._pi_set else FilterClass.F_PRIME
-    if len(d.A) == 3 and d._pi_set <= {2}:
+        return FilterClass.F_DOUBLE_PRIME if d.A[1] in d.Pi else FilterClass.F_PRIME
+    if len(d.A) == 3 and set(d.Pi) <= {2}:
         return FilterClass.F_DOUBLE_PRIME
     return FilterClass.OTHER
 

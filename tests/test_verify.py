@@ -96,10 +96,9 @@ def test_order_fault_is_caught(monkeypatch):
     def column(self, dF):
         rows = self.full
         for p in dF.alpha:
-            in_pi = self.in_pi.get(p, 0)
             rows &= self.in_a.get(p, 0)
-            if p != 2 and p in dF._pi_set:
-                rows &= in_pi
+            if p != 2 and p in dF.Pi:
+                rows &= self.in_pi.get(p, 0)
         return rows
 
     monkeypatch.setattr(filters._DescriptorIndex, "column", column)
