@@ -9,19 +9,21 @@ generated by sets of the form
 where Pi_E collects the common prime divisors of E, A_E collects the
 primes p for which E fits inside {0,k}+pZ for a single k, alpha_E(p)
 is that k (normalized: alpha_E(2)=1, alpha_E(p)=0 on Pi_E minus {2}),
-and L runs over finite prime sets disjoint from A_E. The triple
-(A_E, Pi_E, alpha_E) is a complete invariant of the filter once E has
-at least two elements, and inclusion of filters is decidable from the
-triples alone. A_E and Pi_E are ascending tuples of primes and alpha_E
-a dict in ascending p; a singleton fits {0,k}+pZ for every p, so its
-A-set is None, rendered "all". This module computes each triple in
-one pass over the residues that decide A_E (descriptor), decides the
-order twice, each time a column at a time from per-prime bitsets over
-a list of sets: from the triples by the three-condition comparison
-(_DescriptorIndex) and, independently, from the sets' elements by the
-per-prime generator argument (_Generators, which also builds an
-escaping element), classifies filters against the layers directly
-under the top one, and realizes a prescribed (A, alpha) pair.
+and L runs over finite prime sets disjoint from A_E. descriptor()
+normalizes alpha_E so that it carries the rest: its keys are A_E, its
+zeros the odd primes of Pi_E, and alpha_E(2) = 1. That one map is a
+complete invariant of the filter once E has at least two elements, and
+inclusion of filters is decidable from the maps alone. A_E and Pi_E
+are ascending tuples of primes and alpha_E a dict in ascending p; a
+singleton fits {0,k}+pZ for every p, so its A-set is None, rendered
+"all". This module computes the invariants in one pass over the
+residues that decide A_E (descriptor), decides the order twice, each
+time a column at a time from per-prime bitsets over a list of sets:
+from the alpha maps by one condition per prime (_DescriptorIndex) and,
+independently, from the sets' elements by the per-prime generator
+argument (_Generators, which also builds an escaping element),
+classifies filters against the layers directly under the top one, and
+realizes a prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
     any two distinct elements x, y bound the answer: a qualifying p
     must divide x, y, or x-y, so only the primes of
     a_of_pair_formula(x, y) need the residue test. Uncached: is_top
-    needs it alone, and descriptor() caches the whole triple.
+    needs it alone, and descriptor() caches it as the keys of alpha.
     """
     if len(E) == 1:
         return None
@@ -127,40 +129,28 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class FilterDescriptor:
-    """The invariant triple plus its source set.
+    """A filter's invariants, held in alpha, plus its source set.
 
-    Equality and hashing follow the filter, not the record: descriptors
-    compare equal iff the A-sets agree, the odd parts of the Pi-sets
-    agree, and the alpha maps agree off Pi and 2. Singleton sources
-    determine their filter by the element alone. descriptor() caches
-    and shares these records, so the alpha dict must not be mutated.
+    alpha's keys are A_E, its zeros the odd primes of Pi_E and
+    alpha(2) = 1, so A is read off it. Pi also records whether 2 is
+    common, and for a singleton, whose A is None and alpha None, the
+    primes of its element. Records compare by identity. descriptor()
+    caches and shares them, so the alpha dict must not be mutated.
     """
 
-    A: tuple[int, ...] | None
     Pi: tuple[int, ...]
     alpha: dict[int, int] | None
     source: FiniteSubset
+
+    @property
+    def A(self) -> tuple[int, ...] | None:
+        return None if self.alpha is None else tuple(self.alpha)
 
     @cached_property
     def _row(self) -> _DescriptorIndex:
         """The one-row instance [self] that filter_leq runs, built on
         first use and kept, so that repeated comparisons build none."""
         return _DescriptorIndex([self])
-
-    def canonical_key(self):
-        # alpha's keys are A, its zeros the odd primes of Pi and its
-        # other values off 2 the free residues
-        if self.A is None:
-            return ("singleton", self.source.elements[0])
-        return tuple(self.alpha.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FilterDescriptor):
-            return NotImplemented
-        return self.canonical_key() == other.canonical_key()
-
-    def __hash__(self) -> int:
-        return hash(self.canonical_key())
 
     def to_json_dict(self) -> dict:
         return {
@@ -177,11 +167,11 @@ class FilterDescriptor:
 
 @lru_cache(maxsize=2**16)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
-    """Bundle (A_E, Pi_E, alpha_E) for E, the one place Pi_E and alpha_E
-    are computed: one pass over A_E = a_of(E), which holds every common
-    prime (each divides x and y). A prime where E has no nonzero
-    residue joins Pi_E; alpha_E(p) is 1 at 2, 0 on Pi_E, else that
-    residue. A singleton {x} gets A = None, no alpha, Pi the primes of x.
+    """The invariants of E, the one place Pi_E and alpha_E are computed:
+    one pass over A_E = a_of(E), which holds every common prime (each
+    divides x and y). A prime where E has no nonzero residue joins
+    Pi_E; alpha_E(p) is 1 at 2, 0 on Pi_E, else that residue. A
+    singleton {x} gets A = None, no alpha, Pi the primes of x.
 
     >>> str(descriptor(FiniteSubset.of(5, 10)))
     'A={2, 5} Pi={5} alpha={2:1, 5:0}'
@@ -190,14 +180,14 @@ def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """
     A = a_of(E)
     if A is None:
-        return FilterDescriptor(None, prime_divisors(E.elements[0]), None, E)
+        return FilterDescriptor(prime_divisors(E.elements[0]), None, E)
     Pi, alpha = [], {}
     for p in A:
         r = next((m for x in E if (m := x % p)), 0)
         if not r:
             Pi.append(p)
         alpha[p] = 1 if p == 2 else r
-    return FilterDescriptor(A, tuple(Pi), alpha, E)
+    return FilterDescriptor(tuple(Pi), alpha, E)
 
 
 def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
@@ -205,8 +195,8 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
 
     With a singleton on either side the answer is set membership: the
     inclusion holds iff E is a singleton contained in F. Otherwise it
-    is the three-condition comparison of the descriptor triples, run as
-    _DescriptorIndex.column on E's one-row instance.
+    compares the alpha maps, run as _DescriptorIndex.column on E's
+    one-row instance.
 
     >>> filter_leq(FiniteSubset.of(1, 15), FiniteSubset.of(1, 5, 10))
     True
@@ -217,45 +207,40 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
 
 
 class _DescriptorIndex:
-    """The descriptors of a list of sets of at least two elements, as
-    per-prime bitsets over the rows, read from the fields A, Pi and
-    alpha alone: the rows with p in A_E, the rows with p in Pi_E, and
-    the rows with alpha_E(p) = r. Row masks are Python ints, bit i
-    standing for the i-th set.
+    """The alpha maps of a list of sets of at least two elements, as
+    per-prime bitsets over the rows: rows_with[p] maps r to the rows E
+    with alpha_E(p) = r, so a row without p in A_E is in none of them.
+    Row masks are Python ints, bit i standing for the i-th set.
+
+    This rests on the form descriptor() gives alpha_E: its keys are
+    A_E, it is 0 exactly on the odd primes of Pi_E, and alpha_E(2) = 1.
     """
 
-    __slots__ = ("full", "in_a", "in_pi", "alpha_is")
+    __slots__ = ("full", "rows_with")
 
     def __init__(self, descs: list[FilterDescriptor]):
         self.full = (1 << len(descs)) - 1
-        self.in_a: dict[int, int] = {}
-        self.in_pi: dict[int, int] = {}
-        # keyed on (p, r)
-        self.alpha_is: dict[tuple[int, int], int] = {}
-        in_a, in_pi, alpha_is = self.in_a, self.in_pi, self.alpha_is
+        self.rows_with: dict[int, dict[int, int]] = {}
         for i, d in enumerate(descs):
-            bit = 1 << i
             for p, r in d.alpha.items():
-                in_a[p] = in_a.get(p, 0) | bit
-                alpha_is[p, r] = alpha_is.get((p, r), 0) | bit
-            for p in d.Pi:
-                in_pi[p] = in_pi.get(p, 0) | bit
+                groups = self.rows_with.setdefault(p, {})
+                groups[r] = groups.get(r, 0) | 1 << i
 
     def column(self, dF: FilterDescriptor) -> int:
         """The rows E whose filter lies inside that of F: the AND, over
-        p in A_F, of three conditions. p lies in A_E; p lies in Pi_E
-        when it is an odd prime of Pi_F; and alpha_E(p) = alpha_F(p)
-        unless p lies in Pi_E."""
+        the items (p, r) of alpha_F, of alpha_E(p) in {0, r}. That says
+        p lies in A_E; an odd prime of Pi_F (r = 0) lies in Pi_E; and
+        otherwise alpha_E(p) = r unless p lies in Pi_E, where G_E(())
+        allows every residue mod p."""
         rows = self.full
-        in_a, in_pi, alpha_is = self.in_a, self.in_pi, self.alpha_is
+        rows_with = self.rows_with
         for p, r in dF.alpha.items():
-            rows &= in_a.get(p, 0)
+            groups = rows_with.get(p)
+            if groups is None:
+                return 0
+            rows &= groups.get(0, 0) | groups.get(r, 0)
             if not rows:
                 return 0
-            pi = in_pi.get(p, 0)
-            if p != 2 and p in dF.Pi:
-                rows &= pi
-            rows &= pi | alpha_is.get((p, r), 0)
         return rows
 
 
@@ -455,14 +440,15 @@ def classify(E: FiniteSubset) -> FilterClass:
     'FPrime'
     """
     d = descriptor(E)
-    if d.A is None:
+    A = d.A
+    if A is None:
         return FilterClass.OTHER
     # A holds 2 and is ascending
-    if d.A == (2,):
+    if A == (2,):
         return FilterClass.TOP
-    if len(d.A) == 2:
-        return FilterClass.F_DOUBLE_PRIME if d.A[1] in d.Pi else FilterClass.F_PRIME
-    if len(d.A) == 3 and set(d.Pi) <= {2}:
+    if len(A) == 2:
+        return FilterClass.F_DOUBLE_PRIME if A[1] in d.Pi else FilterClass.F_PRIME
+    if len(A) == 3 and set(d.Pi) <= {2}:
         return FilterClass.F_DOUBLE_PRIME
     return FilterClass.OTHER
 
@@ -515,7 +501,7 @@ def realize(A: Iterable[int], alpha: Mapping[int, int]) -> FiniteSubset:
     y = crt_solve(CongruenceSystem(tuple((alpha[p], p) for p in A)))
     E = FiniteSubset.of(y, x, 2 * x)
     d = descriptor(E)
-    if d.A != A or d.alpha != alpha:
+    if d.alpha != alpha:
         raise AssertionError(
             f"realization of (A={_braced(A)}, alpha={_braced(alpha)}) drifted: {E}"
         )

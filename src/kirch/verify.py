@@ -6,8 +6,8 @@ failures, and refuses with ValueError before it starts when its
 config plans more than _MAX_CASES cases, or none. The `order` suite names a
 filter by its generator conditions, read from the residues of a set's
 elements: they pick its 1450 catalog sets and decide its 1450^2
-catalog pairs and its sampled pairs, never the (A, Pi, alpha)
-descriptors its closed form compares. Both sides decide the catalog
+catalog pairs and its sampled pairs, never the alpha maps its
+closed form compares. Both sides decide the catalog
 a column at a time, from per-prime bitsets over its rows, with no
 loop over pairs. Reports are deterministic:
 catalogs enumerate in canonical order, any sampling is driven by the
@@ -230,7 +230,7 @@ def _order_catalog(bound: int) -> list[FiniteSubset]:
 
 
 def _suite_order(cfg: SuiteConfig):
-    """The three-condition comparison on every pair of the catalog, a
+    """The alpha-map comparison on every pair of the catalog, a
     column at a time from _DescriptorIndex over the catalog's
     descriptors, against _Generators.column on the catalog's sets;
     reflexivity, transitivity and antisymmetry on the comparison's

@@ -90,15 +90,32 @@ def test_pair_formula_fault_is_caught(monkeypatch):
     assert first.inputs == "x=-15 y=-13"
 
 
-def test_order_fault_is_caught(monkeypatch):
-    # a broken closed form that skips the alpha condition; filter_leq
-    # runs the same column, so the sampled pairs see it too
+def _any_residue(groups, r):
+    # the residue check dropped: any row with p in A_E passes (the
+    # groups at p are disjoint, so their sum is their union)
+    return sum(groups.values())
+
+
+def _no_zero_group(groups, r):
+    # the 0 group dropped: a prime of Pi_E no longer allows every residue
+    return groups.get(r, 0)
+
+
+@pytest.mark.parametrize(
+    "allowed, verdicts",
+    [
+        (_any_residue, ("oracle=False", "closed=True")),
+        (_no_zero_group, ("oracle=True", "closed=False")),
+    ],
+    ids=["residue-dropped", "zero-group-dropped"],
+)
+def test_order_fault_is_caught(monkeypatch, allowed, verdicts):
+    # a broken closed form; filter_leq runs the same column, so the
+    # sampled pairs see it too
     def column(self, dF):
         rows = self.full
-        for p in dF.alpha:
-            rows &= self.in_a.get(p, 0)
-            if p != 2 and p in dF.Pi:
-                rows &= self.in_pi.get(p, 0)
+        for p, r in dF.alpha.items():
+            rows &= allowed(self.rows_with.get(p, {}), r)
         return rows
 
     monkeypatch.setattr(filters._DescriptorIndex, "column", column)
@@ -106,7 +123,7 @@ def test_order_fault_is_caught(monkeypatch):
     # the catalog's columns come first, so a catalog pair leads
     first = report.failures[0]
     assert not first.inputs.startswith("sampled"), first
-    assert (first.expected, first.actual) == ("oracle=False", "closed=True")
+    assert (first.expected, first.actual) == verdicts
 
 
 def test_order_suite_checks_every_escape(monkeypatch):
@@ -274,7 +291,7 @@ def test_order_catalog_leaves_descriptor_cache_empty():
         for size in (2, 3):
             for combo in combinations(vals, size):
                 E = FiniteSubset(combo)
-                want.setdefault(descriptor(E).canonical_key(), E)
+                want.setdefault(tuple(descriptor(E).alpha.items()), E)
         assert catalog == list(want.values())
 
 
