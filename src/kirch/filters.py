@@ -17,13 +17,16 @@ inclusion of filters is decidable from the maps alone. A_E and Pi_E
 are ascending tuples of primes and alpha_E a dict in ascending p; a
 singleton fits {0,k}+pZ for every p, so its A-set is None, rendered
 "all". This module computes the invariants in one pass over the
-residues that decide A_E (descriptor), decides the order twice, each
-time a column at a time from per-prime bitsets over a list of sets:
-from the alpha maps by one condition per prime (_DescriptorIndex) and,
-independently, from the sets' elements by the per-prime generator
-argument (_Generators, which also builds an escaping element),
-classifies filters against the layers directly under the top one, and
-realizes a prescribed (A, alpha) pair.
+residues that decide A_E (_residues, whose map a_of reads the keys of
+and descriptor reads Pi_E and alpha_E from), decides the order twice,
+each time a column at a time from per-prime bitsets over a list of
+sets: from the alpha maps by one condition per prime
+(_DescriptorIndex) and, independently, from the sets' elements by the
+per-prime generator argument (_Generators, which also builds an
+escaping element, and scans the residues with its own _conditions so
+that the oracle shares no code with the closed form), classifies
+filters against the layers directly under the top one, and realizes a
+prescribed (A, alpha) pair.
 """
 
 from __future__ import annotations
@@ -98,15 +101,36 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
     those at which E has at most one nonzero residue.
 
     A singleton fits such a set for every p, so it gets None. Otherwise
-    any two distinct elements x, y bound the answer: a qualifying p
-    must divide x, y, or x-y, so only the primes of
-    a_of_pair_formula(x, y) need the residue test. Uncached: is_top
-    needs it alone, and descriptor() caches it as the keys of alpha.
+    they are the keys of _residues(E). Uncached: is_top needs it alone,
+    and descriptor() caches it as the keys of alpha.
     """
     if len(E) == 1:
         return None
-    candidates = a_of_pair_formula(*E.elements[:2])
-    return tuple(p for p in candidates if len({x % p for x in E} - {0}) <= 1)
+    return tuple(_residues(E.elements))
+
+
+def _residues(xs: tuple[int, ...]) -> dict[int, int]:
+    """For each prime p at which the at least two elements xs have at
+    most one nonzero residue, ascending, that residue, or 0 when p
+    divides every element; a prime's scan stops at the second distinct
+    nonzero residue.
+
+    Any two distinct elements x, y bound the primes: a qualifying p
+    must divide x, y, or x-y, so only the primes of
+    a_of_pair_formula(x, y) are scanned.
+    """
+    found = {}
+    for p in a_of_pair_formula(xs[0], xs[1]):
+        r = 0
+        for x in xs:
+            m = x % p
+            if m and m != r:
+                if r:
+                    break
+                r = m
+        else:
+            found[p] = r
+    return found
 
 
 def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
@@ -167,27 +191,24 @@ class FilterDescriptor:
 
 @lru_cache(maxsize=2**16)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
-    """The invariants of E, the one place Pi_E and alpha_E are computed:
-    one pass over A_E = a_of(E), which holds every common prime (each
-    divides x and y). A prime where E has no nonzero residue joins
-    Pi_E; alpha_E(p) is 1 at 2, 0 on Pi_E, else that residue. A
-    singleton {x} gets A = None, no alpha, Pi the primes of x.
+    """The invariants of E, the one place Pi_E and alpha_E are computed,
+    in one pass: the residue map _residues(E), whose keys A_E hold every
+    common prime (each divides x and y). A prime where E has no nonzero
+    residue joins Pi_E; alpha_E(p) is 1 at 2, 0 on Pi_E, else that
+    residue. A singleton {x} gets A = None, no alpha, Pi the primes of
+    x.
 
     >>> str(descriptor(FiniteSubset.of(5, 10)))
     'A={2, 5} Pi={5} alpha={2:1, 5:0}'
     >>> descriptor(FiniteSubset.of(6, -12, 30)).Pi
     (2, 3)
     """
-    A = a_of(E)
-    if A is None:
+    if len(E) == 1:
         return FilterDescriptor(prime_divisors(E.elements[0]), None, E)
-    Pi, alpha = [], {}
-    for p in A:
-        r = next((m for x in E if (m := x % p)), 0)
-        if not r:
-            Pi.append(p)
-        alpha[p] = 1 if p == 2 else r
-    return FilterDescriptor(tuple(Pi), alpha, E)
+    residues = _residues(E.elements)
+    Pi = tuple(p for p, r in residues.items() if not r)
+    alpha = {p: 1 if p == 2 else r for p, r in residues.items()}
+    return FilterDescriptor(Pi, alpha, E)
 
 
 def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
@@ -507,18 +528,3 @@ def realize(A: Iterable[int], alpha: Mapping[int, int]) -> FiniteSubset:
         )
     return E
 
-
-def divides_via_filters(x: int, p: int) -> bool:
-    """Test p | x purely through two filter inclusions, for odd prime p
-    and x outside {-2,-1,1,2}.
-
-    >>> divides_via_filters(15, 5), divides_via_filters(15, 7)
-    (True, False)
-    """
-    if x in (-2, -1, 0, 1, 2):
-        raise ValueError(f"{x} is outside the criterion's domain")
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"{p} must be an odd prime")
-    return filter_leq(
-        FiniteSubset.of(1, x), FiniteSubset.of(1, p, 2 * p)
-    ) and filter_leq(FiniteSubset.of(2, x), FiniteSubset.of(2, p, 2 * p))

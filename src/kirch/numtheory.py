@@ -10,11 +10,12 @@ anything beyond raises OverflowError rather than silently wrapping.
 square root of a square cofactor, splits any other composite cofactor
 with Pollard's rho in Brent's form (fixed seeds, so the same input
 always takes the same steps), and proves every factor with a
-deterministic Miller-Rabin test. The difference x - y of two
+deterministic Miller-Rabin test; `is_prime` answers below 1000 from
+those 168 primes. The difference x - y of two
 in-range integers can reach 2^64 - 2, so the private `_factorize`
 works on any n below 2^64, without the 63-bit guard; the Miller-Rabin
 bases are proved far past that bound.
-`primes_upto` sieves to its own limit, at most 300000, and no prime
+`primes_upto` sieves to its own limit, at most 300000, and no sieved
 table outlives a call.
 """
 
@@ -53,6 +54,8 @@ def _primes_upto(limit: int) -> list[int]:
 
 
 _TRIAL_PRIMES = tuple(_primes_upto(_TRIAL_LIMIT - 1))
+# _is_prime answers every n below _TRIAL_LIMIT from the table
+_TRIAL_PRIME_SET = frozenset(_TRIAL_PRIMES)
 
 
 def small_primes() -> tuple[int, ...]:
@@ -93,11 +96,10 @@ def is_prime(n: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Miller-Rabin over _MR_BASES, without the range guard."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+    """Table lookup below _TRIAL_LIMIT, else Miller-Rabin over
+    _MR_BASES, without the range guard."""
+    if n < _TRIAL_LIMIT:
+        return n in _TRIAL_PRIME_SET
     if n % 2 == 0:
         return False
     d = n - 1
@@ -105,9 +107,8 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
+    # n exceeds every base, so no base is a multiple of n
     for a in _MR_BASES:
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

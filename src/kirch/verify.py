@@ -32,7 +32,6 @@ from .filters import (
     a_of_pair_formula,
     classify,
     descriptor,
-    divides_via_filters,
     filter_leq,
     is_top,
     order_oracle,
@@ -182,6 +181,17 @@ def _suite_closure(cfg: SuiteConfig):
 
 
 def _suite_pair_formula(cfg: SuiteConfig):
+    """a_of_pair_formula(x, y) against the primes p up to 2 * bound at
+    which {x, y} has at most one nonzero residue, for every pair x < y
+    of nonzero integers in [-bound, bound].
+
+    The oracle is a row of per-prime bitsets over the values: for row x
+    and prime p, the partners y that qualify are all of them when
+    x = 0 (mod p), and otherwise those with y = 0 or x (mod p). The
+    closed form is called once per pair, and each prime it returns sets
+    the pair's bit under that prime, so one XOR per prime compares a
+    row; a prime outside the scanned range fails its pair outright.
+    Failures come x-major, y ascending."""
     bound = cfg.max_element if cfg.max_element is not None else 50
     # every qualifying prime divides x, y or x-y, so none exceeds
     # the largest of their magnitudes, which is at most 2 * bound
@@ -190,15 +200,36 @@ def _suite_pair_formula(cfg: SuiteConfig):
     cases = math.comb(2 * bound, 2)
     _within_budget(cases * len(primes), "pair_formula prime tests")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
+    full = (1 << len(vals)) - 1
+    # by_res[p][r] holds the columns y with y = r (mod p)
+    by_res = {p: [0] * p for p in primes}
+    for j, y in enumerate(vals):
+        for p in primes:
+            by_res[p][y % p] |= 1 << j
     failures = []
     for i, x in enumerate(vals):
-        for y in vals[i + 1:]:
-            got = set(a_of_pair_formula(x, y))
-            want = {p for p in primes if len({x % p, y % p} - {0}) <= 1}
-            if got != want:
-                failures.append(VerifyFailure(
-                    f"x={x} y={y}", f"A={sorted(want)}", f"formula={sorted(got)}"
-                ))
+        later = full & ~((2 << i) - 1)
+        formula = dict.fromkeys(primes, 0)
+        got_at = {}
+        stray = 0
+        for j in range(i + 1, len(vals)):
+            got_at[j] = got = a_of_pair_formula(x, vals[j])
+            for p in got:
+                if p in formula:
+                    formula[p] |= 1 << j
+                else:
+                    stray |= 1 << j
+        oracle = {}
+        bad = stray
+        for p, res in by_res.items():
+            r = x % p
+            oracle[p] = later if not r else (res[0] | res[r]) & later
+            bad |= formula[p] ^ oracle[p]
+        for j in _bits(bad):
+            want = [p for p in primes if oracle[p] >> j & 1]
+            failures.append(VerifyFailure(
+                f"x={x} y={vals[j]}", f"A={want}", f"formula={sorted(set(got_at[j]))}"
+            ))
     return cases, failures, {"values": len(vals)}
 
 
@@ -376,16 +407,26 @@ def _suite_realize(cfg: SuiteConfig):
 
 
 def _suite_ppix(cfg: SuiteConfig):
+    """The divisibility criterion read from the filter order: for an
+    odd prime p and x outside -2..2, p | x iff {1, x} <= {1, p, 2p} and
+    {2, x} <= {2, p, 2p}, decided by filter_leq against x % p, for x in
+    [-bound, bound] and the odd primes up to 50. Each prime's two
+    targets are built once per suite and each x's two sets once per x.
+    Failures come x-major, p ascending."""
     bound = cfg.max_element if cfg.max_element is not None else 200
     odd_primes = [p for p in primes_upto(50) if p != 2]
     # x runs over [-bound, bound] minus -2..2
     cases = _within_budget(max(2 * bound - 4, 0) * len(odd_primes), "ppix cases")
+    targets = [
+        (p, FiniteSubset.of(1, p, 2 * p), FiniteSubset.of(2, p, 2 * p)) for p in odd_primes
+    ]
     failures = []
     for x in range(-bound, bound + 1):
         if x in (-2, -1, 0, 1, 2):
             continue
-        for p in odd_primes:
-            got = divides_via_filters(x, p)
+        E1, E2 = FiniteSubset.of(1, x), FiniteSubset.of(2, x)
+        for p, F1, F2 in targets:
+            got = filter_leq(E1, F1) and filter_leq(E2, F2)
             want = x % p == 0
             if got != want:
                 failures.append(VerifyFailure(

@@ -24,7 +24,6 @@ from kirch.filters import (
     a_of_pair_formula,
     classify,
     descriptor,
-    divides_via_filters,
     filter_leq,
     is_top,
     order_oracle,
@@ -406,25 +405,3 @@ class TestRealize:
         with pytest.raises(ValueError, match=message):
             realize(A, alpha)
 
-
-class TestDividesViaFilters:
-    def test_frozen_examples(self):
-        assert divides_via_filters(15, 5)
-        assert not divides_via_filters(15, 7)
-        assert divides_via_filters(-9, 3)
-
-    def test_rejects_excluded_input(self):
-        for x in (-2, -1, 0, 1, 2):
-            with pytest.raises(ValueError):
-                divides_via_filters(x, 3)
-        with pytest.raises(ValueError):
-            divides_via_filters(15, 2)
-        with pytest.raises(ValueError):
-            divides_via_filters(15, 9)
-
-    def test_tracks_divisibility(self):
-        for x in range(-40, 41):
-            if x in (-2, -1, 0, 1, 2):
-                continue
-            for p in (3, 5, 7):
-                assert divides_via_filters(x, p) == (x % p == 0), (x, p)

@@ -76,18 +76,52 @@ def test_ppix_suite_small():
     assert report.cases == 116 * 14
 
 
-def test_pair_formula_fault_is_caught(monkeypatch):
+def _difference_dropped(real):
     # a broken closed form that drops the primes of the difference
-    monkeypatch.setattr(
-        verify, "a_of_pair_formula",
-        lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)})),
-    )
+    return lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)}))
+
+
+def _stray_prime(real):
+    # a broken closed form that adds 31, a prime past the 2 * bound = 30
+    # the oracle scans, so it has no bitset of its own to differ in
+    return lambda x, y: tuple(sorted({*real(x, y), 31}))
+
+
+@pytest.mark.parametrize(
+    "mutant, first",
+    [
+        # (-15, -14) survives the mutation (difference -1 adds nothing
+        # and 2 comes from -14), so the first catch is the next pair along
+        (_difference_dropped, ("x=-15 y=-13", "A=[2, 3, 5, 13]", "formula=[3, 5, 13]")),
+        (_stray_prime, ("x=-15 y=-14", "A=[2, 3, 5, 7]", "formula=[2, 3, 5, 7, 31]")),
+    ],
+    ids=["difference-dropped", "stray-prime"],
+)
+def test_pair_formula_fault_is_caught(monkeypatch, mutant, first):
+    monkeypatch.setattr(verify, "a_of_pair_formula", mutant(verify.a_of_pair_formula))
     report = run_suite("pair_formula", small(max_element=15))
     assert not report.passed
-    # (-15, -14) survives the mutation (difference -1 adds nothing and 2
-    # comes from -14), so the first catch is the next pair along
-    first = report.failures[0]
-    assert first.inputs == "x=-15 y=-13"
+    f = report.failures[0]
+    assert (f.inputs, f.expected, f.actual) == first
+
+
+@pytest.mark.parametrize("verdict", [True, False], ids=["always-below", "never-below"])
+def test_ppix_fault_is_caught(monkeypatch, verdict):
+    # a broken order that answers every inclusion alike: the criterion
+    # then claims p | x for every case, or for none, so the failures
+    # are exactly the cases where p | x says otherwise
+    monkeypatch.setattr(verify, "filter_leq", lambda E, F: verdict)
+    report = run_suite("ppix", small(max_element=30))
+    odd_primes = [p for p in primes_upto(50) if p != 2]
+    want = [
+        (f"x={x} p={p}", f"divides={not verdict}", f"filters={verdict}")
+        for x in range(-30, 31)
+        if abs(x) > 2
+        for p in odd_primes
+        if (x % p == 0) != verdict
+    ]
+    assert want
+    assert [(f.inputs, f.expected, f.actual) for f in report.failures] == want
 
 
 def _any_residue(groups, r):
