@@ -6,9 +6,13 @@ Two vertices are joined when their doubleton has A-set exactly {2, p};
 equivalently, when their difference has no prime factor outside
 {2, p}. The two statements agree because A_{x,y} is the set of primes
 dividing x, y or x - y, and for two vertices it always contains 2 and
-p and nothing else from x or y (see build_gamma), so build_gamma
-scores a pair by stripping 2 and p from |x - y| instead of factoring
-anything. The graph is a two-sheeted grid in (i, j) and
+p and nothing else from x or y (see build_gamma). Scaling both
+endpoints by a power of 2 and of p scales their difference alike, so
+whether a pair is an edge depends only on its exponent offset and on
+whether the signs agree: build_gamma scores each such offset class
+once, by stripping 2 and p from one representative difference instead
+of factoring anything, and then looks the accepted offsets up from
+every vertex. The graph is a two-sheeted grid in (i, j) and
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
 p is a Fermat prime, a Mersenne prime, both (p = 3), or neither.
@@ -169,38 +173,10 @@ class GammaGraph:
             "closed_form": sorted(self.closed - self.predicate),
         }
 
-    def neighbor_values(self, v: GammaVertex) -> set[int]:
-        out = set()
-        for a, b in self.predicate:
-            if a == v:
-                out.add(b.value(self.p))
-            elif b == v:
-                out.add(a.value(self.p))
-        return out
 
-
-def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
-    """Build the graph for p on the exponent grid: every vertex pair is
-    scored by the predicate, and the closed-form families are
-    instantiated beside it. For p = 2 the grid is the row j = 0, so
-    the bounds are (i, 0).
-
-    A pair is scored without factoring: it is an edge iff stripping
-    every 2 and every p from |x - y| leaves 1. That is exactly
-    edge_predicate, since A_{x,y} = primes(x) | primes(y) | primes(x - y):
-    both endpoints are {2,p}-smooth (multiples of p when p is odd), and
-    2 always lies in A_{x,y} (one endpoint is even, or both are odd and
-    x - y is even), so A_{x,y} = {2, p} | primes(x - y). The test never
-    reads the shift families, so the two sides stay independent.
-
-    Raises ValueError on a negative bound and OverflowError when the
-    largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
-    before building any vertex.
-
-    >>> g = build_gamma(5, (4, 3))
-    >>> sorted(g.neighbor_values(GammaVertex(1, 0, 1)))
-    [-20, -5, 10, 25]
-    """
+def _scored_grid(p: int, bounds: Bounds) -> tuple[frozenset[GammaVertex], frozenset[Edge]]:
+    """The grid and the predicate's edges on it, scored once per offset
+    class as build_gamma argues; refusals come before any vertex."""
     rows = _rows(p, bounds)
     max_i, max_j = bounds
     # 2^63 and 3^63 both exceed the range, so the power is computed
@@ -210,24 +186,75 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
             f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
         )
     grid = _grid(rows, max_i)
-    order = sorted(grid)
-    values = [v.value(p) for v in order]
-    # the odd parts of {2,p}-smooth differences; no difference of two
-    # vertices exceeds 2 * MAX_MAGNITUDE
+    # the odd parts of {2,p}-smooth representatives; none exceeds
+    # 2 * MAX_MAGNITUDE, since each of its two terms divides the
+    # largest vertex
     p_powers = {1}
     q = p
     while q <= 2 * MAX_MAGNITUDE:
         p_powers.add(q)
         q *= p
+    # the forward classes (dj, di) >= (0, 0), as (dj, di, t)
+    offsets = []
+    for dj in range(len(rows)):
+        for di in range(-max_i if dj else 0, max_i + 1):
+            left = 1 << max(-di, 0)
+            right = p**dj << max(di, 0)
+            for t, d in ((1, abs(left - right)), (-1, left + right)):
+                if d and d >> ((d & -d).bit_length() - 1) in p_powers:
+                    offsets.append((dj, di, t))
+    at = {v: v for v in grid}
     predicate: set[Edge] = set()
-    for a, xa in enumerate(values):
-        for b in range(a + 1, len(values)):
-            d = abs(xa - values[b])
-            if d >> ((d & -d).bit_length() - 1) in p_powers:
-                predicate.add((order[a], order[b]))
-    return GammaGraph(
-        p, bounds, grid, frozenset(predicate), closed_form_edges(p, bounds)
-    )
+    for v in grid:
+        j, i, s = v
+        for dj, di, t in offsets:
+            w = at.get((j + dj, i + di, s * t))
+            # w < v only across the rung (0, 0, -1) from s = 1
+            if w is not None and v < w:
+                predicate.add((v, w))
+    return grid, frozenset(predicate)
+
+
+def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
+    """Build the graph for p on the exponent grid: the predicate's
+    edges, scored once per offset class, and the closed-form families
+    instantiated beside them. For p = 2 the grid is the row j = 0, so
+    the bounds are (i, 0).
+
+    The predicate is scored without factoring: a pair is an edge iff
+    stripping every 2 and every p from |x - y| leaves 1. That is exactly
+    edge_predicate, since A_{x,y} = primes(x) | primes(y) | primes(x - y):
+    both endpoints are {2,p}-smooth (multiples of p when p is odd), and
+    2 always lies in A_{x,y} (one endpoint is even, or both are odd and
+    x - y is even), so A_{x,y} = {2, p} | primes(x - y).
+
+    Each offset class is scored once. Take x = s * 2^i * p^j and
+    y = s * t * 2^(i+di) * p^(j+dj) with t = +-1, and let
+    a = min(i, i+di), b = min(j, j+dj). Then
+    |x - y| = 2^a * p^b * |2^max(-di,0) * p^max(-dj,0) - t * 2^max(di,0) * p^max(dj,0)|,
+    and the factor 2^a * p^b is {2,p}-smooth, so |x - y| is {2,p}-smooth
+    iff the representative on the right is. The representative depends
+    on (di, dj, t) alone, not on the pair, so one test decides every
+    pair of the class; it is nonzero except for di = dj = 0 with t = 1,
+    which is no pair. The class (-di, -dj, t) has the same
+    representative, and the offset from an edge's smaller endpoint in
+    grid order to its larger one has (dj, di) >= (0, 0), so only those
+    forward classes are scored: at most (2 max_i + 1) * rows * 2 of
+    them. Each accepted class is then looked up from every vertex, and
+    an edge is kept from its smaller endpoint. Neither step reads the
+    shift families, so the two sides stay independent.
+
+    Raises ValueError on a negative bound and OverflowError when the
+    largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
+    before building any vertex.
+
+    >>> g = build_gamma(5, (4, 3))
+    >>> five = GammaVertex(1, 0, 1)
+    >>> sorted(w.value(5) for e in g.predicate if five in e for w in e if w != five)
+    [-20, -5, 10, 25]
+    """
+    grid, predicate = _scored_grid(p, bounds)
+    return GammaGraph(p, bounds, grid, predicate, closed_form_edges(p, bounds))
 
 
 def interior_margins(p: int) -> tuple[int, int]:
@@ -277,16 +304,15 @@ def emit_dot(g: GammaGraph) -> str:
     their label pair; edges only one side claims are styled dashed
     (predicate only) or dotted (closed form only)."""
     name = f"gamma_{g.p}"
+    labels = {v: _label(v, g.p) for v in sorted(g.vertices)}
     lines = [f"graph {name} {{"]
-    for v in sorted(g.vertices):
-        lines.append(f'  "{_label(v, g.p)}";')
+    lines.extend(f'  "{label}";' for label in labels.values())
     styles = dict.fromkeys(g.predicate - g.closed, " [style=dashed]")
     styles.update(dict.fromkeys(g.closed - g.predicate, " [style=dotted]"))
     edge_lines = []
     for a, b in g.edges:
-        la, lb = _label(a, g.p), _label(b, g.p)
         suffix = styles.get((a, b), "")
-        edge_lines.append(f'  "{la}" -- "{lb}"{suffix};')
+        edge_lines.append(f'  "{labels[a]}" -- "{labels[b]}"{suffix};')
     lines.extend(sorted(edge_lines))
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -297,16 +323,17 @@ def graph_json_dict(g: GammaGraph) -> dict:
     as value pairs, provenance grouped by tag."""
     tags = dict.fromkeys(g.predicate - g.closed, "predicate")
     tags.update(dict.fromkeys(g.closed - g.predicate, "closed_form"))
+    values = {v: v.value(g.p) for v in sorted(g.vertices)}
     prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
     pairs = []
     for e in sorted(g.edges):
-        pair = [e[0].value(g.p), e[1].value(g.p)]
+        pair = [values[e[0]], values[e[1]]]
         pairs.append(pair)
         prov[tags.get(e, "both")].append(pair)
     return {
         "p": g.p,
         "bounds": list(g.bounds),
-        "vertices": [v.value(g.p) for v in sorted(g.vertices)],
+        "vertices": list(values.values()),
         "edges": pairs,
         "provenance": prov,
     }
@@ -352,8 +379,7 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
 def printed_p3_report(bounds: Bounds) -> dict:
     """Where the published p = 3 list and the predicate disagree on the
     given grid: value pairs only one side claims, plus totals."""
-    g = build_gamma(3, bounds)
-    predicate = g.predicate
+    _, predicate = _scored_grid(3, bounds)
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:

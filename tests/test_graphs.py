@@ -36,6 +36,25 @@ def values(g):
     return {v.value(g.p) for v in g.vertices}
 
 
+def neighbor_values(g, v):
+    """Values of v's neighbors on the predicate side."""
+    return {w.value(g.p) for e in g.predicate if v in e for w in e if w != v}
+
+
+def pairwise_predicate(p, bounds):
+    """The O(V^2) oracle: every vertex pair whose difference is
+    {2,p}-smooth, in grid order."""
+    max_i, max_j = bounds
+    rows = [0] if p == 2 else range(1, max_j + 1)
+    order = sorted(GammaVertex(j, i, s) for j in rows for i in range(max_i + 1) for s in (-1, 1))
+    return {
+        (v, w)
+        for k, v in enumerate(order)
+        for w in order[k + 1:]
+        if smooth_outside(v.value(p) - w.value(p), {2, p})
+    }
+
+
 # The re-derived family lists must reproduce the predicate exactly,
 # on the whole grid, for a representative of every prime class.
 @pytest.mark.parametrize(
@@ -67,6 +86,30 @@ def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
         if edge_predicate(v.value(p), w.value(p), p)
     }
     assert g.predicate == want
+
+
+# offset-class scoring against the pair loop: the benchmark's grids, a
+# row graph, and the largest grids, whose differences pass 2^63
+@pytest.mark.parametrize("p,bounds", [
+    (3, (14, 8)), (5, (12, 8)), (17, (16, 5)), (7, (14, 7)), (31, (16, 4)),
+    (11, (16, 6)), (13, (16, 5)), (2, (20, 0)), (3, (61, 1)), (5, (0, 27)),
+])
+def test_build_gamma_matches_the_pairwise_oracle(p, bounds):
+    assert build_gamma(p, bounds).predicate == pairwise_predicate(p, bounds)
+
+
+def test_build_gamma_does_not_read_the_families(monkeypatch):
+    want = build_gamma(5, (6, 4)).predicate
+    real = graphs._families
+
+    def without_one_shift(p):
+        same, opp = real(p)
+        return tuple(s for s in same if s != (1, 0)), opp
+
+    monkeypatch.setattr(graphs, "_families", without_one_shift)
+    g = build_gamma(5, (6, 4))
+    assert g.predicate == want
+    assert g.discrepancies()["predicate"] != []
 
 
 def test_build_gamma_does_not_factorize(monkeypatch):
@@ -162,7 +205,7 @@ def test_gamma3_degree_facts():
     sig = degree_signature(g)
     three = GammaVertex(1, 0, 1)
     assert sig[three] == 8
-    assert g.neighbor_values(three) == {9, 27, 6, 12, -3, -9, -6, -24}
+    assert neighbor_values(g, three) == {9, 27, 6, 12, -3, -9, -6, -24}
     assert sig[GammaVertex(p_exp=1, two_exp=0, sign=-1)] == 8
     rest = [d for v, d in sig.items() if (v.two_exp, v.p_exp) != (0, 1)]
     assert rest and min(rest) >= 9
@@ -173,7 +216,7 @@ def test_gamma5_degree_facts():
     sig = degree_signature(g)
     five = GammaVertex(1, 0, 1)
     assert sig[five] == 4
-    assert g.neighbor_values(five) == {25, 10, -20, -5}
+    assert neighbor_values(g, five) == {25, 10, -20, -5}
     rest = [d for v, d in sig.items() if (v.two_exp, v.p_exp) != (0, 1)]
     assert rest and min(rest) >= 5
 
@@ -183,7 +226,7 @@ def test_gamma7_degree_facts():
     sig = degree_signature(g)
     seven = GammaVertex(1, 0, 1)
     assert sig[seven] == 4
-    assert g.neighbor_values(seven) == {14, 56, -7, -49}
+    assert neighbor_values(g, seven) == {14, 56, -7, -49}
     rest = [d for v, d in sig.items() if (v.two_exp, v.p_exp) != (0, 1)]
     assert rest and min(rest) >= 5
 
@@ -193,7 +236,7 @@ def test_gamma31_degree_facts():
     sig = degree_signature(g)
     v = GammaVertex(1, 0, 1)
     assert sig[v] == 4
-    assert g.neighbor_values(v) == {62, 992, -31, -961}
+    assert neighbor_values(g, v) == {62, 992, -31, -961}
 
 
 def test_gamma11_interior_degree_two_set():
@@ -269,6 +312,31 @@ def test_printed_p3_list_defects():
     assert [18, 27] in rep["predicate_only"]
     assert [24, 27] in rep["predicate_only"]
     assert [72, 81] in rep["predicate_only"]
+
+
+def test_printed_p3_report_builds_no_closed_form(monkeypatch):
+    want = printed_p3_report((6, 5))
+
+    def boom(*args):
+        raise AssertionError("the closed form was built")
+
+    monkeypatch.setattr(graphs, "closed_form_edges", boom)
+    assert printed_p3_report((6, 5)) == want
+
+
+@pytest.mark.parametrize("bounds,error,message", [
+    ((-1, 3), ValueError, "^graph bounds must be nonnegative$"),
+    ((3, -1), ValueError, "^graph bounds must be nonnegative$"),
+    ((62, 1), OverflowError, r"^2\^62 \* 3\^1 exceeds the supported 63-bit range$"),
+    ((40, 24), OverflowError, r"^2\^40 \* 3\^24 exceeds the supported 63-bit range$"),
+])
+def test_printed_p3_report_refuses_before_any_vertex(monkeypatch, bounds, error, message):
+    def boom(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(graphs, "GammaVertex", boom)
+    with pytest.raises(error, match=message):
+        printed_p3_report(bounds)
 
 
 def test_printed_p3_overlap_is_real():
