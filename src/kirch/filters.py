@@ -189,7 +189,7 @@ class FilterDescriptor:
         return f"A={_braced(self.A)} Pi={_braced(self.Pi)} alpha={alpha}"
 
 
-@lru_cache(maxsize=2**16)
+@lru_cache(maxsize=2**13)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """The invariants of E, the one place Pi_E and alpha_E are computed,
     in one pass: the residue map _residues(E), whose keys A_E hold every
@@ -335,23 +335,26 @@ class _Generators:
                 self.rows_with[p][r] = self.rows_with[p].get(r, 0) | 1 << i
         # the groups at p are disjoint, so their sum is their union
         self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
-
-    def allowing(self, p: int, r: int) -> int:
-        """The rows E with p in A_E and S_E(p) holding {0, r}, or every
-        residue when r = 0."""
-        groups = self.rows_with[p]
-        return groups.get(0, 0) | groups.get(r, 0)
+        self.outside = {p: self.full & ~in_a for p, in_a in self.in_a.items()}
+        self._members: dict[int, int] = {}
 
     def members(self, z: int) -> int:
-        """The rows E whose generator G_E(()) contains z. Scanning fewer
-        primes than A_E only adds members, so a z outside every
-        returned row escapes for good."""
-        if z == 0:
-            return 0
-        rows = self.full
-        for p in self.primes:
-            if m := z % p:
-                rows &= ~self.in_a[p] | self.allowing(p, m)
+        """The rows E whose generator G_E(()) contains z: at each scanned
+        p with z = m != 0 (mod p), the rows outside A_E and those whose
+        S_E(p) holds {0, m} or every residue. Each z is tested once per
+        instance and remembered, so a witness that several columns build
+        costs one scan. Scanning fewer primes than A_E only adds members,
+        so a z outside every returned row escapes for good."""
+        rows = self._members.get(z)
+        if rows is None:
+            rows = 0
+            if z:
+                rows = self.full
+                for p in self.primes:
+                    if m := z % p:
+                        groups = self.rows_with[p]
+                        rows &= self.outside[p] | groups.get(0, 0) | groups.get(m, 0)
+            self._members[z] = rows
         return rows
 
     def column(self, j: int) -> tuple[int, list[tuple[int, OrderWitness]]]:
@@ -373,8 +376,9 @@ class _Generators:
         A_E (it allows only 0 mod p), else G_E(()). The escaping element
         z solves z = r (mod q) for each S_F(q) = {0, r}, plus z = t
         (mod p) when S_F(p) is every residue. It is built once per extra
-        congruence, checked once against G_F(()), and checked against
-        each group's targets with one mask test.
+        congruence, checked against G_F(()), and checked against each
+        group's targets with one mask test; its membership in every
+        G_E(()) comes from members, which scans each z once.
         """
         conds = self.conds[j]
         system = tuple((r, q) for q, r in conds.items() if r)
@@ -382,15 +386,18 @@ class _Generators:
         witnesses = []
         below = self.full
         for p, r in conds.items():
-            failing = below & ~self.allowing(p, r)
+            groups = self.rows_with[p]
+            # the rows whose S_E(p) is every residue
+            free = groups.get(0, 0)
+            failing = below & ~(free | groups.get(r, 0))
             if not failing:
                 continue
             below ^= failing
-            in_a = self.in_a[p]
+            in_a, outside = self.in_a[p], self.outside[p]
             # every residue: a row's S_E(p) = {0, 1} forbids 2, any other
             # forbids 1 (p is odd, since mod 2 no row fails)
             for t in ((r,) if r else (1, 2)):
-                group = failing & ~self.allowing(p, t)
+                group = failing & ~(free | groups.get(t, 0))
                 if not group:
                     continue
                 failing ^= group
@@ -403,11 +410,11 @@ class _Generators:
                     solved[extra] = z, inside
                 z, inside = solved[extra]
                 # G_E({p}) is G_E(()) cut with pZ, for p outside A_E
-                caught = (inside if z % p == 0 else 0) & ~in_a | inside & in_a
+                caught = (inside if z % p == 0 else 0) & outside | inside & in_a
                 if group & caught:
                     raise AssertionError("constructed element fails to escape the E-side generator")
-                if group & ~in_a:
-                    witnesses.append((group & ~in_a, OrderWitness(p, z, _MISSING)))
+                if group & outside:
+                    witnesses.append((group & outside, OrderWitness(p, z, _MISSING)))
                 if group & in_a:
                     why = _ALPHA if r else _PI_BLOCK
                     witnesses.append((group & in_a, OrderWitness(p, z, why)))

@@ -26,7 +26,6 @@ from .filters import (
     FiniteSubset,
     _bits,
     _braced,
-    _conditions,
     _DescriptorIndex,
     _Generators,
     a_of_pair_formula,
@@ -180,6 +179,16 @@ def _suite_closure(cfg: SuiteConfig):
     return cases, failures, {"progressions": 2 * bound * bound, "window": w}
 
 
+def _residue_bitsets(vals: list[int], primes) -> dict[int, list[int]]:
+    """by_res[p][r], the bitset of the indices j with vals[j] = r
+    (mod p), for each given prime p."""
+    by_res = {p: [0] * p for p in primes}
+    for j, y in enumerate(vals):
+        for p in primes:
+            by_res[p][y % p] |= 1 << j
+    return by_res
+
+
 def _suite_pair_formula(cfg: SuiteConfig):
     """a_of_pair_formula(x, y) against the primes p up to 2 * bound at
     which {x, y} has at most one nonzero residue, for every pair x < y
@@ -201,11 +210,7 @@ def _suite_pair_formula(cfg: SuiteConfig):
     _within_budget(cases * len(primes), "pair_formula prime tests")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     full = (1 << len(vals)) - 1
-    # by_res[p][r] holds the columns y with y = r (mod p)
-    by_res = {p: [0] * p for p in primes}
-    for j, y in enumerate(vals):
-        for p in primes:
-            by_res[p][y % p] |= 1 << j
+    by_res = _residue_bitsets(vals, primes)
     failures = []
     for i, x in enumerate(vals):
         later = full & ~((2 << i) - 1)
@@ -236,28 +241,71 @@ def _suite_pair_formula(cfg: SuiteConfig):
 def _order_catalog(bound: int) -> list[FiniteSubset]:
     """One set per filter among the two- and three-element sets of
     nonzero integers in [-bound, bound], the first of each in
-    combination order, keyed on its generator conditions over the
-    primes up to 2 * bound (each prime of an A-set divides x, y or
-    x - y for two of the set's elements). No descriptor is built.
+    combination order (pairs, then triples), keyed on its generator
+    conditions over the primes up to 2 * bound (each prime of an A-set
+    divides x, y or x - y for two of the set's elements). No descriptor
+    is built and no triple is visited one at a time.
 
-    Each pair's conditions are computed once; a triple's extend those
-    of its first two elements by the third, since only a prime of the
-    pair's A-set can lie in the triple's. At p the pair keeps one
-    residue r (0 for none, 1 mod 2), and z keeps p iff z = 0 or r
-    (mod p), or r = 0; the triple then keeps r, or z's residue."""
+    A set's conditions keep, at each prime p of its A-set, one residue
+    r (0 for none, 1 mod 2). Adding z keeps p iff z = 0 or r (mod p),
+    or r = 0, which then keeps z's residue; so the larger sets split
+    into residue cells (_cells), found by ANDing per-prime residue
+    bitsets over the values, one cell per key. A pair is x's residues
+    extended by y, and a triple its pair's conditions extended by z.
+    The cells of each set come in the order of their lowest z, so the
+    first set of each key is the one a loop over every subset in
+    combination order would keep."""
     _within_budget(math.comb(2 * bound, 2) + math.comb(2 * bound, 3), "order catalog subsets")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
+    n = len(vals)
     primes = primes_upto(2 * bound)
+    by_res = _residue_bitsets(vals, primes)
+    # index tuples, in the order their keys are first met
     reps: dict = {}
-    pairs = {}
-    for pair in combinations(vals, 2):
-        pairs[pair] = conds = tuple(_conditions(pair, primes).items())
-        reps.setdefault(conds, pair)
-    for (x, y), conds in pairs.items():
-        for z in vals[vals.index(y) + 1:]:
-            key = tuple((p, r or m) for p, r in conds if not (m := z % p) or m == r or not r)
-            reps.setdefault(key, (x, y, z))
-    return [FiniteSubset(combo) for combo in reps.values()]
+    for i, x in enumerate(vals):
+        # mod 2 every pair keeps {0, 1}, whatever x is
+        single = tuple((p, 1 if p == 2 else x % p) for p in primes)
+        for cell, conds in _cells((1 << n) - (2 << i), single, by_res):
+            reps.setdefault(conds, (i, _low(cell)))
+    # a triple's key is its set's conditions, so only the first pair of
+    # each key is extended: for a later pair with the key of (x', y'),
+    # any z gives the key of {x', y', z}, a pair or a triple earlier in
+    # combination order, whose key is kept by induction
+    for conds, (i, j) in list(reps.items()):
+        for cell, key in _cells((1 << n) - (2 << j), conds, by_res):
+            reps.setdefault(key, (i, j, _low(cell)))
+    return [FiniteSubset(tuple(vals[i] for i in combo)) for combo in reps.values()]
+
+
+def _low(mask: int) -> int:
+    """The index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _cells(mask: int, conds, by_res) -> list[tuple[int, tuple]]:
+    """Split the value indices in mask by the conditions a value z
+    extends conds to, ascending in each cell's lowest index: at (p, r)
+    with r != 0, z keeps (p, r) iff z = 0 or r (mod p) and drops p
+    otherwise; with r = 0, z keeps (p, t) for its residue t."""
+    cells = [(mask, ())]
+    for p, r in conds:
+        res = by_res[p]
+        split = []
+        if r:
+            keep = res[0] | res[r]
+            for cell, key in cells:
+                if cell & keep:
+                    split.append((cell & keep, key + ((p, r),)))
+                if cell & ~keep:
+                    split.append((cell & ~keep, key))
+        else:
+            for cell, key in cells:
+                for t, values in enumerate(res):
+                    if cell & values:
+                        split.append((cell & values, key + ((p, t),)))
+        cells = split
+    cells.sort(key=lambda c: c[0] & -c[0])
+    return cells
 
 
 def _suite_order(cfg: SuiteConfig):

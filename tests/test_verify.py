@@ -218,6 +218,33 @@ def test_generator_order_agrees_with_order_oracle():
             assert bool(below >> i & 1) == order_oracle(E, F)[0], (E, F)
 
 
+def test_generator_columns_do_not_depend_on_their_order():
+    # members remembers each element's rows per instance; a memo keyed
+    # on less than the element (its extra congruence, its column) would
+    # hand one column's witness to another or skip an escape check
+    sources = _order_catalog(12)
+    primes = primes_upto(24)
+    forward, backward = _Generators(sources, primes), _Generators(sources, primes)
+    k = len(sources)
+    got = [forward.column(j) for j in range(k)]
+    back = {j: backward.column(j) for j in reversed(range(k))}
+    conds = [filters._conditions(E.elements, primes) for E in sources]
+
+    def in_generator(i, z):
+        # z in G_E(()), E the set of row i, from its conditions alone
+        return z != 0 and all(not (m := z % p) or m == r or not r for p, r in conds[i].items())
+
+    for j in range(k):
+        assert got[j] == back[j], sources[j]
+        for rows, w in got[j][1]:
+            z = w.element
+            assert in_generator(j, z), (sources[j], w)
+            for i in filters._bits(rows):
+                # the target is G_E({p}) when p is outside A_E, else G_E(())
+                caught = in_generator(i, z) and (w.prime in conds[i] or z % w.prime == 0)
+                assert not caught, (sources[i], sources[j], w)
+
+
 def test_filter_leq_agrees_with_the_catalog_column(monkeypatch):
     # the one-row instance of filter_leq against the suite's batch over
     # the whole catalog; neither reads the generator conditions
@@ -327,6 +354,36 @@ def test_order_catalog_leaves_descriptor_cache_empty():
                 E = FiniteSubset(combo)
                 want.setdefault(tuple(descriptor(E).alpha.items()), E)
         assert catalog == list(want.values())
+
+
+def _triple_loop_catalog(bound):
+    # the catalog as one key per pair and per triple, in combination order
+    vals = [v for v in range(-bound, bound + 1) if v != 0]
+    primes = primes_upto(2 * bound)
+    reps: dict = {}
+    pairs = {}
+    for pair in combinations(vals, 2):
+        pairs[pair] = conds = tuple(filters._conditions(pair, primes).items())
+        reps.setdefault(conds, pair)
+    for (x, y), conds in pairs.items():
+        for z in vals[vals.index(y) + 1:]:
+            key = tuple((p, r or m) for p, r in conds if not (m := z % p) or m == r or not r)
+            reps.setdefault(key, (x, y, z))
+    return [FiniteSubset(combo) for combo in reps.values()]
+
+
+@pytest.mark.parametrize("bound", [*range(1, 21), 30, 40])
+def test_order_catalog_matches_the_triple_loop(bound):
+    assert _order_catalog(bound) == _triple_loop_catalog(bound)
+
+
+def test_verify_all_fits_the_descriptor_cache():
+    # each miss adds an entry and none is evicted, so every descriptor
+    # verify all asks for twice is served from the cache
+    descriptor.cache_clear()
+    run_suite("all", SuiteConfig())
+    info = descriptor.cache_info()
+    assert info.currsize == info.misses < info.maxsize
 
 
 def test_unknown_names_rejected():
