@@ -9,17 +9,20 @@ dividing x, y or x - y, and for two vertices it always contains 2 and
 p and nothing else from x or y (see build_gamma). Scaling both
 endpoints by a power of 2 and of p scales their difference alike, so
 whether a pair is an edge depends only on its exponent offset and on
-whether the signs agree: build_gamma scores each such offset class
-once, by stripping 2 and p from one representative difference instead
-of factoring anything, and then looks the accepted offsets up from
-every vertex. The graph is a two-sheeted grid in (i, j) and
+whether the signs agree. Both constructions are therefore tables of
+forward offset classes (dj, di, t), and both are instantiated by the
+same lookup, _edges, on the same grid, _grid. The predicate's table
+comes from _scored_offsets, which scores each class once by stripping
+2 and p from one representative difference instead of factoring
+anything. The closed form's table, _families, is written out by hand:
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
-p is a Fermat prime, a Mersenne prime, both (p = 3), or neither.
-_families holds them, and interior_margins reads from them how far
-from the grid's upper bounds a vertex keeps its whole neighborhood.
+p is a Fermat prime, a Mersenne prime, both (p = 3), or neither. The
+two tables share nothing; interior_margins reads from _families how
+far from the grid's upper bounds a vertex keeps its whole
+neighborhood.
 
-The closed-form lists here were re-derived from the definitional
+The closed-form tables here were re-derived from the definitional
 predicate by exhausting the coprime smooth pairs with smooth difference
 or sum; the published list for p = 3 contains a defective family and
 two families with clipped index ranges, and printed_p3_report documents
@@ -28,6 +31,7 @@ exactly where that list and the predicate disagree.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -51,6 +55,7 @@ class GammaVertex(NamedTuple):
 
 
 Edge = tuple[GammaVertex, GammaVertex]
+Offset = tuple[int, int, int]
 
 
 def _edge(v: GammaVertex, w: GammaVertex) -> Edge:
@@ -88,66 +93,74 @@ def edge_predicate(x: int, y: int, p: int) -> bool:
     return set(a_of_pair_formula(x, y)) == {2, p}
 
 
-# Shift families, per prime class. A same-sign entry (di, dj) joins
-# (i, j) to (i+di, j+dj); an opposite-sign entry joins s*(i, j) to
-# -s*(i+di, j+dj), which for (di, dj) != (0, 0) yields two distinct
-# shapes as s runs over both signs. m is the exponent with p = 2^m + 1
-# or p = 2^m - 1. Each list is exactly the set of solutions of
-# |2^a p^b - 2^c p^d| in {2^s p^t} (same sign; coprime core pairs) or
-# 2^a p^b + 2^c p^d in {2^s p^t} (opposite sign).
-_P3_SAME = ((0, 1), (0, 2), (1, 0), (2, 0), (2, -1), (1, -1), (3, -2))
-_P3_OPP = ((0, 0), (0, 1), (1, 0), (3, 0))
+# Shift families, per prime class, as forward offset classes
+# (dj, di, t) with (dj, di) >= (0, 0): the class joins s * 2^i * p^j to
+# s * t * 2^(i+di) * p^(j+dj). That is the form _scored_offsets scores,
+# and _edges instantiates both. m is the exponent with p = 2^m + 1 or
+# p = 2^m - 1. Each table is exactly the set of forward classes whose
+# representative 2^max(-di,0) - t * p^dj * 2^max(di,0) (see
+# build_gamma) is {2,p}-smooth; it is written out by hand, not computed.
+_P3 = (
+    (1, 0, 1), (2, 0, 1), (0, 1, 1), (0, 2, 1), (1, -2, 1), (1, -1, 1), (2, -3, 1),
+    (0, 0, -1), (1, 0, -1), (0, 1, -1), (0, 3, -1),
+)
 
 
-def _families(p: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+def _families(p: int) -> tuple[Offset, ...]:
     if p == 3:
-        return _P3_SAME, _P3_OPP
+        return _P3
     cls = classify_prime(p)
+    m = cls.m
     if cls.is_fermat:
-        return ((0, 1), (1, 0), (cls.m, -1)), ((0, 0), (cls.m, 0))
+        return (1, 0, 1), (0, 1, 1), (1, -m, 1), (0, 0, -1), (0, m, -1)
     if cls.is_mersenne:
-        return ((1, 0), (cls.m, 0), (cls.m, -1)), ((0, 0), (0, 1))
-    return ((1, 0),), ((0, 0),)
+        return (0, 1, 1), (0, m, 1), (1, -m, 1), (0, 0, -1), (1, 0, -1)
+    return (0, 1, 1), (0, 0, -1)
 
 
-def _rows(p: int, bounds: Bounds) -> range:
-    """The p-exponents j of the grid: 1..max_j for odd p, and the single
-    row j = 0 for p = 2, which therefore takes bounds (i, 0)."""
+def _grid(p: int, bounds: Bounds) -> frozenset[GammaVertex]:
+    """Every vertex of the grid: the rows j = 1..max_j for odd p, and
+    the single row j = 0 for p = 2, which therefore takes bounds (i, 0).
+    Every refusal comes before any vertex is built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if min(bounds) < 0:
         raise ValueError("graph bounds must be nonnegative")
-    if p == 2:
-        if bounds[1] != 0:
-            raise ValueError("the graph for 2 takes bounds (i, 0)")
-        return range(1)
-    return range(1, bounds[1] + 1)
-
-
-def _grid(rows: range, max_i: int) -> frozenset[GammaVertex]:
-    """Every vertex of the grid."""
+    max_i, max_j = bounds
+    if p == 2 and max_j != 0:
+        raise ValueError("the graph for 2 takes bounds (i, 0)")
+    # 2^63 and 3^63 both exceed the range, so the power is computed
+    # only for exponents that can fit
+    if max_i >= 63 or max_j >= 63 or (p**max_j << max_i) > MAX_MAGNITUDE:
+        raise OverflowError(
+            f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
+        )
+    rows = range(1) if p == 2 else range(1, max_j + 1)
     return frozenset(
         GammaVertex(j, i, s) for j in rows for i in range(max_i + 1) for s in (-1, 1)
     )
 
 
-def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
-    """Instantiate the shift families of the prime's class on the grid;
-    an edge appears iff both endpoints fit the bounds."""
-    grid = _grid(_rows(p, bounds), bounds[0])
-    same, opp = _families(p)
+def _edges(grid: frozenset[GammaVertex], offsets: Sequence[Offset]) -> frozenset[Edge]:
+    """Instantiate forward offset classes on the grid: each class is
+    looked up from every vertex, and an edge is kept from its smaller
+    endpoint in grid order."""
+    at = {v: v for v in grid}
     out: set[Edge] = set()
     for v in grid:
         j, i, s = v
-        for di, dj in same:
-            w = GammaVertex(j + dj, i + di, s)
-            if w in grid:
-                out.add(_edge(v, w))
-        for di, dj in opp:
-            w = GammaVertex(j + dj, i + di, -s)
-            if w in grid:
-                out.add(_edge(v, w))
+        for dj, di, t in offsets:
+            w = at.get((j + dj, i + di, s * t))
+            # w < v only across the rung (0, 0, -1) from s = 1
+            if w is not None and v < w:
+                out.add((v, w))
     return frozenset(out)
+
+
+def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
+    """Instantiate the shift families of the prime's class on the grid;
+    an edge appears iff both endpoints fit the bounds."""
+    return _edges(_grid(p, bounds), _families(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,18 +187,10 @@ class GammaGraph:
         }
 
 
-def _scored_grid(p: int, bounds: Bounds) -> tuple[frozenset[GammaVertex], frozenset[Edge]]:
-    """The grid and the predicate's edges on it, scored once per offset
-    class as build_gamma argues; refusals come before any vertex."""
-    rows = _rows(p, bounds)
+def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
+    """The forward offset classes (dj, di, t) the predicate accepts on a
+    grid _grid admits, one test per class as build_gamma argues."""
     max_i, max_j = bounds
-    # 2^63 and 3^63 both exceed the range, so the power is computed
-    # only for exponents that can fit
-    if max_i >= 63 or max_j >= 63 or (p**max_j << max_i) > MAX_MAGNITUDE:
-        raise OverflowError(
-            f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
-        )
-    grid = _grid(rows, max_i)
     # the odd parts of {2,p}-smooth representatives; none exceeds
     # 2 * MAX_MAGNITUDE, since each of its two terms divides the
     # largest vertex
@@ -194,25 +199,15 @@ def _scored_grid(p: int, bounds: Bounds) -> tuple[frozenset[GammaVertex], frozen
     while q <= 2 * MAX_MAGNITUDE:
         p_powers.add(q)
         q *= p
-    # the forward classes (dj, di) >= (0, 0), as (dj, di, t)
     offsets = []
-    for dj in range(len(rows)):
+    for dj in range(1 if p == 2 else max_j):
         for di in range(-max_i if dj else 0, max_i + 1):
             left = 1 << max(-di, 0)
             right = p**dj << max(di, 0)
             for t, d in ((1, abs(left - right)), (-1, left + right)):
                 if d and d >> ((d & -d).bit_length() - 1) in p_powers:
                     offsets.append((dj, di, t))
-    at = {v: v for v in grid}
-    predicate: set[Edge] = set()
-    for v in grid:
-        j, i, s = v
-        for dj, di, t in offsets:
-            w = at.get((j + dj, i + di, s * t))
-            # w < v only across the rung (0, 0, -1) from s = 1
-            if w is not None and v < w:
-                predicate.add((v, w))
-    return grid, frozenset(predicate)
+    return offsets
 
 
 def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
@@ -240,9 +235,12 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     representative, and the offset from an edge's smaller endpoint in
     grid order to its larger one has (dj, di) >= (0, 0), so only those
     forward classes are scored: at most (2 max_i + 1) * rows * 2 of
-    them. Each accepted class is then looked up from every vertex, and
-    an edge is kept from its smaller endpoint. Neither step reads the
-    shift families, so the two sides stay independent.
+    them. The accepted classes are then instantiated by _edges, the
+    lookup the closed form goes through too: each class from every
+    vertex, an edge kept from its smaller endpoint. That lookup is the
+    one piece the two sides share. The scoring never reads _families,
+    and the tests check the lookup on whole grids against the pairwise
+    edge_predicate, so the comparison stays independent.
 
     Raises ValueError on a negative bound and OverflowError when the
     largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
@@ -253,18 +251,20 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     >>> sorted(w.value(5) for e in g.predicate if five in e for w in e if w != five)
     [-20, -5, 10, 25]
     """
-    grid, predicate = _scored_grid(p, bounds)
+    grid = _grid(p, bounds)
+    predicate = _edges(grid, _scored_offsets(p, bounds))
     return GammaGraph(p, bounds, grid, predicate, closed_form_edges(p, bounds))
 
 
 def interior_margins(p: int) -> tuple[int, int]:
-    """Per-axis margins: the largest |di| and the largest |dj| over the
-    shift families of p. No edge reaches further on either axis, so a
-    vertex that far from the grid's upper bounds keeps its whole
-    neighborhood; the lower edges of the grid (i = 0, and j = 1 for
-    odd p) are edges of the graph itself, not truncation."""
-    shifts = [shift for family in _families(p) for shift in family]
-    return max(abs(di) for di, _ in shifts), max(abs(dj) for _, dj in shifts)
+    """Per-axis margins: the largest |di| and the largest dj over the
+    forward offset classes of _families(p). No edge reaches further on
+    either axis, so a vertex that far from the grid's upper bounds
+    keeps its whole neighborhood; the lower edges of the grid (i = 0,
+    and j = 1 for odd p) are edges of the graph itself, not
+    truncation."""
+    table = _families(p)
+    return max(abs(di) for _, di, _ in table), max(dj for dj, _, _ in table)
 
 
 def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
@@ -345,41 +345,38 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
     sign that flips with the parity of a and a fixed single factor of
     2. Families (6) and (7) start at a = 1, which drops their smallest
     column. This list exists to be audited, not used."""
+    at = {v: v for v in _grid(3, bounds)}
     max_i, max_j = bounds
     out: set[Edge] = set()
-
-    def grid(v: GammaVertex) -> bool:
-        return v.two_exp <= max_i and 1 <= v.p_exp <= max_j
-
     for eps in (1, -1):
         for a in range(1, max_i + 2):
             i = a - 1
             for b in range(1, max_j + 1):
                 j = b
                 flip = 1 if i % 2 == 0 else eps  # eps^(a-1), literally
-                pairs = [
-                    (GammaVertex(j, i, eps), GammaVertex(j + 1, i, eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j + 2, 1, flip)),
-                    (GammaVertex(j, i, eps), GammaVertex(j, i + 1, eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j, i + 2, eps)),
-                    (GammaVertex(j + 1, i, eps), GammaVertex(j, i + 2, eps)),
-                    (GammaVertex(b, a + 1, eps), GammaVertex(b + 1, a, eps)),
-                    (GammaVertex(b, a + 3, eps), GammaVertex(b + 2, a, eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j + 1, i, -eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j, i + 1, -eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j, i + 3, -eps)),
-                    (GammaVertex(j, i, eps), GammaVertex(j, i, -eps)),
-                ]
-                for v, w in pairs:
-                    if grid(v) and grid(w) and v != w:
-                        out.add(_edge(v, w))
+                # endpoints as (p_exp, two_exp, sign)
+                for v, w in (
+                    ((j, i, eps), (j + 1, i, eps)),
+                    ((j, i, eps), (j + 2, 1, flip)),
+                    ((j, i, eps), (j, i + 1, eps)),
+                    ((j, i, eps), (j, i + 2, eps)),
+                    ((j + 1, i, eps), (j, i + 2, eps)),
+                    ((b, a + 1, eps), (b + 1, a, eps)),
+                    ((b, a + 3, eps), (b + 2, a, eps)),
+                    ((j, i, eps), (j + 1, i, -eps)),
+                    ((j, i, eps), (j, i + 1, -eps)),
+                    ((j, i, eps), (j, i + 3, -eps)),
+                    ((j, i, eps), (j, i, -eps)),
+                ):
+                    if v in at and w in at:
+                        out.add(_edge(at[v], at[w]))
     return frozenset(out)
 
 
 def printed_p3_report(bounds: Bounds) -> dict:
     """Where the published p = 3 list and the predicate disagree on the
     given grid: value pairs only one side claims, plus totals."""
-    _, predicate = _scored_grid(3, bounds)
+    predicate = _edges(_grid(3, bounds), _scored_offsets(3, bounds))
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:

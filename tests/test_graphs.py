@@ -103,13 +103,28 @@ def test_build_gamma_does_not_read_the_families(monkeypatch):
     real = graphs._families
 
     def without_one_shift(p):
-        same, opp = real(p)
-        return tuple(s for s in same if s != (1, 0)), opp
+        return tuple(c for c in real(p) if c != (0, 1, 1))
 
     monkeypatch.setattr(graphs, "_families", without_one_shift)
     g = build_gamma(5, (6, 4))
     assert g.predicate == want
     assert g.discrepancies()["predicate"] != []
+
+
+# Each class's hand-written table against the scored one, with no grid
+# instantiated, on bounds that reach two columns past the largest |di|:
+# three rows for p = 3, two for the other odd primes, the row j = 0 for
+# p = 2. No suite reaches the Fermat prime 65537 or the Mersenne primes
+# 8191 and 131071.
+@pytest.mark.parametrize(
+    "p", [2, 3, 5, 7, 17, 257, 65537, 31, 127, 8191, 131071, 11, 13, 19, 23, 29]
+)
+def test_families_equal_the_scored_offsets(p):
+    table = graphs._families(p)
+    rows = 0 if p == 2 else 3 if p == 3 else 2
+    bounds = (max(abs(di) for _, di, _ in table) + 2, rows)
+    assert len(set(table)) == len(table)
+    assert sorted(table) == sorted(graphs._scored_offsets(p, bounds))
 
 
 def test_build_gamma_does_not_factorize(monkeypatch):
@@ -137,8 +152,12 @@ def test_build_gamma_refuses_grids_past_63_bits(monkeypatch, p, bounds):
         raise AssertionError("a vertex was built")
 
     monkeypatch.setattr(graphs, "GammaVertex", boom)
-    with pytest.raises(OverflowError, match="63-bit"):
-        build_gamma(p, bounds)
+    builds = [build_gamma]
+    if p == 3:
+        builds += [closed_form_edges, lambda p, bounds: printed_p3_edges(bounds)]
+    for build in builds:
+        with pytest.raises(OverflowError, match="63-bit"):
+            build(p, bounds)
 
 
 def test_build_gamma_accepts_the_largest_grids_that_fit():
@@ -321,6 +340,7 @@ def test_printed_p3_report_builds_no_closed_form(monkeypatch):
         raise AssertionError("the closed form was built")
 
     monkeypatch.setattr(graphs, "closed_form_edges", boom)
+    monkeypatch.setattr(graphs, "_families", boom)
     assert printed_p3_report((6, 5)) == want
 
 
