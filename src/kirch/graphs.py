@@ -10,11 +10,12 @@ p and nothing else from x or y (see build_gamma). Scaling both
 endpoints by a power of 2 and of p scales their difference alike, so
 whether a pair is an edge depends only on its exponent offset and on
 whether the signs agree. Both constructions are therefore tables of
-forward offset classes (dj, di, t), and both are instantiated by the
-same lookup, _edges, on the same grid, _grid. The predicate's table
-comes from _scored_offsets, which scores each class once by stripping
-2 and p from one representative difference instead of factoring
-anything. The closed form's table, _families, is written out by hand:
+forward offset classes (dj, di, t), both instantiated by the same
+index arithmetic, _edges: an edge is a pair (k, l), k < l, of indices
+into the grid-order vertex tuple of _grid. The predicate's table comes
+from _scored_offsets, which scores each class once by stripping 2 and
+p from one representative difference instead of factoring anything.
+The closed form's table, _families, is written out by hand:
 every edge shifts the exponents by a bounded amount, so the whole edge
 set falls into finitely many shift families depending only on whether
 p is a Fermat prime, a Mersenne prime, both (p = 3), or neither. The
@@ -54,12 +55,9 @@ class GammaVertex(NamedTuple):
         return self.sign * 2**self.two_exp * p**self.p_exp
 
 
-Edge = tuple[GammaVertex, GammaVertex]
+# (k, l) with k < l: indices into the grid-order vertex tuple of _grid
+Edge = tuple[int, int]
 Offset = tuple[int, int, int]
-
-
-def _edge(v: GammaVertex, w: GammaVertex) -> Edge:
-    return (v, w) if v <= w else (w, v)
 
 
 def vertex_from_value(x: int, p: int) -> GammaVertex:
@@ -118,10 +116,10 @@ def _families(p: int) -> tuple[Offset, ...]:
     return (0, 1, 1), (0, 0, -1)
 
 
-def _grid(p: int, bounds: Bounds) -> frozenset[GammaVertex]:
-    """Every vertex of the grid: the rows j = 1..max_j for odd p, and
-    the single row j = 0 for p = 2, which therefore takes bounds (i, 0).
-    Every refusal comes before any vertex is built."""
+def _shape(p: int, bounds: Bounds) -> tuple[range, int]:
+    """The grid's rows, j = 1..max_j for odd p and the single row j = 0
+    for p = 2 (so bounds (i, 0)), and its width max_i + 1. Every refusal
+    of a grid is made here, before any vertex or edge is built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if min(bounds) < 0:
@@ -135,43 +133,52 @@ def _grid(p: int, bounds: Bounds) -> frozenset[GammaVertex]:
         raise OverflowError(
             f"2^{max_i} * {p}^{max_j} exceeds the supported 63-bit range"
         )
-    rows = range(1) if p == 2 else range(1, max_j + 1)
-    return frozenset(
-        GammaVertex(j, i, s) for j in rows for i in range(max_i + 1) for s in (-1, 1)
-    )
+    return (range(1) if p == 2 else range(1, max_j + 1)), max_i + 1
 
 
-def _edges(grid: frozenset[GammaVertex], offsets: Sequence[Offset]) -> frozenset[Edge]:
-    """Instantiate forward offset classes on the grid: each class is
-    looked up from every vertex, and an edge is kept from its smaller
-    endpoint in grid order."""
-    at = {v: v for v in grid}
+def _grid(p: int, bounds: Bounds) -> tuple[GammaVertex, ...]:
+    """Every vertex in grid order: by row, then i, then sign -1 before
+    1, so (j, i, s) in row number r sits at (r * width + i) * 2 + (s > 0)."""
+    rows, width = _shape(p, bounds)
+    return tuple(GammaVertex(j, i, s) for j in rows for i in range(width) for s in (-1, 1))
+
+
+def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]:
+    """Instantiate forward offset classes on the grid's indices, with no
+    vertex built: (dj, di, t) adds (dj * width + di) * 2 to the index of
+    each vertex whose partner fits, and flips its sign bit when t = -1.
+    A forward class ((dj, di) >= (0, 0)) never moves an index down, so
+    each edge is (k, l) with k < l; the rung (0, 0, -1) is taken from
+    the sign -1 alone."""
+    rows, width = _shape(p, bounds)
     out: set[Edge] = set()
-    for v in grid:
-        j, i, s = v
-        for dj, di, t in offsets:
-            w = at.get((j + dj, i + di, s * t))
-            # w < v only across the rung (0, 0, -1) from s = 1
-            if w is not None and v < w:
-                out.add((v, w))
+    for dj, di, t in offsets:
+        step = (dj * width + di) * 2
+        lo, hi = max(-di, 0), width - max(di, 0)
+        for r in range(len(rows) - dj):
+            first, last = (r * width + lo) * 2, (r * width + hi) * 2
+            for b in (0, 1) if step else (0,):
+                c = b if t == 1 else 1 - b
+                out.update(zip(range(first + b, last, 2), range(first + step + c, last + step, 2)))
     return frozenset(out)
 
 
 def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
     """Instantiate the shift families of the prime's class on the grid;
     an edge appears iff both endpoints fit the bounds."""
-    return _edges(_grid(p, bounds), _families(p))
+    return _edges(p, bounds, _families(p))
 
 
 @dataclass(frozen=True, eq=False)
 class GammaGraph:
-    """An immutable built graph: p, exponent bounds, vertices, and the
-    edge sets of the two constructions, the predicate and the closed
-    form; every other view of the edges is derived from those two."""
+    """An immutable built graph: p, exponent bounds, the vertices in
+    grid order, and the edge sets of the two constructions, the
+    predicate and the closed form, as index pairs into vertices; every
+    other view of the edges is derived from those two."""
 
     p: int
     bounds: Bounds
-    vertices: frozenset[GammaVertex]
+    vertices: tuple[GammaVertex, ...]
     predicate: frozenset[Edge]
     closed: frozenset[Edge]
 
@@ -179,11 +186,13 @@ class GammaGraph:
     def edges(self) -> frozenset[Edge]:
         return self.predicate | self.closed
 
-    def discrepancies(self) -> dict[str, list[Edge]]:
-        """Edges claimed by only one side, never silently reconciled."""
+    def discrepancies(self) -> dict[str, list[tuple[GammaVertex, GammaVertex]]]:
+        """Edges claimed by only one side, never silently reconciled, as
+        vertex pairs in grid order."""
+        v = self.vertices
         return {
-            "predicate": sorted(self.predicate - self.closed),
-            "closed_form": sorted(self.closed - self.predicate),
+            "predicate": [(v[k], v[l]) for k, l in sorted(self.predicate - self.closed)],
+            "closed_form": [(v[k], v[l]) for k, l in sorted(self.closed - self.predicate)],
         }
 
 
@@ -236,24 +245,24 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     grid order to its larger one has (dj, di) >= (0, 0), so only those
     forward classes are scored: at most (2 max_i + 1) * rows * 2 of
     them. The accepted classes are then instantiated by _edges, the
-    lookup the closed form goes through too: each class from every
-    vertex, an edge kept from its smaller endpoint. That lookup is the
-    one piece the two sides share. The scoring never reads _families,
-    and the tests check the lookup on whole grids against the pairwise
-    edge_predicate, so the comparison stays independent.
+    index arithmetic the closed form goes through too, and the one
+    piece the two sides share. The scoring never reads _families, and
+    the tests check _edges against a vertex lookup and whole grids
+    against the pairwise edge_predicate, so the comparison stays
+    independent.
 
     Raises ValueError on a negative bound and OverflowError when the
     largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
     before building any vertex.
 
     >>> g = build_gamma(5, (4, 3))
-    >>> five = GammaVertex(1, 0, 1)
-    >>> sorted(w.value(5) for e in g.predicate if five in e for w in e if w != five)
+    >>> five = g.vertices.index(GammaVertex(1, 0, 1))
+    >>> sorted(g.vertices[w].value(5) for e in g.predicate if five in e for w in e if w != five)
     [-20, -5, 10, 25]
     """
-    grid = _grid(p, bounds)
-    predicate = _edges(grid, _scored_offsets(p, bounds))
-    return GammaGraph(p, bounds, grid, predicate, closed_form_edges(p, bounds))
+    vertices = _grid(p, bounds)
+    predicate = _edges(p, bounds, _scored_offsets(p, bounds))
+    return GammaGraph(p, bounds, vertices, predicate, closed_form_edges(p, bounds))
 
 
 def interior_margins(p: int) -> tuple[int, int]:
@@ -276,15 +285,15 @@ def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
     >>> sorted(v.value(2) for v, d in sig.items() if d == 2)
     [-1, 1]
     """
-    incidence: dict[GammaVertex, int] = {}
-    for a, b in g.predicate:
-        incidence[a] = incidence.get(a, 0) + 1
-        incidence[b] = incidence.get(b, 0) + 1
+    degree = [0] * len(g.vertices)
+    for k, l in g.predicate:
+        degree[k] += 1
+        degree[l] += 1
     m2, mp = interior_margins(g.p)
     max_i, max_j = g.bounds
     return {
-        v: incidence.get(v, 0)
-        for v in sorted(g.vertices)
+        v: d
+        for v, d in zip(g.vertices, degree)
         if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
     }
 
@@ -299,41 +308,42 @@ def _label(v: GammaVertex, p: int) -> str:
     return ("-" if v.sign < 0 else "") + body
 
 
+# JSON provenance tag and DOT style by (in predicate, in closed form)
+_TAGS = {(True, True): ("both", ""), (True, False): ("predicate", " [style=dashed]"),
+         (False, True): ("closed_form", " [style=dotted]")}
+
+
 def emit_dot(g: GammaGraph) -> str:
     """Deterministic DOT text: vertices in grid order, edges sorted by
     their label pair; edges only one side claims are styled dashed
     (predicate only) or dotted (closed form only)."""
-    name = f"gamma_{g.p}"
-    labels = {v: _label(v, g.p) for v in sorted(g.vertices)}
-    lines = [f"graph {name} {{"]
-    lines.extend(f'  "{label}";' for label in labels.values())
-    styles = dict.fromkeys(g.predicate - g.closed, " [style=dashed]")
-    styles.update(dict.fromkeys(g.closed - g.predicate, " [style=dotted]"))
-    edge_lines = []
-    for a, b in g.edges:
-        suffix = styles.get((a, b), "")
-        edge_lines.append(f'  "{labels[a]}" -- "{labels[b]}"{suffix};')
-    lines.extend(sorted(edge_lines))
+    labels = [_label(v, g.p) for v in g.vertices]
+    pred, closed = g.predicate, g.closed
+    lines = [f"graph gamma_{g.p} {{"]
+    lines.extend(f'  "{label}";' for label in labels)
+    lines.extend(sorted(
+        f'  "{labels[e[0]]}" -- "{labels[e[1]]}"{_TAGS[e in pred, e in closed][1]};'
+        for e in g.edges
+    ))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
-    as value pairs, provenance grouped by tag."""
-    tags = dict.fromkeys(g.predicate - g.closed, "predicate")
-    tags.update(dict.fromkeys(g.closed - g.predicate, "closed_form"))
-    values = {v: v.value(g.p) for v in sorted(g.vertices)}
+    as value pairs in grid order, provenance grouped by tag."""
+    values = [v.value(g.p) for v in g.vertices]
+    pred, closed = g.predicate, g.closed
     prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
     pairs = []
     for e in sorted(g.edges):
         pair = [values[e[0]], values[e[1]]]
         pairs.append(pair)
-        prov[tags.get(e, "both")].append(pair)
+        prov[_TAGS[e in pred, e in closed][0]].append(pair)
     return {
         "p": g.p,
         "bounds": list(g.bounds),
-        "vertices": list(values.values()),
+        "vertices": values,
         "edges": pairs,
         "provenance": prov,
     }
@@ -344,8 +354,9 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
     index bases and all. Family (2) reads "2 eps^(a-1) 3^(b+2)": a
     sign that flips with the parity of a and a fixed single factor of
     2. Families (6) and (7) start at a = 1, which drops their smallest
-    column. This list exists to be audited, not used."""
-    at = {v: v for v in _grid(3, bounds)}
+    column. Edges index _grid(3, bounds), as in build_gamma. This list
+    exists to be audited, not used."""
+    at = {v: k for k, v in enumerate(_grid(3, bounds))}
     max_i, max_j = bounds
     out: set[Edge] = set()
     for eps in (1, -1):
@@ -369,20 +380,20 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
                     ((j, i, eps), (j, i, -eps)),
                 ):
                     if v in at and w in at:
-                        out.add(_edge(at[v], at[w]))
+                        k, l = at[v], at[w]
+                        out.add((k, l) if k < l else (l, k))
     return frozenset(out)
 
 
 def printed_p3_report(bounds: Bounds) -> dict:
     """Where the published p = 3 list and the predicate disagree on the
     given grid: value pairs only one side claims, plus totals."""
-    predicate = _edges(_grid(3, bounds), _scored_offsets(3, bounds))
+    values = [v.value(3) for v in _grid(3, bounds)]
+    predicate = _edges(3, bounds, _scored_offsets(3, bounds))
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:
-        return sorted(
-            sorted([a.value(3), b.value(3)]) for a, b in edges
-        )
+        return sorted(sorted([values[k], values[l]]) for k, l in edges)
 
     return {
         "bounds": list(bounds),

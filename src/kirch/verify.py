@@ -37,7 +37,7 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import build_gamma, closed_form_edges, degree_signature, printed_p3_report
+from .graphs import _grid, build_gamma, closed_form_edges, degree_signature, printed_p3_report
 from .numtheory import (
     classify_prime,
     consecutive_power_pairs,
@@ -384,10 +384,9 @@ def _suite_top(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 64
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
-    listed = {
-        frozenset({v.value(2), w.value(2)})
-        for v, w in closed_form_edges(2, (bound.bit_length() - 1, 0))
-    }
+    bounds = (bound.bit_length() - 1, 0)
+    powers = [v.value(2) for v in _grid(2, bounds)]
+    listed = {frozenset({powers[k], powers[l]}) for k, l in closed_form_edges(2, bounds)}
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -551,13 +550,13 @@ def _suite_gamma2(cfg: SuiteConfig):
     g = build_gamma(2, (max_exp, 0))
     failures = []
     cases = 0
-    order = sorted(g.vertices)
-    for k, v in enumerate(order):
-        for w in order[k + 1:]:
+    vals = [v.value(2) for v in g.vertices]
+    for k, x in enumerate(vals):
+        for l in range(k + 1, len(vals)):
             cases += 1
-            x, y = v.value(2), w.value(2)
+            y = vals[l]
             top = is_top(FiniteSubset.of(x, y))
-            pred, closed = (v, w) in g.predicate, (v, w) in g.closed
+            pred, closed = (k, l) in g.predicate, (k, l) in g.closed
             if not top == pred == closed:
                 failures.append(VerifyFailure(
                     f"E={{{x}, {y}}}", f"is_top={top}",

@@ -1,6 +1,7 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
 import argparse
+import hashlib
 import json
 import os
 import pathlib
@@ -227,6 +228,28 @@ def test_realize_rejects_bad_alpha(capsys):
     assert code == 2 and "p=r" in err
     code, out, err = run(capsys, "realize", "--A", "2,3", "--alpha", "2=1,3=1,3=2")
     assert code == 2 and out == "" and err.count("\n") == 1 and "twice" in err
+
+
+# sha256 of `kirch gamma` stdout: DOT and JSON on the benchmark's p = 3
+# grid, the p = 2 row at the 63-bit edge, an empty grid, and the p = 3
+# grid near the 63-bit edge
+GAMMA_SHA256 = {
+    "3 --bounds 14,8": "e91153254c3d4d7ddce9a62b36a9fa13123f00c58de2feaafc679f3b1b1112ea",
+    "3 --bounds 14,8 --format json":
+        "6f07cc509ef91c5666cad943db08e8715ee9b129f99bb10702246811ae84689f",
+    "2 --bounds 62,0 --format json":
+        "a86404bee4b86d2df8eb41ed0da34c3ede5db8ac753a0f9383d80fe01bd6f98d",
+    "5 --bounds 3,0 --format json":
+        "92abc4da6878469d90d17a7dab746d8247d9b1557d38cda68291396eae14831b",
+    "3 --bounds 38,14": "751dcc932b4965054e3e12a81b2e0b8be1194f9e13ae4244dc07ffab71a05df2",
+}
+
+
+@pytest.mark.parametrize("args", GAMMA_SHA256)
+def test_gamma_output_is_pinned(capsys, args):
+    code, out, err = run(capsys, "gamma", *args.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_SHA256[args]
 
 
 def test_gamma_dot(capsys):

@@ -36,9 +36,14 @@ def values(g):
     return {v.value(g.p) for v in g.vertices}
 
 
+def as_vertices(g, edges):
+    """Index-pair edges of g decoded through g.vertices."""
+    return {(g.vertices[k], g.vertices[l]) for k, l in edges}
+
+
 def neighbor_values(g, v):
     """Values of v's neighbors on the predicate side."""
-    return {w.value(g.p) for e in g.predicate if v in e for w in e if w != v}
+    return {w.value(g.p) for e in as_vertices(g, g.predicate) if v in e for w in e if w != v}
 
 
 def pairwise_predicate(p, bounds):
@@ -85,7 +90,7 @@ def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
         for w in order[k + 1:]
         if edge_predicate(v.value(p), w.value(p), p)
     }
-    assert g.predicate == want
+    assert as_vertices(g, g.predicate) == want
 
 
 # offset-class scoring against the pair loop: the benchmark's grids, a
@@ -95,7 +100,8 @@ def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
     (11, (16, 6)), (13, (16, 5)), (2, (20, 0)), (3, (61, 1)), (5, (0, 27)),
 ])
 def test_build_gamma_matches_the_pairwise_oracle(p, bounds):
-    assert build_gamma(p, bounds).predicate == pairwise_predicate(p, bounds)
+    g = build_gamma(p, bounds)
+    assert as_vertices(g, g.predicate) == pairwise_predicate(p, bounds)
 
 
 def test_build_gamma_does_not_read_the_families(monkeypatch):
@@ -135,6 +141,59 @@ def test_build_gamma_does_not_factorize(monkeypatch):
     monkeypatch.setattr(graphs, "a_of_pair_formula", boom)
     g = build_gamma(7, (7, 4))
     assert g.discrepancies() == {"predicate": [], "closed_form": []}
+
+
+@pytest.mark.parametrize("p,bounds", [
+    (2, (9, 0)), (3, (9, 6)), (5, (9, 5)), (7, (9, 5)), (11, (9, 5)),
+])
+def test_closed_form_edges_builds_no_vertex(monkeypatch, p, bounds):
+    want = build_gamma(p, bounds).closed
+
+    def boom(*args):
+        raise AssertionError("a vertex was built")
+
+    monkeypatch.setattr(graphs, "GammaVertex", boom)
+    assert closed_form_edges(p, bounds) == want
+
+
+def lookup_edges(p, bounds, offsets):
+    """The vertex lookup _edges replaces: each class from every vertex,
+    its partner found in a dict over the vertex tuple, an edge kept as
+    (k, l) when k < l."""
+    grid = graphs._grid(p, bounds)
+    at = {v: k for k, v in enumerate(grid)}
+    out = set()
+    for k, (j, i, s) in enumerate(grid):
+        for dj, di, t in offsets:
+            l = at.get((j + dj, i + di, s * t))
+            if l is not None and k < l:
+                out.add((k, l))
+    return out
+
+
+@st.composite
+def forward_tables(draw):
+    """A small grid and a random table of forward offset classes,
+    reaching one row and one column past the grid, so that the index
+    arithmetic meets every border, which the families never probe.
+    Odd p takes max_j = 0 (an empty grid) too, and p = 2 its one row."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    max_i = draw(st.integers(0, 4))
+    max_j = 0 if p == 2 else draw(st.integers(0, 3))
+    table = set()
+    for _ in range(draw(st.integers(0, 8))):
+        dj = draw(st.integers(0, (0 if p == 2 else max_j) + 1))
+        di = draw(st.integers(0 if dj == 0 else -max_i - 1, max_i + 1))
+        t = -1 if (dj, di) == (0, 0) else draw(st.sampled_from([-1, 1]))
+        table.add((dj, di, t))
+    return p, (max_i, max_j), sorted(table)
+
+
+@given(forward_tables())
+@settings(max_examples=300, deadline=None)
+def test_edges_match_the_vertex_lookup(case):
+    p, bounds, table = case
+    assert graphs._edges(p, bounds, table) == lookup_edges(p, bounds, table)
 
 
 def test_p3_families_hold_past_2_to_60():
@@ -277,7 +336,7 @@ def test_interior_margins_by_class():
 
 def _degrees(g):
     out = dict.fromkeys(g.vertices, 0)
-    for a, b in g.predicate:
+    for a, b in as_vertices(g, g.predicate):
         out[a] += 1
         out[b] += 1
     return out
@@ -312,10 +371,11 @@ def test_interior_vertices_respect_margins():
 
 def test_mirror_symmetry():
     g = build_gamma(5, (5, 3))
-    for a, b in g.edges:
+    edges = as_vertices(g, g.edges)
+    for a, b in edges:
         ma = a._replace(sign=-a.sign)
         mb = b._replace(sign=-b.sign)
-        assert (ma, mb) in g.edges or (mb, ma) in g.edges
+        assert (ma, mb) in edges or (mb, ma) in edges
 
 
 def test_printed_p3_list_defects():
@@ -363,7 +423,7 @@ def test_printed_p3_overlap_is_real():
     # instances the published list does get right stay in agreement
     printed = printed_p3_edges((4, 3))
     g = build_gamma(3, (4, 3))
-    both = printed & g.predicate
+    both = as_vertices(g, printed & g.predicate)
     assert len(both) > 100
     for a, b in [(GammaVertex(1, 0, 1), GammaVertex(p_exp=2, two_exp=0, sign=1))]:
         assert (a, b) in both or (b, a) in both
@@ -381,7 +441,7 @@ def test_gamma2_edges_at_four():
     g = build_gamma(2, (3, 0))
     at4 = sorted(
         sorted([a.value(2), b.value(2)])
-        for a, b in g.edges
+        for a, b in as_vertices(g, g.edges)
         if 4 in (a.value(2), b.value(2))
     )
     assert at4 == [[-4, 4], [2, 4], [4, 8]]
@@ -400,7 +460,9 @@ def test_gamma2_agrees_with_top_doubletons():
         for y in vals[i + 1:]:
             expected = is_top(FiniteSubset.of(x, y))
             for edges in (g.predicate, g.closed):
-                got = any({a.value(2), b.value(2)} == {x, y} for a, b in edges)
+                got = any(
+                    {a.value(2), b.value(2)} == {x, y} for a, b in as_vertices(g, edges)
+                )
                 assert got == expected
 
 
