@@ -26,7 +26,9 @@ per-prime generator argument (_Generators, which also builds an
 escaping element, and scans the residues with its own _conditions so
 that the oracle shares no code with the closed form), classifies
 filters against the layers directly under the top one, and realizes a
-prescribed (A, alpha) pair.
+prescribed (A, alpha) pair. Nothing is cached: filter_leq builds a
+one-row _DescriptorIndex per call, and a caller that compares many
+sets builds one index over all of them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ import enum
 import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
 
 from .numtheory import (
     MAX_MAGNITUDE,
@@ -101,8 +102,8 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
     those at which E has at most one nonzero residue.
 
     A singleton fits such a set for every p, so it gets None. Otherwise
-    they are the keys of _residues(E). Uncached: is_top needs it alone,
-    and descriptor() caches it as the keys of alpha.
+    they are the keys of _residues(E), which descriptor() also keeps as
+    the keys of alpha; is_top needs them alone.
     """
     if len(E) == 1:
         return None
@@ -158,8 +159,7 @@ class FilterDescriptor:
     alpha's keys are A_E, its zeros the odd primes of Pi_E and
     alpha(2) = 1, so A is read off it. Pi also records whether 2 is
     common, and for a singleton, whose A is None and alpha None, the
-    primes of its element. Records compare by identity. descriptor()
-    caches and shares them, so the alpha dict must not be mutated.
+    primes of its element. Records compare by identity.
     """
 
     Pi: tuple[int, ...]
@@ -169,12 +169,6 @@ class FilterDescriptor:
     @property
     def A(self) -> tuple[int, ...] | None:
         return None if self.alpha is None else tuple(self.alpha)
-
-    @cached_property
-    def _row(self) -> _DescriptorIndex:
-        """The one-row instance [self] that filter_leq runs, built on
-        first use and kept, so that repeated comparisons build none."""
-        return _DescriptorIndex([self])
 
     def to_json_dict(self) -> dict:
         return {
@@ -189,7 +183,6 @@ class FilterDescriptor:
         return f"A={_braced(self.A)} Pi={_braced(self.Pi)} alpha={alpha}"
 
 
-@lru_cache(maxsize=2**13)
 def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """The invariants of E, the one place Pi_E and alpha_E are computed,
     in one pass: the residue map _residues(E), whose keys A_E hold every
@@ -216,15 +209,15 @@ def filter_leq(E: FiniteSubset, F: FiniteSubset) -> bool:
 
     With a singleton on either side the answer is set membership: the
     inclusion holds iff E is a singleton contained in F. Otherwise it
-    compares the alpha maps, run as _DescriptorIndex.column on E's
-    one-row instance.
+    compares the alpha maps, run as _DescriptorIndex.column on the
+    one-row instance [E].
 
     >>> filter_leq(FiniteSubset.of(1, 15), FiniteSubset.of(1, 5, 10))
     True
     """
     if len(E.elements) == 1 or len(F.elements) == 1:
         return len(E.elements) == 1 and E.elements[0] in F.elements
-    return descriptor(E)._row.column(descriptor(F)) == 1
+    return _DescriptorIndex([descriptor(E)]).column(descriptor(F)) == 1
 
 
 class _DescriptorIndex:
@@ -336,25 +329,20 @@ class _Generators:
         # the groups at p are disjoint, so their sum is their union
         self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
         self.outside = {p: self.full & ~in_a for p, in_a in self.in_a.items()}
-        self._members: dict[int, int] = {}
 
     def members(self, z: int) -> int:
         """The rows E whose generator G_E(()) contains z: at each scanned
         p with z = m != 0 (mod p), the rows outside A_E and those whose
-        S_E(p) holds {0, m} or every residue. Each z is tested once per
-        instance and remembered, so a witness that several columns build
-        costs one scan. Scanning fewer primes than A_E only adds members,
-        so a z outside every returned row escapes for good."""
-        rows = self._members.get(z)
-        if rows is None:
-            rows = 0
-            if z:
-                rows = self.full
-                for p in self.primes:
-                    if m := z % p:
-                        groups = self.rows_with[p]
-                        rows &= self.outside[p] | groups.get(0, 0) | groups.get(m, 0)
-            self._members[z] = rows
+        S_E(p) holds {0, m} or every residue. Scanning fewer primes than
+        A_E only adds members, so a z outside every returned row escapes
+        for good."""
+        if not z:
+            return 0
+        rows = self.full
+        for p in self.primes:
+            if m := z % p:
+                groups = self.rows_with[p]
+                rows &= self.outside[p] | groups.get(0, 0) | groups.get(m, 0)
         return rows
 
     def column(self, j: int) -> tuple[int, list[tuple[int, OrderWitness]]]:
@@ -378,7 +366,7 @@ class _Generators:
         (mod p) when S_F(p) is every residue. It is built once per extra
         congruence, checked against G_F(()), and checked against each
         group's targets with one mask test; its membership in every
-        G_E(()) comes from members, which scans each z once.
+        G_E(()) comes from one members scan.
         """
         conds = self.conds[j]
         system = tuple((r, q) for q, r in conds.items() if r)

@@ -453,32 +453,43 @@ def _suite_realize(cfg: SuiteConfig):
     return cases, failures, {"a_sets": len(a_sets)}
 
 
+# rows per ppix block: each of a block's primes keeps a bitset over its
+# rows, so one index over every x would grow with the square of the plan
+_PPIX_BLOCK = 1024
+
+
 def _suite_ppix(cfg: SuiteConfig):
     """The divisibility criterion read from the filter order: for an
     odd prime p and x outside -2..2, p | x iff {1, x} <= {1, p, 2p} and
-    {2, x} <= {2, p, 2p}, decided by filter_leq against x % p, for x in
-    [-bound, bound] and the odd primes up to 50. Each prime's two
-    targets are built once per suite and each x's two sets once per x.
-    Failures come x-major, p ascending."""
+    {2, x} <= {2, p, 2p}, for x in [-bound, bound] and the odd primes up
+    to 50. It runs filter_leq's closed form a prime at a time on blocks
+    of _PPIX_BLOCK values of x: one _DescriptorIndex over the block's
+    {1, x} rows and one over its {2, x} rows, whose columns at p's two
+    targets are ANDed and compared with the rows where p | x by one
+    XOR. Failures come x-major, p ascending."""
     bound = cfg.max_element if cfg.max_element is not None else 200
     odd_primes = [p for p in primes_upto(50) if p != 2]
     # x runs over [-bound, bound] minus -2..2
     cases = _within_budget(max(2 * bound - 4, 0) * len(odd_primes), "ppix cases")
+    xs = [x for x in range(-bound, bound + 1) if abs(x) > 2]
     targets = [
-        (p, FiniteSubset.of(1, p, 2 * p), FiniteSubset.of(2, p, 2 * p)) for p in odd_primes
+        (p, descriptor(FiniteSubset.of(1, p, 2 * p)), descriptor(FiniteSubset.of(2, p, 2 * p)))
+        for p in odd_primes
     ]
     failures = []
-    for x in range(-bound, bound + 1):
-        if x in (-2, -1, 0, 1, 2):
-            continue
-        E1, E2 = FiniteSubset.of(1, x), FiniteSubset.of(2, x)
+    for start in range(0, len(xs), _PPIX_BLOCK):
+        block = xs[start:start + _PPIX_BLOCK]
+        ones = _DescriptorIndex([descriptor(FiniteSubset.of(1, x)) for x in block])
+        twos = _DescriptorIndex([descriptor(FiniteSubset.of(2, x)) for x in block])
+        wrong = []
         for p, F1, F2 in targets:
-            got = filter_leq(E1, F1) and filter_leq(E2, F2)
-            want = x % p == 0
-            if got != want:
-                failures.append(VerifyFailure(
-                    f"x={x} p={p}", f"divides={want}", f"filters={got}"
-                ))
+            got = ones.column(F1) & twos.column(F2)
+            divisible = sum(1 << i for i, x in enumerate(block) if x % p == 0)
+            wrong.extend((i, p, bool(divisible >> i & 1)) for i in _bits(got ^ divisible))
+        failures.extend(
+            VerifyFailure(f"x={block[i]} p={p}", f"divides={want}", f"filters={not want}")
+            for i, p, want in sorted(wrong)
+        )
     return cases, failures, {"primes": len(odd_primes)}
 
 

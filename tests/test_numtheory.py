@@ -171,12 +171,13 @@ class TestFactorization:
             primes_upto(300_001)
 
     def test_caches_are_bounded(self):
-        # factorize is reached only through the cached prime_divisors
+        # factorize is reached only through the cached prime_divisors;
+        # descriptor is not cached at all
         from kirch.filters import descriptor
 
-        assert not hasattr(factorize, "cache_info")
-        for fn in (prime_divisors, descriptor):
-            assert fn.cache_info().maxsize is not None
+        for fn in (factorize, descriptor):
+            assert not hasattr(fn, "cache_info")
+        assert prime_divisors.cache_info().maxsize is not None
 
 
 class TestPrimeSet:

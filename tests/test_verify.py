@@ -110,7 +110,11 @@ def test_ppix_fault_is_caught(monkeypatch, verdict):
     # a broken order that answers every inclusion alike: the criterion
     # then claims p | x for every case, or for none, so the failures
     # are exactly the cases where p | x says otherwise
-    monkeypatch.setattr(verify, "filter_leq", lambda E, F: verdict)
+    monkeypatch.setattr(
+        filters._DescriptorIndex, "column", lambda self, dF: self.full if verdict else 0
+    )
+    # blocks of 10 rows, so that the failures span several blocks
+    monkeypatch.setattr(verify, "_PPIX_BLOCK", 10)
     report = run_suite("ppix", small(max_element=30))
     odd_primes = [p for p in primes_upto(50) if p != 2]
     want = [
@@ -121,6 +125,34 @@ def test_ppix_fault_is_caught(monkeypatch, verdict):
         if (x % p == 0) != verdict
     ]
     assert want
+    assert [(f.inputs, f.expected, f.actual) for f in report.failures] == want
+
+
+def test_ppix_partial_fault_is_reported_in_order(monkeypatch):
+    # a broken order that drops the condition of 7 alone fails only the
+    # cases it decides wrongly; the suite reports exactly those that two
+    # filter_leq calls per case find under the same fault, x-major
+    real = filters._DescriptorIndex.column
+
+    def column(self, dF):
+        alpha = {p: r for p, r in dF.alpha.items() if p != 7}
+        return real(self, dataclasses.replace(dF, alpha=alpha))
+
+    monkeypatch.setattr(filters._DescriptorIndex, "column", column)
+    # blocks of 10 rows, so that the failures span several blocks
+    monkeypatch.setattr(verify, "_PPIX_BLOCK", 10)
+    report = run_suite("ppix", small(max_element=40))
+    S = FiniteSubset.of
+    want = []
+    for x in range(-40, 41):
+        if abs(x) <= 2:
+            continue
+        for p in primes_upto(50)[1:]:
+            got = filter_leq(S(1, x), S(1, p, 2 * p)) and filter_leq(S(2, x), S(2, p, 2 * p))
+            if got != (x % p == 0):
+                want.append((f"x={x} p={p}", f"divides={not got}", f"filters={got}"))
+    # 7's targets lose their one odd prime, so every x claims 7 | x
+    assert want and {w[0].split()[1] for w in want} == {"p=7"}
     assert [(f.inputs, f.expected, f.actual) for f in report.failures] == want
 
 
@@ -219,9 +251,9 @@ def test_generator_order_agrees_with_order_oracle():
 
 
 def test_generator_columns_do_not_depend_on_their_order():
-    # members remembers each element's rows per instance; a memo keyed
-    # on less than the element (its extra congruence, its column) would
-    # hand one column's witness to another or skip an escape check
+    # witnesses are solved per column and extra congruence; state that
+    # outlived its column would hand one column's witness to another or
+    # skip an escape check, and then the two orders would differ
     sources = _order_catalog(12)
     primes = primes_upto(24)
     forward, backward = _Generators(sources, primes), _Generators(sources, primes)
@@ -340,13 +372,17 @@ def test_closure_suite_calls_the_oracle_once_per_class(monkeypatch):
     assert calls <= 2 * 2870
 
 
-def test_order_catalog_leaves_descriptor_cache_empty():
+def test_order_catalog_builds_no_descriptor(monkeypatch):
     # keyed on generator conditions, the catalog keeps the same sets in
     # the same order as deduplicating every subset on its descriptor
+    def refuse(E):
+        raise AssertionError("the catalog built a descriptor")
+
     for bound in (8, 12):
-        descriptor.cache_clear()
-        catalog = _order_catalog(bound)
-        assert descriptor.cache_info().currsize == 0
+        with monkeypatch.context() as m:
+            m.setattr(verify, "descriptor", refuse)
+            m.setattr(filters, "descriptor", refuse)
+            catalog = _order_catalog(bound)
         vals = [v for v in range(-bound, bound + 1) if v != 0]
         want: dict = {}
         for size in (2, 3):
@@ -375,15 +411,6 @@ def _triple_loop_catalog(bound):
 @pytest.mark.parametrize("bound", [*range(1, 21), 30, 40])
 def test_order_catalog_matches_the_triple_loop(bound):
     assert _order_catalog(bound) == _triple_loop_catalog(bound)
-
-
-def test_verify_all_fits_the_descriptor_cache():
-    # each miss adds an entry and none is evicted, so every descriptor
-    # verify all asks for twice is served from the cache
-    descriptor.cache_clear()
-    run_suite("all", SuiteConfig())
-    info = descriptor.cache_info()
-    assert info.currsize == info.misses < info.maxsize
 
 
 def test_unknown_names_rejected():
