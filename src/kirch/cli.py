@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     defaults = SuiteConfig()
     p = add("verify", "run a verification suite")
     p.add_argument("suite", choices=_SUITE_NAMES)
-    p.add_argument("--window", type=int, default=defaults.window,
-                   help="half-width of the window of z that closure checks")
     p.add_argument("--bounds", default="%d,%d" % defaults.graph_bounds,
                    help="exponent bounds i,j of gamma (Gamma_3 gets one more row) "
                         "and gamma2 (which uses i + 1)")
@@ -264,7 +262,6 @@ def _cmd_prime_class(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     cfg = SuiteConfig(
-        window=ns.window,
         max_element=ns.max_element,
         graph_bounds=_parse_bounds(ns.bounds),
         seed=ns.seed,

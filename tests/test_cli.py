@@ -70,6 +70,7 @@ def test_closure_rejects_huge_window(capsys):
 
 
 def test_verify_rejects_huge_window(capsys):
+    # verify closure checks one fixed window and takes no --window
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "closure", "--window", "200000000")
     assert time.perf_counter() - start < 1.0
@@ -431,7 +432,7 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     (("order", "--max-element", "1000"), "budget"),  # 1.3 G catalog subsets
     (("order", "--max-element", "41"), "budget"),  # 3164^2 catalog pairs
     (("closure", "--max-element", "100000"), "budget"),
-    (("closure", "--window", "10000"), "budget"),
+    (("closure", "--max-element", "36"), "budget"),  # 10.4 M cases, the smallest refused
     (("pair_formula", "--max-element", "3000"), "budget"),  # below the sieve bound
     (("top", "--max-element", "100000"), "budget"),
     (("ppix", "--max-element", "10000000"), "budget"),
@@ -440,7 +441,7 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     (("gamma", "--bounds", "5,1"), "interior"),  # none in Gamma_3, 5, 7, 31
     (("gamma", "--bounds", "4,2"), "interior"),  # none in Gamma_31
     (("ppix", "--max-element", "2"), "vacuous"),  # no x outside -2..2
-], ids=["order-1000", "order-41", "closure-100000", "closure-window-10000",
+], ids=["order-1000", "order-41", "closure-100000", "closure-36",
         "pair_formula-3000", "top-100000", "ppix-10000000", "pair_formula-235",
         "gamma-5,1", "gamma-4,2", "ppix-2"])
 def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv, why):
@@ -455,7 +456,7 @@ def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv, why):
     (("verify", "gamma", "--format", "json"), 0),
     (("gamma", "3"), 0),
     (("ae", "5", "10"), 0),
-    (("verify", "closure", "--window", "0"), 2),
+    (("verify", "closure", "--max-element", "0"), 2),
 ], ids=["verify-gamma-json", "gamma-dot", "ae", "unusable-input"])
 def test_closed_stdout_keeps_the_exit_status(argv, code):
     # the reader is gone before the first write, as in `kirch ... | head -1`
@@ -495,7 +496,7 @@ def test_every_verify_option_has_help():
     sub = next(a for a in _build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     options = [a for a in sub.choices["verify"]._actions if a.option_strings]
-    assert {"window", "bounds", "seed", "max_element"} <= {a.dest for a in options}
+    assert {"bounds", "seed", "max_element"} <= {a.dest for a in options}
     assert [a.dest for a in options if not a.help] == []
 
 

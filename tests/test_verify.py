@@ -40,8 +40,9 @@ def test_quick_suites_pass():
         assert report.suite == name
 
 
-def test_closure_suite_small_window():
-    report = run_suite("closure", small(window=60, max_element=6))
+def test_closure_suite_small_window(monkeypatch):
+    monkeypatch.setattr(verify, "_CLOSURE_WINDOW", 60)
+    report = run_suite("closure", small(max_element=6))
     assert report.passed
     assert report.cases == 2 * 6 * 6 * 120
     assert report.details["window"] == 60
@@ -303,7 +304,8 @@ def test_closure_mismatch_reported_under_every_naming_pair(monkeypatch):
         verify, "closure",
         lambda prog: ClosureSet((), prog.a) if prog == broken else real(prog),
     )
-    report = run_suite("closure", small(window=10, max_element=6))
+    monkeypatch.setattr(verify, "_CLOSURE_WINDOW", 10)
+    report = run_suite("closure", small(max_element=6))
     assert report.cases == 2 * 6 * 6 * 20
     by_pair: dict = {}
     for f in report.failures:
@@ -323,7 +325,8 @@ def test_closure_with_a_foreign_prime_fails_as_per_z(monkeypatch):
         verify, "closure",
         lambda prog: ClosureSet(real(prog).modulus_primes + (7,), prog.a),
     )
-    report = run_suite("closure", small(window=10, max_element=6))
+    monkeypatch.setattr(verify, "_CLOSURE_WINDOW", 10)
+    report = run_suite("closure", small(max_element=6))
     expected = []
     for a in (*range(-6, 0), *range(1, 7)):
         for b in range(1, 7):
@@ -349,7 +352,8 @@ def test_closure_lie_on_positive_points_fails(monkeypatch):
         verify, "closure",
         lambda prog: Flipped(real(prog).modulus_primes, prog.a),
     )
-    report = run_suite("closure", small(window=10, max_element=6))
+    monkeypatch.setattr(verify, "_CLOSURE_WINDOW", 10)
+    report = run_suite("closure", small(max_element=6))
     zs = sorted(int(f.inputs.split("z=")[1]) for f in report.failures)
     # every positive window point of every (a, b) pair, and nothing else
     assert zs == sorted(list(range(1, 11)) * 2 * 6 * 6)
@@ -420,8 +424,6 @@ def test_unknown_names_rejected():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SuiteConfig(window=0)
-    with pytest.raises(ValueError):
         SuiteConfig(max_element=-3)
     with pytest.raises(ValueError):
         SuiteConfig(graph_bounds=(-1, 2))
@@ -453,7 +455,7 @@ def test_render_text_lines():
 
 
 def test_all_merges_in_fixed_order():
-    cfg = small(window=30, max_element=5)
+    cfg = small(max_element=5)
     report = run_suite("all", cfg)
     subs = [s["suite"] for s in report.details["suites"]]
     assert subs == [
