@@ -34,7 +34,8 @@ _SUITE_NAMES = (*_SUITES, "all")
 
 class _Parser(argparse.ArgumentParser):
     """A parser whose usage errors take one stderr line, as every other
-    refusal does; --help still prints the usage."""
+    refusal does; --help still prints the usage. The top-level parser's
+    `commands` maps each command's name to that command's parser."""
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
@@ -95,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-element", type=int, default=None,
                    help="the bound that closure, pair_formula, order, top and ppix "
                         "range over; each keeps its own default when omitted")
+    parser.commands = sub.choices
     return parser
 
 
@@ -284,10 +286,28 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
     parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        ns, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return ns
+    # argparse words the refusal of left-over arguments, and every usage
+    # error that names no command, at the top level
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit status.
+
+    A call that names a command parses once, with that command's own
+    parser; the top-level parser would only hand it the same arguments.
+    A call that names no command, or leaves arguments over, goes through
+    the full two-level parse, so every usage message is argparse's own.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -96,7 +96,18 @@ class ClosureSet:
         return frozenset({0, self.allowed_residue % p})
 
     def sample(self, w: Window) -> list[int]:
-        return [z for z in w.members() if z in self]
+        """The members of the closure in w, in the window's order.
+
+        The window is filtered one modulus prime at a time, through a
+        lazy chain of filters: no method call or generator per point,
+        and no list per prime. Each filter binds its p and r as lambda
+        defaults; a plain closure would read the loop's last prime.
+        """
+        a = self.allowed_residue
+        zs = w.members()
+        for p in self.modulus_primes:
+            zs = filter(lambda z, p=p, r=a % p: z % p == 0 or z % p == r, zs)
+        return list(zs)
 
     def __str__(self) -> str:
         if not self.modulus_primes:

@@ -1,6 +1,5 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
-import argparse
 import hashlib
 import json
 import os
@@ -11,6 +10,7 @@ import time
 
 import pytest
 
+from kirch import cli
 from kirch.cli import _build_parser, main
 from kirch.filters import FiniteSubset, descriptor
 
@@ -493,9 +493,8 @@ def test_repeated_calls_match_fresh_processes(capsys):
 
 
 def test_every_verify_option_has_help():
-    sub = next(a for a in _build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
-    options = [a for a in sub.choices["verify"]._actions if a.option_strings]
+    verify = _build_parser().commands["verify"]
+    options = [a for a in verify._actions if a.option_strings]
     assert {"bounds", "seed", "max_element"} <= {a.dest for a in options}
     assert [a.dest for a in options if not a.help] == []
 
@@ -506,3 +505,45 @@ def test_usage_errors(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "ae", "x")[0] == 2
     assert run(capsys, "ae", "--format", "dot", "5")[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("nonsense",), ("clos", "1", "2"), ("--format", "json", "ae", "1", "2"),
+    ("-h", "ae"),
+    ("ae", "1", "2", "--bogus"), ("closure", "1", "2", "3"),
+    ("verify", "closure", "--window", "5"),
+    ("realize", "--A", "2", "--alpha", "2=1", "extra"),
+    ("ae", "x"), ("ae", "--format", "dot", "5"), ("verify", "al"),
+    ("ae", "--form", "json", "1", "2"),
+    ("closure", "-h"), ("ae", "--", "-5", "3"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_dispatch_matches_the_two_level_parse(capsys, monkeypatch, argv):
+    # main parses a named command with that command's parser alone; its
+    # exit status, stdout and stderr must be those of the full two-level
+    # parse on this interpreter, whose argparse words its own messages
+    once = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse", lambda argv: _build_parser().parse_args(argv))
+    assert run(capsys, *argv) == once
+
+
+def test_a_named_command_skips_the_top_level_parser(capsys, monkeypatch):
+    # a valid call costs one argparse pass; a slide back to the two-level
+    # parse fails here, not only in the benchmark
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran on a valid call")
+
+    monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
+    calls = [
+        ("closure", "1", "30"),
+        ("ae", "5", "10"),
+        ("cmp", "5", "10", ";", "7", "14"),
+        ("classify", "1", "5", "10"),
+        ("realize", "--A", "2,5", "--alpha", "2=1,5=2"),
+        ("gamma", "7", "--bounds", "4,3"),
+        ("prime-class", "31"),
+        ("verify", "zsigmondy"),
+    ]
+    assert sorted(argv[0] for argv in calls) == sorted(cli._COMMANDS)
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out, argv

@@ -91,6 +91,27 @@ class TestClosureFormula:
         assert closure(Progression(1, 1)) == ClosureSet((), 1)
 
 
+class TestSample:
+    # sample filters a prime at a time; each is checked against the
+    # point-by-point membership test it replaces
+    @pytest.mark.parametrize("b", [*range(1, 61), 2310])
+    def test_matches_membership(self, b):
+        w = Window(100)
+        for a in (*range(-30, 0), *range(1, 31)):
+            cs = closure(Progression(a, b))
+            assert cs.sample(w) == [z for z in w.members() if z in cs], (a, b)
+
+    def test_five_primes(self):
+        # by the CRT, 2^5 classes mod 2310 pass all five filters; [-2310,
+        # 2310] minus 0 holds two whole periods, less 0, plus 2310
+        cs = closure(Progression(1, 2310))
+        assert cs.modulus_primes == (2, 3, 5, 7, 11)
+        got = cs.sample(Window(2310))
+        assert len(got) == 2 * 2**5
+        assert got == [z for z in range(-2310, 2311)
+                       if z and all(z % p in (0, 1) for p in cs.modulus_primes)]
+
+
 class TestSeparationOracle:
     def test_frozen_examples(self):
         assert closure_oracle_member(4, Progression(2, 3)) is False
