@@ -4,6 +4,11 @@ Every operation is scriptable: data goes to stdout, diagnostics to
 stderr, and the exit status is 0 for success, 1 for a verification
 failure, 2 for unusable input. --format json emits one parseable
 object per invocation with the same content as the text rendering.
+
+One table, `_COMMANDS`, gives each command's handler and arguments. A
+plain call is read straight off it; help, abbreviations, `--opt=value`
+and every usage error go through the argparse parser built from it,
+so their text is argparse's own.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 
 from .filters import (
@@ -39,65 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")
-
-
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="kirch",
-        description="progressions, filters and prime-power graphs over the nonzero integers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, formats=("text", "json")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--format", choices=formats, default="text",
-                       help="output rendering")
-        return p
-
-    p = add("closure", "closure of the progression a + bZ")
-    p.add_argument("a", type=int)
-    p.add_argument("b", type=int)
-    p.add_argument("--window", type=int, default=50,
-                   help="half-width of the sample of members printed")
-
-    p = add("ae", "invariants A, Pi and alpha of a finite set")
-    p.add_argument("elements", type=int, nargs="+")
-
-    p = add("cmp", "compare the filters of two sets, given as E ; F")
-    p.add_argument("items", nargs="+",
-                   help="elements of E, a literal ';', elements of F")
-
-    p = add("classify", "place a set's filter in the hierarchy")
-    p.add_argument("elements", type=int, nargs="+")
-
-    p = add("realize", "build a set with prescribed invariants")
-    p.add_argument("--A", required=True, help="comma-separated primes, e.g. 2,5")
-    p.add_argument("--alpha", required=True,
-                   help="comma-separated residue choices, e.g. 2=1,5=2")
-
-    p = add("gamma", "emit the prime-power graph (DOT by default; text is DOT too)",
-            formats=("text", "json", "dot"))
-    p.add_argument("p", type=int)
-    p.add_argument("--bounds", default="9,5",
-                   help="exponent bounds i,j (for p=2 only i is used)")
-
-    p = add("prime-class", "Fermat/Mersenne class of a prime")
-    p.add_argument("p", type=int)
-
-    defaults = SuiteConfig()
-    p = add("verify", "run a verification suite")
-    p.add_argument("suite", choices=_SUITE_NAMES)
-    p.add_argument("--bounds", default="%d,%d" % defaults.graph_bounds,
-                   help="exponent bounds i,j of gamma (Gamma_3 gets one more row) "
-                        "and gamma2 (which uses i + 1)")
-    p.add_argument("--seed", type=int, default=defaults.seed,
-                   help="seed of order's sampled pairs")
-    p.add_argument("--max-element", type=int, default=None,
-                   help="the bound that closure, pair_formula, order, top and ppix "
-                        "range over; each keeps its own default when omitted")
-    parser.commands = sub.choices
-    return parser
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:
@@ -274,44 +221,169 @@ def _cmd_verify(ns) -> int:
     return 0 if report.passed else 1
 
 
+def _command(run, help_text, *arguments, formats=("text", "json")):
+    """A row of the command table: the handler, the help text, and each
+    argument as its flag and the keyword arguments of argparse's
+    add_argument, --format first."""
+    rendering = ("--format", {"choices": formats, "default": "text",
+                              "help": "output rendering"})
+    return run, help_text, (rendering, *arguments)
+
+
+_DEFAULTS = SuiteConfig()
+
+# Both the argparse parser and the plain parse read this table. Every
+# option has one flag, and a positional with nargs="+" comes last.
 _COMMANDS = {
-    "closure": _cmd_closure,
-    "ae": _cmd_ae,
-    "cmp": _cmd_cmp,
-    "classify": _cmd_classify,
-    "realize": _cmd_realize,
-    "gamma": _cmd_gamma,
-    "prime-class": _cmd_prime_class,
-    "verify": _cmd_verify,
+    "closure": _command(
+        _cmd_closure, "closure of the progression a + bZ",
+        ("a", {"type": int}),
+        ("b", {"type": int}),
+        ("--window", {"type": int, "default": 50,
+                      "help": "half-width of the sample of members printed"}),
+    ),
+    "ae": _command(
+        _cmd_ae, "invariants A, Pi and alpha of a finite set",
+        ("elements", {"type": int, "nargs": "+"}),
+    ),
+    "cmp": _command(
+        _cmd_cmp, "compare the filters of two sets, given as E ; F",
+        ("items", {"nargs": "+",
+                   "help": "elements of E, a literal ';', elements of F"}),
+    ),
+    "classify": _command(
+        _cmd_classify, "place a set's filter in the hierarchy",
+        ("elements", {"type": int, "nargs": "+"}),
+    ),
+    "realize": _command(
+        _cmd_realize, "build a set with prescribed invariants",
+        ("--A", {"required": True, "help": "comma-separated primes, e.g. 2,5"}),
+        ("--alpha", {"required": True,
+                     "help": "comma-separated residue choices, e.g. 2=1,5=2"}),
+    ),
+    "gamma": _command(
+        _cmd_gamma, "emit the prime-power graph (DOT by default; text is DOT too)",
+        ("p", {"type": int}),
+        ("--bounds", {"default": "9,5",
+                      "help": "exponent bounds i,j (for p=2 only i is used)"}),
+        formats=("text", "json", "dot"),
+    ),
+    "prime-class": _command(
+        _cmd_prime_class, "Fermat/Mersenne class of a prime",
+        ("p", {"type": int}),
+    ),
+    "verify": _command(
+        _cmd_verify, "run a verification suite",
+        ("suite", {"choices": _SUITE_NAMES}),
+        ("--bounds", {"default": "%d,%d" % _DEFAULTS.graph_bounds,
+                      "help": "exponent bounds i,j of gamma (Gamma_3 gets one more row) "
+                              "and gamma2 (which uses i + 1)"}),
+        ("--seed", {"type": int, "default": _DEFAULTS.seed,
+                    "help": "seed of order's sampled pairs"}),
+        ("--max-element", {"type": int, "default": None,
+                           "help": "the bound that closure, pair_formula, order, top and "
+                                   "ppix range over; each keeps its own default when omitted"}),
+    ),
 }
 
 
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="kirch",
+        description="progressions, filters and prime-power graphs over the nonzero integers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+    parser.commands = sub.choices
+    return parser
+
+
+# argparse reads these as positionals too, since no option here looks
+# like a negative number
+_NEGATIVE_INT = re.compile(r"-\d+$")
+
+
+def _is_positional(arg: str) -> bool:
+    return arg[:1] != "-" or _NEGATIVE_INT.match(arg) is not None
+
+
+def _value(kwargs: dict, text: str):
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"{value!r} is not a choice")
+    return value
+
+
+def _plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse returns for a plain call, read off the
+    command table; None for any other call.
+
+    A plain call is an exact command name, then `--option value` pairs
+    with exact option strings before or after one contiguous block of
+    positionals, every value and positional either free of a leading
+    "-" or a negative integer, each converted by its `type` and within
+    its `choices`, with each required option and each positional given.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    arguments = _COMMANDS[argv[0]][2]
+    options = {flag: (flag.lstrip("-").replace("-", "_"), kw)
+               for flag, kw in arguments if flag[0] == "-"}
+    positionals = [(name, kw) for name, kw in arguments if name[0] != "-"]
+    ns = {"command": argv[0], **{dest: kw.get("default") for dest, kw in options.values()}}
+    missing = {flag for flag, (_, kw) in options.items() if kw.get("required")}
+    block, closed = [], False
+    rest = iter(argv[1:])
+    try:
+        for arg in rest:
+            if _is_positional(arg):
+                if closed:
+                    return None
+                block.append(arg)
+                continue
+            value = next(rest, "-")
+            if arg not in options or not _is_positional(value):
+                return None
+            dest, kw = options[arg]
+            ns[dest] = _value(kw, value)
+            missing.discard(arg)
+            closed = bool(block)
+        for name, kw in positionals:
+            if not block:
+                return None
+            if kw.get("nargs") == "+":
+                ns[name] = [_value(kw, text) for text in block]
+                block = []
+            else:
+                ns[name] = _value(kw, block.pop(0))
+    except ValueError:
+        return None
+    return None if block or missing else argparse.Namespace(**ns)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    parser = _build_parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is not None:
-        ns, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return ns
-    # argparse words the refusal of left-over arguments, and every usage
-    # error that names no command, at the top level
-    return parser.parse_args(argv)
+    ns = _plain(argv)
+    return ns if ns is not None else _build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit status.
 
-    A call that names a command parses once, with that command's own
-    parser; the top-level parser would only hand it the same arguments.
-    A call that names no command, or leaves arguments over, goes through
-    the full two-level parse, so every usage message is argparse's own.
+    A plain call (see `_plain`) is read straight off the command table
+    and builds no parser. Any other call, help and every usage error
+    among them, goes through the argparse parser built from the same
+    table, so its help and messages are argparse's own.
     """
     try:
         ns = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[ns.command](ns)
+        return _COMMANDS[ns.command][0](ns)
     except (ValueError, OverflowError) as e:
         print(f"kirch {ns.command}: {e}", file=sys.stderr)
         return 2

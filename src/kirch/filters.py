@@ -137,8 +137,11 @@ def _residues(xs: tuple[int, ...]) -> dict[int, int]:
 def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     """Closed form for a doubleton: the prime divisors of x, y, and x-y.
 
-    x and y meet the 63-bit guard of prime_divisors first, so
-    |x - y| < 2^64, the bound _factorize works to.
+    The primes of x, y and x - y all come from the cached
+    prime_divisors, so a difference that recurs, as it does across the
+    pairs of a suite, is factored once. x and y meet its 63-bit guard
+    first; a difference past that guard is below 2^64, the bound
+    _factorize works to, and is factored there.
 
     >>> a_of_pair_formula(3, 6)
     (2, 3)
@@ -149,7 +152,9 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
         raise ValueError("need two distinct elements")
     # x and y first, so that an element past 63 bits meets that guard
     px, py = prime_divisors(x), prime_divisors(y)
-    return tuple(sorted({*px, *py, *_factorize(abs(x - y))}))
+    d = x - y
+    pd = prime_divisors(d) if abs(d) <= MAX_MAGNITUDE else _factorize(abs(d))
+    return tuple(sorted({*px, *py, *pd}))
 
 
 @dataclass(frozen=True, eq=False)

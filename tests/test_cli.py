@@ -9,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kirch import cli
 from kirch.cli import _build_parser, main
@@ -526,13 +528,13 @@ def test_dispatch_matches_the_two_level_parse(capsys, monkeypatch, argv):
     assert run(capsys, *argv) == once
 
 
-def test_a_named_command_skips_the_top_level_parser(capsys, monkeypatch):
-    # a valid call costs one argparse pass; a slide back to the two-level
-    # parse fails here, not only in the benchmark
-    def refuse(*args, **kwargs):
-        raise AssertionError("the top-level parser ran on a valid call")
+def test_a_plain_call_builds_no_parser(capsys, monkeypatch):
+    # a plain call is read off the command table; a slide back to
+    # argparse on every call fails here, not only in the benchmark
+    def refuse():
+        raise AssertionError("a plain call built the argparse parser")
 
-    monkeypatch.setattr(_build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(cli, "_build_parser", refuse)
     calls = [
         ("closure", "1", "30"),
         ("ae", "5", "10"),
@@ -547,3 +549,70 @@ def test_a_named_command_skips_the_top_level_parser(capsys, monkeypatch):
     for argv in calls:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, "") and out, argv
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("nonsense",), ("clos", "1", "2"), ("--format", "json", "ae", "1"),
+    ("ae", "-h"), ("ae", "1", "--help"), ("ae", "--form", "json", "1"),
+    ("ae", "--format=json", "1"), ("ae", "--", "-5", "3"), ("ae", "1", "--"),
+    ("ae", "1", "--format", "json", "2"), ("closure", "1", "--window", "5", "2"),
+    ("ae", "x"), ("ae", "1.5"), ("ae", "-1.5"), ("ae", "-x"), ("ae", "-"),
+    ("cmp", "1", ";", "-5x"), ("closure", "1", "2", "--window"),
+    ("ae", "--format", "dot", "1"), ("ae", "--format"), ("ae", "1", "--format", "-j"),
+    ("ae",), ("closure", "1"), ("closure", "1", "2", "3"), ("closure", "1", "2", "--bogus", "3"),
+    ("realize", "--A", "2"), ("realize", "--alpha", "2=1"),
+    ("realize", "--A", "2", "--alpha", "2=1", "extra"),
+    ("verify", "al"), ("verify", "all", "--seed", "x"), ("verify", "all", "--window", "5"),
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_these_calls_go_to_argparse(argv):
+    assert cli._plain(list(argv)) is None
+
+
+_OPTIONS = sorted({flag for _, _, arguments in cli._COMMANDS.values()
+                   for flag, _ in arguments if flag[0] == "-"})
+_TOKENS = st.sampled_from([
+    "0", "1", "5", "-3", "-0", "30", "9223372036854775807", "-9223372036854775807",
+    "9223372036854775808", "1_000", " 7", "-\u0663", "\u00b2", "-1.5", "", "-", "x",
+    ";", "all", "order", "al", "2,5", "2=1,5=2", "9,5", "json", "text", "dot",
+    "-h", "--help", "--", "--form", "--win", "--max", "--al", "--bogus",
+    "--format=json", "--window=5", "--A=2", "-5x",
+]) | st.sampled_from(_OPTIONS) | st.integers().map(str) | st.text(max_size=3)
+
+
+def _accepted(kwargs):
+    """Values that argparse accepts for an argument of the table."""
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    numbers = st.integers(-2**64, 2**64).map(str)
+    return numbers if "type" in kwargs else numbers | st.sampled_from([";", "9,5", "2=1,5=2"])
+
+
+@st.composite
+def _calls(draw):
+    """A call of one command: option pairs, a block of positionals and
+    option pairs again, with up to two tokens inserted or replaced."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[name][2]
+    options = st.lists(st.sampled_from([a for a in arguments if a[0][0] == "-"]), max_size=3)
+
+    def pairs():
+        return [token for flag, kw in draw(options) for token in (flag, draw(_accepted(kw)))]
+
+    block = [
+        draw(_accepted(kw)) for flag, kw in arguments if flag[0] != "-"
+        for _ in range(draw(st.integers(1, 3)) if kw.get("nargs") == "+" else 1)
+    ]
+    argv = [name, *pairs(), *block, *pairs()]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at + draw(st.integers(0, 1))] = [draw(_TOKENS)]
+    return argv
+
+
+@given(_calls())
+@settings(max_examples=500, deadline=None)
+def test_plain_parse_defers_or_matches_argparse(argv):
+    # a call the plain parse accepts but argparse refuses exits here
+    ns = cli._plain(argv)
+    if ns is not None:
+        assert vars(ns) == vars(_build_parser().parse_args(argv))

@@ -8,6 +8,7 @@ import pytest
 
 from kirch import filters, verify
 from kirch.filters import FilterClass, filter_leq, realize
+from kirch.numtheory import prime_divisors
 from kirch.topology import ClosureSet
 from kirch.verify import SuiteConfig, run_suite
 
@@ -37,6 +38,22 @@ def _closure_failures_at_31():
     return run_suite("closure", SuiteConfig(max_element=31)).failures
 
 
+def _pair_formula_failures_at_10():
+    return run_suite("pair_formula", SuiteConfig(max_element=10)).failures
+
+
+def _top_failures_at_8():
+    return run_suite("top", SuiteConfig(max_element=8)).failures
+
+
+def _pair_formula_without_the_difference(real):
+    return lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)}))
+
+
+def _is_top_accepting_2_and_3(real):
+    return lambda E: real(E) or filters.a_of(E) == (2, 3)
+
+
 def _classify_ignoring_pi(real):
     # `len(A) == 3` in place of `len(A) == 3 and set(d.Pi) <= {2}`
     def classify(E):
@@ -57,7 +74,10 @@ def _closure_dropping_its_largest_prime_past_30(real):
 @pytest.mark.parametrize("module,name,mutant,check", [
     (filters, "classify", _classify_ignoring_pi, _layer_violations),
     (verify, "closure", _closure_dropping_its_largest_prime_past_30, _closure_failures_at_31),
-], ids=["classify-pi", "closure-b-past-30"])
+    (verify, "a_of_pair_formula", _pair_formula_without_the_difference,
+     _pair_formula_failures_at_10),
+    (verify, "is_top", _is_top_accepting_2_and_3, _top_failures_at_8),
+], ids=["classify-pi", "closure-b-past-30", "pair-formula-no-difference", "top-2-3"])
 def test_mutant_is_caught(monkeypatch, module, name, mutant, check):
     assert not check()
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
