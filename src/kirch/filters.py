@@ -36,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .numtheory import (
     MAX_MAGNITUDE,
@@ -57,7 +57,6 @@ def _braced(xs) -> str:
     return "{" + ", ".join(map(str, xs)) + "}"
 
 
-@dataclass(frozen=True)
 class FiniteSubset:
     """A nonempty set of nonzero integers within the 63-bit range,
     stored sorted.
@@ -66,10 +65,10 @@ class FiniteSubset:
     FiniteSubset(elements=(5, 10))
     """
 
-    elements: tuple[int, ...]
+    __slots__ = ("elements",)
 
-    def __post_init__(self) -> None:
-        xs = tuple(sorted(set(self.elements)))
+    def __init__(self, elements: tuple[int, ...]):
+        xs = tuple(sorted(set(elements)))
         if not xs:
             raise ValueError("the empty set carries no filter")
         if 0 in xs:
@@ -79,6 +78,18 @@ class FiniteSubset:
             if abs(x) > MAX_MAGNITUDE:
                 raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
         object.__setattr__(self, "elements", xs)
+
+    def __repr__(self) -> str:
+        return f"FiniteSubset(elements={self.elements!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.elements == self.elements
+
+    def __hash__(self) -> int:
+        return hash(self.elements)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def of(cls, *elements: int) -> "FiniteSubset":
@@ -157,7 +168,6 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     return tuple(sorted({*px, *py, *pd}))
 
 
-@dataclass(frozen=True, eq=False)
 class FilterDescriptor:
     """A filter's invariants, held in alpha, plus its source set.
 
@@ -167,9 +177,18 @@ class FilterDescriptor:
     primes of its element. Records compare by identity.
     """
 
-    Pi: tuple[int, ...]
-    alpha: dict[int, int] | None
-    source: FiniteSubset
+    __slots__ = ("Pi", "alpha", "source")
+
+    def __init__(self, Pi: tuple[int, ...], alpha: dict[int, int] | None, source: FiniteSubset):
+        object.__setattr__(self, "Pi", Pi)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "source", source)
+
+    def __repr__(self) -> str:
+        return f"FilterDescriptor(Pi={self.Pi!r}, alpha={self.alpha!r}, source={self.source!r})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def A(self) -> tuple[int, ...] | None:
@@ -269,8 +288,7 @@ _PI_BLOCK = "odd common divisor of F is unconstrained in E"
 _ALPHA = "residue choices disagree"
 
 
-@dataclass(frozen=True)
-class OrderWitness:
+class OrderWitness(NamedTuple):
     """Evidence that one generator inclusion fails: an element of the
     minimal F-side generator G_F(()) escaping an E-side generator through
     the named prime p. The reason names that generator: G_E({p}) when

@@ -33,7 +33,6 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .filters import a_of_pair_formula
@@ -169,18 +168,29 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
     return _edges(p, bounds, _families(p))
 
 
-@dataclass(frozen=True, eq=False)
 class GammaGraph:
     """An immutable built graph: p, exponent bounds, the vertices in
     grid order, and the edge sets of the two constructions, the
     predicate and the closed form, as index pairs into vertices; every
-    other view of the edges is derived from those two."""
+    other view of the edges is derived from those two. Graphs compare
+    by identity."""
 
-    p: int
-    bounds: Bounds
-    vertices: tuple[GammaVertex, ...]
-    predicate: frozenset[Edge]
-    closed: frozenset[Edge]
+    __slots__ = ("p", "bounds", "vertices", "predicate", "closed")
+
+    def __init__(self, p: int, bounds: Bounds, vertices: tuple[GammaVertex, ...],
+                 predicate: frozenset[Edge], closed: frozenset[Edge]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "predicate", predicate)
+        object.__setattr__(self, "closed", closed)
+
+    def __repr__(self) -> str:
+        return (f"GammaGraph(p={self.p!r}, bounds={self.bounds!r}, vertices={self.vertices!r}, "
+                f"predicate={self.predicate!r}, closed={self.closed!r})")
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def edges(self) -> frozenset[Edge]:

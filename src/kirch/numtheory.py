@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 MAX_MAGNITUDE = 2**63 - 1
 
@@ -77,8 +77,10 @@ def primes_upto(limit: int) -> list[int]:
     return _primes_upto(limit)
 
 
-# Witnesses making Miller-Rabin deterministic for n < 3.3 * 10^24,
-# which covers the 63-bit range and the 2^64 difference path.
+# The first 12 primes as witnesses make Miller-Rabin deterministic for
+# n < psi_12 = 318,665,857,834,031,151,167,461 (about 3.2 * 10^23;
+# Sorenson and Webster, Math. Comp. 2017), which covers the 63-bit range
+# and the 2^64 difference path.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -224,22 +226,32 @@ def prime_divisors(x: int) -> tuple[int, ...]:
     return tuple(factorize(x))
 
 
-@dataclass(frozen=True)
 class CongruenceSystem:
     """Congruences x = a_i (mod b_i) with pairwise coprime moduli."""
 
-    congruences: tuple[tuple[int, int], ...]
+    __slots__ = ("congruences",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "congruences", tuple((a, b) for a, b in self.congruences)
-        )
-        for _, b in self.congruences:
+    def __init__(self, congruences: tuple[tuple[int, int], ...]):
+        congruences = tuple((a, b) for a, b in congruences)
+        for _, b in congruences:
             if b < 1:
                 raise ValueError(f"modulus {b} must be >= 1")
-        for (_, b1), (_, b2) in itertools.combinations(self.congruences, 2):
+        for (_, b1), (_, b2) in itertools.combinations(congruences, 2):
             if math.gcd(b1, b2) != 1:
                 raise ValueError(f"moduli {b1} and {b2} are not coprime")
+        object.__setattr__(self, "congruences", congruences)
+
+    def __repr__(self) -> str:
+        return f"CongruenceSystem(congruences={self.congruences!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.congruences == self.congruences
+
+    def __hash__(self) -> int:
+        return hash(self.congruences)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def of(cls, *congruences: tuple[int, int]) -> "CongruenceSystem":
@@ -269,8 +281,7 @@ def crt_solve(sys: CongruenceSystem) -> int:
     return x if x > 0 else x + m
 
 
-@dataclass(frozen=True)
-class PrimeClass:
+class PrimeClass(NamedTuple):
     """Fermat/Mersenne membership flags, both true only for 3, and the
     exponent m with p = 2^m + 1 or p = 2^m - 1 (the Fermat form first,
     so m = 1 for 3); m is None for every other prime."""

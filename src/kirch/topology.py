@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .numtheory import MAX_MAGNITUDE, prime_divisors
 
@@ -19,7 +18,6 @@ from .numtheory import MAX_MAGNITUDE, prime_divisors
 _MAX_WINDOW = 10**6
 
 
-@dataclass(frozen=True)
 class Progression:
     """(a + bZ) minus {0}, with a reduced to the least-magnitude nonzero
     representative of its class (ties broken toward the positive one).
@@ -31,23 +29,35 @@ class Progression:
     Progression(a=5, b=5)
     """
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b):
+    def __init__(self, a: int, b: int):
+        for v in (a, b):
             if abs(v) > MAX_MAGNITUDE:
                 raise OverflowError(f"|{v}| exceeds the supported 63-bit range")
-        if self.b < 1:
-            raise ValueError(f"modulus {self.b} must be positive")
-        r = self.a % self.b
+        if b < 1:
+            raise ValueError(f"modulus {b} must be positive")
+        r = a % b
         if r == 0:
-            rep = self.b
-        elif 2 * r <= self.b:
+            rep = b
+        elif 2 * r <= b:
             rep = r
         else:
-            rep = r - self.b
+            rep = r - b
         object.__setattr__(self, "a", rep)
+        object.__setattr__(self, "b", b)
+
+    def __repr__(self) -> str:
+        return f"Progression(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and (other.a, other.b) == (self.a, self.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __contains__(self, z: int) -> bool:
         return z != 0 and (z - self.a) % self.b == 0
@@ -56,24 +66,35 @@ class Progression:
         return f"{self.a}+{self.b}Z"
 
 
-@dataclass(frozen=True)
 class Window:
     """The finite test universe [-W, W] minus {0}, for 1 <= W <= 10^6.
 
     The bound keeps a sample small enough to materialize and print.
     """
 
-    W: int
+    __slots__ = ("W",)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.W <= _MAX_WINDOW:
-            raise ValueError(f"window bound {self.W} must lie in [1, {_MAX_WINDOW}]")
+    def __init__(self, W: int):
+        if not 1 <= W <= _MAX_WINDOW:
+            raise ValueError(f"window bound {W} must lie in [1, {_MAX_WINDOW}]")
+        object.__setattr__(self, "W", W)
+
+    def __repr__(self) -> str:
+        return f"Window(W={self.W!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other.W == self.W
+
+    def __hash__(self) -> int:
+        return hash(self.W)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def members(self):
         return itertools.chain(range(-self.W, 0), range(1, self.W + 1))
 
 
-@dataclass(frozen=True)
 class ClosureSet:
     """{z != 0 : z = 0 or allowed_residue (mod p) for every listed p}.
 
@@ -82,8 +103,26 @@ class ClosureSet:
     punctured line.
     """
 
-    modulus_primes: tuple[int, ...]
-    allowed_residue: int
+    __slots__ = ("modulus_primes", "allowed_residue")
+
+    def __init__(self, modulus_primes: tuple[int, ...], allowed_residue: int):
+        object.__setattr__(self, "modulus_primes", modulus_primes)
+        object.__setattr__(self, "allowed_residue", allowed_residue)
+
+    def __repr__(self) -> str:
+        return (f"ClosureSet(modulus_primes={self.modulus_primes!r}, "
+                f"allowed_residue={self.allowed_residue!r})")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and (other.modulus_primes, other.allowed_residue)
+                == (self.modulus_primes, self.allowed_residue))
+
+    def __hash__(self) -> int:
+        return hash((self.modulus_primes, self.allowed_residue))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __contains__(self, z: int) -> bool:
         if z == 0:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .filters import (
     FilterClass,
@@ -48,21 +48,37 @@ from .numtheory import (
 from .topology import Progression, closure, closure_oracle_member
 
 
-@dataclass(frozen=True)
 class SuiteConfig:
     """Knobs shared by the suites; every bound has a suite-appropriate
     default, and max_element of None means each suite uses the bound
     its statement is quoted at."""
 
-    max_element: int | None = None
-    graph_bounds: tuple[int, int] = (9, 5)
-    seed: int = 7
+    __slots__ = ("max_element", "graph_bounds", "seed")
 
-    def __post_init__(self) -> None:
-        if self.max_element is not None and self.max_element < 1:
+    def __init__(self, max_element: int | None = None,
+                 graph_bounds: tuple[int, int] = (9, 5), seed: int = 7):
+        if max_element is not None and max_element < 1:
             raise ValueError("max_element must be positive")
-        if min(self.graph_bounds) < 0:
+        if min(graph_bounds) < 0:
             raise ValueError("graph bounds must be nonnegative")
+        object.__setattr__(self, "max_element", max_element)
+        object.__setattr__(self, "graph_bounds", graph_bounds)
+        object.__setattr__(self, "seed", seed)
+
+    def _key(self) -> tuple:
+        return self.max_element, self.graph_bounds, self.seed
+
+    def __repr__(self) -> str:
+        return "SuiteConfig(max_element=%r, graph_bounds=%r, seed=%r)" % self._key()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 # the most cases a suite may plan; the defaults plan at most 3.2 M
@@ -80,8 +96,7 @@ def _within_budget(cases: int, what: str) -> int:
     return cases
 
 
-@dataclass(frozen=True)
-class VerifyFailure:
+class VerifyFailure(NamedTuple):
     inputs: str
     expected: str
     actual: str
@@ -90,8 +105,7 @@ class VerifyFailure:
         return {"inputs": self.inputs, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of one suite (or of all of them merged): passed iff
     failures is empty. No wall time is measured: the JSON key millis
     is always null, so identical configurations produce byte-identical
@@ -100,7 +114,7 @@ class SuiteReport:
     suite: str
     cases: int
     failures: tuple[VerifyFailure, ...]
-    details: dict = field(default_factory=dict)
+    details: dict
 
     @property
     def passed(self) -> bool:

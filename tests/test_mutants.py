@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from kirch import filters, verify
+from kirch import filters, graphs, verify
 from kirch.filters import FilterClass, filter_leq, realize
 from kirch.numtheory import prime_divisors
 from kirch.topology import ClosureSet
@@ -46,6 +46,42 @@ def _top_failures_at_8():
     return run_suite("top", SuiteConfig(max_element=8)).failures
 
 
+def _order_failures_at_8():
+    return run_suite("order", SuiteConfig(max_element=8)).failures
+
+
+def _realize_failures():
+    return run_suite("realize", SuiteConfig()).failures
+
+
+def _gamma_failures_at_6_3():
+    return run_suite("gamma", SuiteConfig(graph_bounds=(6, 3))).failures
+
+
+def _column_without_the_pi_exemption(real):
+    # `groups.get(r, 0)` in place of `groups.get(0, 0) | groups.get(r, 0)`
+    def column(self, dF):
+        rows = self.full
+        rows_with = self.rows_with
+        for p, r in dF.alpha.items():
+            groups = rows_with.get(p)
+            if groups is None:
+                return 0
+            rows &= groups.get(r, 0)
+            if not rows:
+                return 0
+        return rows
+    return column
+
+
+def _crt_solve_off_by_one(real):
+    return lambda system: real(system) + 1
+
+
+def _families_without_the_last(real):
+    return lambda p: real(p)[:-1]
+
+
 def _pair_formula_without_the_difference(real):
     return lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)}))
 
@@ -77,7 +113,11 @@ def _closure_dropping_its_largest_prime_past_30(real):
     (verify, "a_of_pair_formula", _pair_formula_without_the_difference,
      _pair_formula_failures_at_10),
     (verify, "is_top", _is_top_accepting_2_and_3, _top_failures_at_8),
-], ids=["classify-pi", "closure-b-past-30", "pair-formula-no-difference", "top-2-3"])
+    (filters._DescriptorIndex, "column", _column_without_the_pi_exemption, _order_failures_at_8),
+    (filters, "crt_solve", _crt_solve_off_by_one, _realize_failures),
+    (graphs, "_families", _families_without_the_last, _gamma_failures_at_6_3),
+], ids=["classify-pi", "closure-b-past-30", "pair-formula-no-difference", "top-2-3",
+        "column-no-pi-exemption", "crt-plus-one", "families-no-last"])
 def test_mutant_is_caught(monkeypatch, module, name, mutant, check):
     assert not check()
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))

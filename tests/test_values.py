@@ -1,0 +1,149 @@
+"""The value types, one row each: the repr they print, equality and
+hash, immutability and every validation message; and an import of the
+command line that loads no dataclass machinery."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from kirch.filters import FilterDescriptor, FiniteSubset, OrderWitness, descriptor
+from kirch.graphs import GammaGraph, build_gamma
+from kirch.numtheory import CongruenceSystem, PrimeClass, classify_prime
+from kirch.topology import ClosureSet, Progression, Window, closure
+from kirch.verify import SuiteConfig, SuiteReport, VerifyFailure
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+_FAILURE = VerifyFailure("x=1", "2", "3")
+
+# (a maker called twice, a maker of an unequal value, the repr), for
+# the types that compare by value
+BY_VALUE = [
+    pytest.param(lambda: CongruenceSystem.of((1, 2), (2, 3)),
+                 lambda: CongruenceSystem.of((1, 2)),
+                 "CongruenceSystem(congruences=((1, 2), (2, 3)))", id="CongruenceSystem"),
+    pytest.param(lambda: classify_prime(3), lambda: classify_prime(5),
+                 "PrimeClass(is_fermat=True, is_mersenne=True, m=1)", id="PrimeClass"),
+    pytest.param(lambda: FiniteSubset.of(10, 5, 10), lambda: FiniteSubset.of(5),
+                 "FiniteSubset(elements=(5, 10))", id="FiniteSubset"),
+    pytest.param(lambda: OrderWitness(7, 1, "A(F) reaches outside A(E)"),
+                 lambda: OrderWitness(7, 2, "A(F) reaches outside A(E)"),
+                 "OrderWitness(prime=7, element=1, reason='A(F) reaches outside A(E)')",
+                 id="OrderWitness"),
+    pytest.param(lambda: Progression(8, 3), lambda: Progression(8, 5),
+                 "Progression(a=-1, b=3)", id="Progression"),
+    pytest.param(lambda: Window(10), lambda: Window(11), "Window(W=10)", id="Window"),
+    pytest.param(lambda: closure(Progression(1, 15)), lambda: closure(Progression(2, 15)),
+                 "ClosureSet(modulus_primes=(3, 5), allowed_residue=1)", id="ClosureSet"),
+    pytest.param(lambda: SuiteConfig(), lambda: SuiteConfig(seed=8),
+                 "SuiteConfig(max_element=None, graph_bounds=(9, 5), seed=7)", id="SuiteConfig"),
+    pytest.param(lambda: VerifyFailure("x=1", "2", "3"), lambda: VerifyFailure("x=1", "2", "4"),
+                 "VerifyFailure(inputs='x=1', expected='2', actual='3')", id="VerifyFailure"),
+    pytest.param(lambda: SuiteReport("top", 3, (_FAILURE,), {"a": 1}),
+                 lambda: SuiteReport("top", 3, (), {"a": 1}),
+                 "SuiteReport(suite='top', cases=3, failures=(VerifyFailure(inputs='x=1', "
+                 "expected='2', actual='3'),), details={'a': 1})", id="SuiteReport"),
+]
+
+# (a maker, the repr), for the types that compare by identity
+BY_IDENTITY = [
+    pytest.param(lambda: descriptor(FiniteSubset.of(5, 10)),
+                 "FilterDescriptor(Pi=(5,), alpha={2: 1, 5: 0}, "
+                 "source=FiniteSubset(elements=(5, 10)))", id="FilterDescriptor"),
+    # one edge, so that no set order is pinned
+    pytest.param(lambda: build_gamma(2, (0, 0)),
+                 "GammaGraph(p=2, bounds=(0, 0), vertices=(GammaVertex(p_exp=0, two_exp=0, "
+                 "sign=-1), GammaVertex(p_exp=0, two_exp=0, sign=1)), "
+                 "predicate=frozenset({(0, 1)}), closed=frozenset({(0, 1)}))", id="GammaGraph"),
+]
+
+
+def test_the_tables_cover_every_value_type():
+    made = [p.values[0]() for p in BY_VALUE + BY_IDENTITY]
+    assert {type(v) for v in made} == {
+        CongruenceSystem, PrimeClass, FiniteSubset, FilterDescriptor, OrderWitness,
+        Progression, Window, ClosureSet, GammaGraph, SuiteConfig, VerifyFailure, SuiteReport,
+    }
+
+
+@pytest.mark.parametrize("make,other,text", BY_VALUE)
+def test_value_types_print_and_compare_by_value(make, other, text):
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a is not b and a == b and not a != b
+    assert a != other() and not a == other()
+    if isinstance(a, SuiteReport):
+        # its details are a dict, so it has no hash
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("make,text", BY_IDENTITY)
+def test_identity_types_print_and_compare_by_identity(make, text):
+    a, b = make(), make()
+    assert repr(a) == text
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("value,fields", [
+    (FiniteSubset.of(1, 2), ((1, 2),)),
+    (Progression(1, 3), (1, 3)),
+    (ClosureSet((3,), 1), ((3,), 1)),
+], ids=["FiniteSubset", "Progression", "ClosureSet"])
+def test_slotted_values_equal_only_their_own_class(value, fields):
+    assert value != fields and fields != value
+    assert value != fields[0]
+
+
+@pytest.mark.parametrize("make,text", [(p.values[0], p.values[-1]) for p in BY_VALUE + BY_IDENTITY],
+                         ids=[p.id for p in BY_VALUE + BY_IDENTITY])
+def test_fields_cannot_be_assigned(make, text):
+    value = make()
+    name = text[text.index("(") + 1:text.index("=")]  # the first field the repr shows
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, None)
+    assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: CongruenceSystem.of((1, 2), (0, 0)), ValueError, "modulus 0 must be >= 1"),
+    (lambda: CongruenceSystem.of((1, 4), (0, 6)), ValueError, "moduli 4 and 6 are not coprime"),
+    (lambda: FiniteSubset(()), ValueError, "the empty set carries no filter"),
+    (lambda: FiniteSubset.of(3, 0), ValueError, "0 is not a point of the space"),
+    (lambda: FiniteSubset.of(1, -2**63), OverflowError,
+     "|-9223372036854775808| exceeds the supported 63-bit range"),
+    (lambda: Progression(2**63, 3), OverflowError,
+     "|9223372036854775808| exceeds the supported 63-bit range"),
+    (lambda: Progression(1, 2**63), OverflowError,
+     "|9223372036854775808| exceeds the supported 63-bit range"),
+    (lambda: Progression(1, 0), ValueError, "modulus 0 must be positive"),
+    (lambda: Window(0), ValueError, "window bound 0 must lie in [1, 1000000]"),
+    (lambda: Window(10**6 + 1), ValueError, "window bound 1000001 must lie in [1, 1000000]"),
+    (lambda: SuiteConfig(max_element=0), ValueError, "max_element must be positive"),
+    (lambda: SuiteConfig(graph_bounds=(3, -1)), ValueError, "graph bounds must be nonnegative"),
+])
+def test_validation_messages(make, error, message):
+    with pytest.raises(error) as caught:
+        make()
+    assert str(caught.value) == message
+
+
+def test_importing_the_cli_loads_no_dataclass_machinery():
+    # each dataclass generates and execs its methods at import, and the
+    # dataclasses module imports inspect; every kirch call pays for both
+    code = "import sys, kirch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"

@@ -1,6 +1,5 @@
 """Harness behavior: suite verdicts, determinism, caught faults."""
 
-import dataclasses
 import json
 from itertools import combinations
 
@@ -8,6 +7,7 @@ import pytest
 
 from kirch import filters, verify
 from kirch.filters import (
+    FilterDescriptor,
     FiniteSubset,
     _DescriptorIndex,
     _Generators,
@@ -15,7 +15,7 @@ from kirch.filters import (
     filter_leq,
     order_oracle,
 )
-from kirch.graphs import build_gamma, degree_signature
+from kirch.graphs import GammaGraph, build_gamma, degree_signature
 from kirch.numtheory import prime_divisors, primes_upto
 from kirch.topology import ClosureSet, Progression
 from kirch.verify import (
@@ -137,7 +137,7 @@ def test_ppix_partial_fault_is_reported_in_order(monkeypatch):
 
     def column(self, dF):
         alpha = {p: r for p, r in dF.alpha.items() if p != 7}
-        return real(self, dataclasses.replace(dF, alpha=alpha))
+        return real(self, FilterDescriptor(dF.Pi, alpha, dF.source))
 
     monkeypatch.setattr(filters._DescriptorIndex, "column", column)
     # blocks of 10 rows, so that the failures span several blocks
@@ -483,7 +483,8 @@ def test_gamma_suite_compares_the_whole_grid(monkeypatch):
         # no interior reaches
         g = real(p, bounds)
         corner = g.vertices.index(max(g.vertices))
-        return dataclasses.replace(g, closed=frozenset(e for e in g.closed if corner not in e))
+        closed = frozenset(e for e in g.closed if corner not in e)
+        return GammaGraph(g.p, g.bounds, g.vertices, g.predicate, closed)
 
     monkeypatch.setattr(verify, "build_gamma", build)
     report = run_suite("gamma", small())
