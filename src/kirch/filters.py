@@ -74,9 +74,9 @@ class FiniteSubset:
         if 0 in xs:
             raise ValueError("0 is not a point of the space")
         # sorted, so only the two ends can be out of range
-        for x in (xs[0], xs[-1]):
-            if abs(x) > MAX_MAGNITUDE:
-                raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
+        if xs[0] < -MAX_MAGNITUDE or xs[-1] > MAX_MAGNITUDE:
+            x = xs[0] if abs(xs[0]) > MAX_MAGNITUDE else xs[-1]
+            raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
         object.__setattr__(self, "elements", xs)
 
     def __repr__(self) -> str:
@@ -116,7 +116,7 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
     they are the keys of _residues(E), which descriptor() also keeps as
     the keys of alpha; is_top needs them alone.
     """
-    if len(E) == 1:
+    if len(E.elements) == 1:
         return None
     return tuple(_residues(E.elements))
 
@@ -129,8 +129,14 @@ def _residues(xs: tuple[int, ...]) -> dict[int, int]:
 
     Any two distinct elements x, y bound the primes: a qualifying p
     must divide x, y, or x-y, so only the primes of
-    a_of_pair_formula(x, y) are scanned.
+    a_of_pair_formula(x, y) are scanned. For a pair every one of them
+    qualifies, with the residue of whichever of x, y is not 0 mod p (x
+    and y agree mod a prime of x - y), so a pair is read off the
+    primes without a scan.
     """
+    if len(xs) == 2:
+        x, y = xs
+        return {p: x % p or y % p for p in a_of_pair_formula(x, y)}
     found = {}
     for p in a_of_pair_formula(xs[0], xs[1]):
         r = 0
@@ -220,7 +226,7 @@ def descriptor(E: FiniteSubset) -> FilterDescriptor:
     >>> descriptor(FiniteSubset.of(6, -12, 30)).Pi
     (2, 3)
     """
-    if len(E) == 1:
+    if len(E.elements) == 1:
         return FilterDescriptor(prime_divisors(E.elements[0]), None, E)
     residues = _residues(E.elements)
     Pi = tuple(p for p, r in residues.items() if not r)
@@ -340,18 +346,23 @@ class _Generators:
     """
 
     def __init__(self, sources: list[FiniteSubset], primes: Iterable[int]):
-        self.primes = tuple(primes)
+        primes = tuple(primes)
         self.full = (1 << len(sources)) - 1
-        self.conds = [_conditions(E.elements, self.primes) for E in sources]
+        self.conds = [_conditions(E.elements, primes) for E in sources]
         # rows_with[p] maps r to the rows E with S_E(p) = {0, r}; r = 0
         # stands for every residue
-        self.rows_with: dict[int, dict[int, int]] = {p: {} for p in self.primes}
+        self.rows_with: dict[int, dict[int, int]] = {p: {} for p in primes}
         for i, conds in enumerate(self.conds):
             for p, r in conds.items():
                 self.rows_with[p][r] = self.rows_with[p].get(r, 0) | 1 << i
         # the groups at p are disjoint, so their sum is their union
         self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
         self.outside = {p: self.full & ~in_a for p, in_a in self.in_a.items()}
+        # per prime, the rows whose G_E(()) takes every nonzero residue
+        # (p outside A_E, or R empty), and the groups for the others
+        self.scan = tuple(
+            (p, self.outside[p] | groups.get(0, 0), groups) for p, groups in self.rows_with.items()
+        )
 
     def members(self, z: int) -> int:
         """The rows E whose generator G_E(()) contains z: at each scanned
@@ -362,10 +373,9 @@ class _Generators:
         if not z:
             return 0
         rows = self.full
-        for p in self.primes:
+        for p, free, groups in self.scan:
             if m := z % p:
-                groups = self.rows_with[p]
-                rows &= self.outside[p] | groups.get(0, 0) | groups.get(m, 0)
+                rows &= free | groups.get(m, 0)
         return rows
 
     def column(self, j: int) -> tuple[int, list[tuple[int, OrderWitness]]]:
@@ -413,13 +423,14 @@ class _Generators:
                     continue
                 failing ^= group
                 extra = None if r else (t, p)
-                if extra not in solved:
+                hit = solved.get(extra)
+                if hit is None:
                     z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
                     inside = self.members(z)
                     if not inside >> j & 1:
                         raise AssertionError("constructed element lies outside the F-side generator")
-                    solved[extra] = z, inside
-                z, inside = solved[extra]
+                    hit = solved[extra] = z, inside
+                z, inside = hit
                 # G_E({p}) is G_E(()) cut with pZ, for p outside A_E
                 caught = (inside if z % p == 0 else 0) & outside | inside & in_a
                 if group & caught:

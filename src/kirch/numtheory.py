@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import NamedTuple
 
 MAX_MAGNITUDE = 2**63 - 1
@@ -233,12 +233,16 @@ class CongruenceSystem:
 
     def __init__(self, congruences: tuple[tuple[int, int], ...]):
         congruences = tuple((a, b) for a, b in congruences)
-        for _, b in congruences:
+        moduli = [b for _, b in congruences]
+        for b in moduli:
             if b < 1:
                 raise ValueError(f"modulus {b} must be >= 1")
-        for (_, b1), (_, b2) in itertools.combinations(congruences, 2):
-            if math.gcd(b1, b2) != 1:
-                raise ValueError(f"moduli {b1} and {b2} are not coprime")
+        # positive moduli are pairwise coprime iff their lcm is their
+        # product; the pairs are searched only to name the first bad one
+        if math.lcm(*moduli) != math.prod(moduli):
+            for b1, b2 in itertools.combinations(moduli, 2):
+                if math.gcd(b1, b2) != 1:
+                    raise ValueError(f"moduli {b1} and {b2} are not coprime")
         object.__setattr__(self, "congruences", congruences)
 
     def __repr__(self) -> str:
@@ -259,7 +263,7 @@ class CongruenceSystem:
 
     @property
     def modulus(self) -> int:
-        return reduce(lambda acc, c: acc * c[1], self.congruences, 1)
+        return math.prod(b for _, b in self.congruences)
 
 
 def crt_solve(sys: CongruenceSystem) -> int:

@@ -128,7 +128,10 @@ class ClosureSet:
         if z == 0:
             return False
         a = self.allowed_residue
-        return all(z % p == 0 or (z - a) % p == 0 for p in self.modulus_primes)
+        for p in self.modulus_primes:
+            if z % p and (z - a) % p:
+                return False
+        return True
 
     def residues_mod(self, p: int) -> frozenset[int]:
         """The allowed residue classes mod p, as canonical residues."""
@@ -141,11 +144,17 @@ class ClosureSet:
         lazy chain of filters: no method call or generator per point,
         and no list per prime. Each filter binds its p and r as lambda
         defaults; a plain closure would read the loop's last prime.
+        The largest prime, which passes the fewest points, filters
+        first, and a prime whose residues 0 and r cover every class
+        (p = 2 with r odd) passes every point and is skipped.
         """
         a = self.allowed_residue
         zs = w.members()
-        for p in self.modulus_primes:
-            zs = filter(lambda z, p=p, r=a % p: z % p == 0 or z % p == r, zs)
+        for p in reversed(self.modulus_primes):
+            r = a % p
+            if p == 2 and r:
+                continue
+            zs = filter(lambda z, p=p, r=r: z % p == 0 or z % p == r, zs)
         return list(zs)
 
     def __str__(self) -> str:

@@ -308,16 +308,18 @@ def _cells(mask: int, conds, by_res) -> list[tuple[int, tuple]]:
         split = []
         if r:
             keep = res[0] | res[r]
+            # every cell lies inside mask
+            drop = mask & ~keep
             for cell, key in cells:
-                if cell & keep:
-                    split.append((cell & keep, key + ((p, r),)))
-                if cell & ~keep:
-                    split.append((cell & ~keep, key))
+                if kept := cell & keep:
+                    split.append((kept, key + ((p, r),)))
+                if dropped := cell & drop:
+                    split.append((dropped, key))
         else:
             for cell, key in cells:
                 for t, values in enumerate(res):
-                    if cell & values:
-                        split.append((cell & values, key + ((p, t),)))
+                    if part := cell & values:
+                        split.append((part, key + ((p, t),)))
         cells = split
     cells.sort(key=lambda c: c[0] & -c[0])
     return cells
@@ -355,8 +357,9 @@ def _suite_order(cfg: SuiteConfig):
     for j, col in enumerate(cols):
         if not col >> j & 1:
             law_failures.append(VerifyFailure(f"E={reps[j]}", "E<=E", "false"))
+        not_below = ~col
         for i in _bits(col):
-            if cols[i] & ~col:
+            if cols[i] & not_below:
                 law_failures.append(VerifyFailure(
                     f"E={reps[i]} F={reps[j]}", "transitivity", "escape"))
             if i != j and cols[i] >> j & 1:
@@ -401,12 +404,13 @@ def _suite_top(cfg: SuiteConfig):
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     bounds = (bound.bit_length() - 1, 0)
     powers = [v.value(2) for v in _grid(2, bounds)]
-    listed = {frozenset({powers[k], powers[l]}) for k, l in closed_form_edges(2, bounds)}
+    # each edge as (x, y) with x < y, the order the loop below meets it in
+    listed = {tuple(sorted((powers[k], powers[l]))) for k, l in closed_form_edges(2, bounds)}
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
             got = is_top(FiniteSubset.of(x, y))
-            want = frozenset({x, y}) in listed
+            want = (x, y) in listed
             if got != want:
                 failures.append(VerifyFailure(
                     f"E={{{x}, {y}}}", f"listed={want}", f"is_top={got}"

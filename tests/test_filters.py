@@ -72,6 +72,18 @@ class TestASet:
         mirror = FiniteSubset(tuple(-x for x in E))
         assert a_of(mirror) == a_of(E)
 
+    def test_doubleton_residues_match_the_definition(self):
+        # _residues reads a pair off a_of_pair_formula without a scan;
+        # here every prime up to 80 with at most one nonzero residue
+        # keeps that residue, or 0, in ascending order
+        primes = primes_upto(80)
+        vals = [v for v in range(-40, 41) if v]
+        for i, x in enumerate(vals):
+            for y in vals[i + 1:]:
+                want = [(p, next(iter(nonzero), 0)) for p in primes
+                        if len(nonzero := {x % p, y % p} - {0}) <= 1]
+                assert list(filters._residues((x, y)).items()) == want, (x, y)
+
     def test_pair_formula_frozen(self):
         assert a_of_pair_formula(3, 6) == (2, 3)
         assert a_of_pair_formula(1, 7) == (2, 3, 7)

@@ -2,12 +2,13 @@
 mutant of it applied with monkeypatch, and a check that passes on the
 real code and fails under the mutant."""
 
+from functools import partial
 from itertools import product
 
 import pytest
 
-from kirch import filters, graphs, verify
-from kirch.filters import FilterClass, filter_leq, realize
+from kirch import filters, graphs, numtheory, verify
+from kirch.filters import FilterClass, FilterDescriptor, filter_leq, realize
 from kirch.numtheory import prime_divisors
 from kirch.topology import ClosureSet
 from kirch.verify import SuiteConfig, run_suite
@@ -33,29 +34,9 @@ def _layer_violations():
     ]
 
 
-def _closure_failures_at_31():
-    # 31 is the least bound with a modulus b > 30
-    return run_suite("closure", SuiteConfig(max_element=31)).failures
-
-
-def _pair_formula_failures_at_10():
-    return run_suite("pair_formula", SuiteConfig(max_element=10)).failures
-
-
-def _top_failures_at_8():
-    return run_suite("top", SuiteConfig(max_element=8)).failures
-
-
-def _order_failures_at_8():
-    return run_suite("order", SuiteConfig(max_element=8)).failures
-
-
-def _realize_failures():
-    return run_suite("realize", SuiteConfig()).failures
-
-
-def _gamma_failures_at_6_3():
-    return run_suite("gamma", SuiteConfig(graph_bounds=(6, 3))).failures
+def _failures(suite, **cfg):
+    """The failures of one suite, at a config small enough to run here."""
+    return run_suite(suite, SuiteConfig(**cfg)).failures
 
 
 def _column_without_the_pi_exemption(real):
@@ -76,6 +57,26 @@ def _column_without_the_pi_exemption(real):
 
 def _crt_solve_off_by_one(real):
     return lambda system: real(system) + 1
+
+
+def _column_ignoring_primes_past_40(real):
+    # the items of alpha_F past 40 skipped; ppix's primes reach 47
+    def column(self, dF):
+        alpha = {p: r for p, r in dF.alpha.items() if p <= 40}
+        return real(self, FilterDescriptor(dF.Pi, alpha, dF.source))
+    return column
+
+
+def _upset_without_its_first(real):
+    return lambda E: real(E)[1:]
+
+
+def _zsigmondy_missing_2_6(real):
+    return lambda a, n: False if (a, n) == (2, 6) else real(a, n)
+
+
+def _perfect_powers_without_8(real):
+    return lambda limit: [v for v in real(limit) if v != 8]
 
 
 def _families_without_the_last(real):
@@ -107,18 +108,46 @@ def _closure_dropping_its_largest_prime_past_30(real):
     return closure
 
 
-@pytest.mark.parametrize("module,name,mutant,check", [
-    (filters, "classify", _classify_ignoring_pi, _layer_violations),
-    (verify, "closure", _closure_dropping_its_largest_prime_past_30, _closure_failures_at_31),
-    (verify, "a_of_pair_formula", _pair_formula_without_the_difference,
-     _pair_formula_failures_at_10),
-    (verify, "is_top", _is_top_accepting_2_and_3, _top_failures_at_8),
-    (filters._DescriptorIndex, "column", _column_without_the_pi_exemption, _order_failures_at_8),
-    (filters, "crt_solve", _crt_solve_off_by_one, _realize_failures),
-    (graphs, "_families", _families_without_the_last, _gamma_failures_at_6_3),
-], ids=["classify-pi", "closure-b-past-30", "pair-formula-no-difference", "top-2-3",
-        "column-no-pi-exemption", "crt-plus-one", "families-no-last"])
+# (module, name, mutant, check); a check that runs a suite is
+# partial(_failures, suite, ...), so the table shows which suites it covers
+MUTANTS = [
+    pytest.param(filters, "classify", _classify_ignoring_pi, _layer_violations,
+                 id="classify-pi"),
+    pytest.param(verify, "upset_in_fprime", _upset_without_its_first,
+                 partial(_failures, "classify"), id="upset-no-first"),
+    # 31 is the least bound with a modulus b > 30
+    pytest.param(verify, "closure", _closure_dropping_its_largest_prime_past_30,
+                 partial(_failures, "closure", max_element=31), id="closure-b-past-30"),
+    pytest.param(verify, "a_of_pair_formula", _pair_formula_without_the_difference,
+                 partial(_failures, "pair_formula", max_element=10),
+                 id="pair-formula-no-difference"),
+    pytest.param(verify, "is_top", _is_top_accepting_2_and_3,
+                 partial(_failures, "top", max_element=8), id="top-2-3"),
+    pytest.param(filters._DescriptorIndex, "column", _column_without_the_pi_exemption,
+                 partial(_failures, "order", max_element=8), id="column-no-pi-exemption"),
+    pytest.param(filters._DescriptorIndex, "column", _column_ignoring_primes_past_40,
+                 partial(_failures, "ppix"), id="column-past-40"),
+    pytest.param(filters, "crt_solve", _crt_solve_off_by_one,
+                 partial(_failures, "realize"), id="crt-plus-one"),
+    pytest.param(graphs, "_families", _families_without_the_last,
+                 partial(_failures, "gamma", graph_bounds=(6, 3)), id="families-no-last"),
+    pytest.param(graphs, "_families", _families_without_the_last,
+                 partial(_failures, "gamma2"), id="families-no-last-gamma2"),
+    pytest.param(verify, "zsigmondy_closed_form", _zsigmondy_missing_2_6,
+                 partial(_failures, "zsigmondy"), id="zsigmondy-2-6"),
+    pytest.param(numtheory, "perfect_powers", _perfect_powers_without_8,
+                 partial(_failures, "mihailescu"), id="perfect-powers-no-8"),
+]
+
+
+@pytest.mark.parametrize("module,name,mutant,check", MUTANTS)
 def test_mutant_is_caught(monkeypatch, module, name, mutant, check):
     assert not check()
     monkeypatch.setattr(module, name, mutant(getattr(module, name)))
     assert check()
+
+
+def test_every_suite_has_a_mutant():
+    # a new suite cannot arrive without a mutant its run catches
+    checked = {p.values[3].args[0] for p in MUTANTS if isinstance(p.values[3], partial)}
+    assert checked == set(verify._SUITES)

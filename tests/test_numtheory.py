@@ -7,11 +7,12 @@ factorization is checked by multiplying it back out and by testing
 each key for primality.
 """
 
+import itertools
 import math
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kirch.numtheory import (
@@ -209,6 +210,20 @@ class TestCrt:
             CongruenceSystem.of((1, 4), (0, 6))
         with pytest.raises(ValueError):
             CongruenceSystem.of((1, 2), (0, 0))
+
+    @given(st.lists(st.integers(1, 60), max_size=6))
+    @example([])
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_pairwise_coprime_moduli(self, moduli):
+        # the constructor tests coprimality by lcm against product; the
+        # pairwise definition decides, and names the first bad pair; the
+        # empty system has modulus 1
+        bad = [(b1, b2) for b1, b2 in itertools.combinations(moduli, 2) if math.gcd(b1, b2) != 1]
+        if bad:
+            with pytest.raises(ValueError, match=f"^moduli {bad[0][0]} and {bad[0][1]} are not"):
+                CongruenceSystem(tuple((0, b) for b in moduli))
+        else:
+            assert CongruenceSystem(tuple((0, b) for b in moduli)).modulus == math.prod(moduli)
 
     @st.composite
     @staticmethod

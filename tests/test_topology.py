@@ -92,11 +92,13 @@ class TestClosureFormula:
 
 
 class TestSample:
-    # sample filters a prime at a time; each is checked against the
-    # point-by-point membership test it replaces
-    @pytest.mark.parametrize("b", [*range(1, 61), 2310])
+    # sample filters a prime at a time, the largest first, and skips 2
+    # when a is odd; each is checked against the point-by-point
+    # membership test it replaces, for even and odd a, on moduli with
+    # and without 2 and with up to five primes
+    @pytest.mark.parametrize("b", [*range(1, 61), 1001, 1155, 2002, 2310])
     def test_matches_membership(self, b):
-        w = Window(100)
+        w = Window(max(100, b))
         for a in (*range(-30, 0), *range(1, 31)):
             cs = closure(Progression(a, b))
             assert cs.sample(w) == [z for z in w.members() if z in cs], (a, b)

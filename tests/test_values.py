@@ -117,10 +117,16 @@ def test_fields_cannot_be_assigned(make, text):
 @pytest.mark.parametrize("make,error,message", [
     (lambda: CongruenceSystem.of((1, 2), (0, 0)), ValueError, "modulus 0 must be >= 1"),
     (lambda: CongruenceSystem.of((1, 4), (0, 6)), ValueError, "moduli 4 and 6 are not coprime"),
+    (lambda: CongruenceSystem.of((1, 2), (1, 3), (0, 4)), ValueError,
+     "moduli 2 and 4 are not coprime"),
     (lambda: FiniteSubset(()), ValueError, "the empty set carries no filter"),
     (lambda: FiniteSubset.of(3, 0), ValueError, "0 is not a point of the space"),
     (lambda: FiniteSubset.of(1, -2**63), OverflowError,
      "|-9223372036854775808| exceeds the supported 63-bit range"),
+    # both ends out of range: the low one is named; an id of its own keeps
+    # the row above from sharing its generated one
+    pytest.param(lambda: FiniteSubset.of(-2**63, 2**63), OverflowError,
+                 "|-9223372036854775808| exceeds the supported 63-bit range", id="both-ends"),
     (lambda: Progression(2**63, 3), OverflowError,
      "|9223372036854775808| exceeds the supported 63-bit range"),
     (lambda: Progression(1, 2**63), OverflowError,

@@ -276,6 +276,10 @@ def test_generator_columns_do_not_depend_on_their_order():
                 # the target is G_E({p}) when p is outside A_E, else G_E(())
                 caught = in_generator(i, z) and (w.prime in conds[i] or z % w.prime == 0)
                 assert not caught, (sources[i], sources[j], w)
+    # members reads masks prepared once per instance; row by row, it is
+    # the generator test above
+    for z in range(-300, 301):
+        assert forward.members(z) == sum(1 << i for i in range(k) if in_generator(i, z)), z
 
 
 def test_filter_leq_agrees_with_the_catalog_column(monkeypatch):
