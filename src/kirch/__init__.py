@@ -7,6 +7,7 @@ topology    progressions, closures, the separation oracle for closures
 filters     superconnecting filters: A-sets, alpha maps, order, classification
 graphs      prime-power adjacency graphs and their closed-form edge families
 verify      brute-force suites confirming each structural fact on finite ranges
+lanes       `verify all` with the order suite in a forked child, when it can fork
 cli         command-line front end (`kirch ...`)
 """
 

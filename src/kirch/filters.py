@@ -306,7 +306,10 @@ class OrderWitness(NamedTuple):
 
 
 def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
+    """The indices of the set bits of mask, ascending. A negative mask
+    has infinitely many set bits, so it is refused with ValueError."""
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -12,6 +12,10 @@ a column at a time, from per-prime bitsets over its rows, with no
 loop over pairs. Reports are deterministic:
 catalogs enumerate in canonical order, any sampling is driven by the
 configured seed, and the JSON rendering carries no wall-clock data.
+
+run_suite("all", cfg) runs the suites in two lanes where os.fork exists
+and at least two CPUs are usable (see kirch.lanes); its report is the
+same, byte for byte, as that of running them one after another.
 """
 
 from __future__ import annotations
@@ -648,11 +652,22 @@ _SUITES = {
 def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
     """Run one named suite, or all of them merged in fixed order.
 
+    For "all", each suite runs through run_suite. With os.fork and at
+    least two usable CPUs (os.sched_getaffinity), `order` runs in a
+    forked child while this process runs the other ten; the child's
+    report comes back over a pipe and is merged in its place, so the
+    report, and the exception raised, if any, are those of running the
+    suites one after another, as happens everywhere else. The child is
+    reaped before this returns or raises. The fork machinery lives in
+    kirch.lanes, imported here so that no other kirch call compiles it.
+
     >>> run_suite("mihailescu", SuiteConfig()).passed
     True
     """
     if name == "all":
-        subs = [run_suite(s, cfg) for s in _SUITES]
+        from .lanes import all_reports
+
+        subs = all_reports(cfg)
         failures = tuple(
             VerifyFailure(f"[{r.suite}] {f.inputs}", f.expected, f.actual)
             for r in subs

@@ -19,7 +19,9 @@ from kirch.filters import (
     _PI_BLOCK,
     FilterClass,
     FiniteSubset,
+    _bits,
     _conditions,
+    _DescriptorIndex,
     a_of,
     a_of_pair_formula,
     classify,
@@ -316,6 +318,27 @@ class TestOrder:
                     if rel[i, j] and rel[j, k]:
                         assert rel[i, k]
 
+    def test_column_is_empty_when_no_row_meets_every_prime(self):
+        # every prime of F is some row's, so no lookup misses; the AND
+        # still empties: only the first row has 3, only the second 5
+        rows = [descriptor(realize((2, 3), {2: 1, 3: 1})),
+                descriptor(realize((2, 5), {2: 1, 5: 1}))]
+        index = _DescriptorIndex(rows)
+        assert index.column(descriptor(realize((2, 3, 5), {2: 1, 3: 1, 5: 1}))) == 0
+        assert index.column(descriptor(realize((2, 3), {2: 1, 3: 1}))) == 0b01
+        assert index.column(descriptor(realize((2, 5), {2: 1, 5: 1}))) == 0b10
+
+
+@given(st.integers(min_value=0, max_value=2**200))
+def test_bits_lists_the_set_bits_in_order(mask):
+    assert list(_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+@pytest.mark.parametrize("mask", [-1, -2**70])
+def test_bits_refuses_a_negative_mask(mask):
+    with pytest.raises(ValueError, match="negative mask"):
+        list(_bits(mask))
+
 
 class TestTopAndClasses:
     def test_top_frozen(self):
@@ -406,11 +429,13 @@ class TestRealize:
         ((2, 9), {2: 1, 9: 2}, "9 is not prime"),
         ((2, 5), {2: 1, 9: 2}, "9 is not prime"),
         ((2, 5), {2: 1, 5: 5}, "residue 5 out of range for prime 5"),
+        ((2, 5), {2: 1, 5: -1}, "residue -1 out of range for prime 5"),
         ((2, 5), {2: 0, 5: 1}, "alpha\\(2\\) must be present and equal 1"),
         ((3, 5), {2: 1}, "A must contain 2"),
         ((2, 5), {2: 1}, "alpha must be defined exactly on A"),
     ], ids=[
         "composite-in-A", "composite-in-alpha", "residue-out-of-range",
+        "negative-residue",
         "alpha2-not-1", "missing-2", "domain-mismatch",
     ])
     def test_rejects_bad_input(self, A, alpha, message):

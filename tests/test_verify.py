@@ -1,11 +1,17 @@
 """Harness behavior: suite verdicts, determinism, caught faults."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from kirch import filters, verify
+from kirch import filters, lanes, verify
 from kirch.filters import (
     FilterDescriptor,
     FiniteSubset,
@@ -532,3 +538,172 @@ def test_top_disagreements_are_reported_not_raised(monkeypatch):
     max_exp = gamma2.details["max_exp"]
     assert len(gamma2.failures) == 3 * max_exp + 1  # chains and rungs
     assert gamma2.failures[0].actual == "predicate=True closed_form=True"
+
+
+# --- run_suite("all"): `order` in a forked child ---------------------------
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Set the usable CPUs run_suite("all") sees; yield the pids of the
+    children it forks, and check after the test that none is left."""
+    forked = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def set_cpus(n):
+        monkeypatch.setattr(lanes, "_usable_cpus", lambda: n)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    set_cpus(2)
+    yield set_cpus, forked
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raiser(message, exc=ValueError):
+    def raises(*args):
+        raise exc(message)
+    return raises
+
+
+@needs_fork
+@pytest.mark.parametrize("cfg", [small(max_element=5), small()], ids=["bound-5", "default"])
+def test_forked_report_equals_the_one_lane_report(forks, cfg):
+    set_cpus, forked = forks
+    two = run_suite("all", cfg)
+    assert len(forked) == 1
+    set_cpus(1)
+    one = run_suite("all", cfg)
+    assert len(forked) == 1
+    assert two.to_json_dict() == one.to_json_dict()
+
+
+@needs_fork
+def test_failures_of_the_forked_suite_come_back_in_place(forks, monkeypatch):
+    set_cpus, forked = forks
+    sent = (5, [VerifyFailure("E={1, 3}", "oracle=True", "closed=False")], {"k": [1, (2, 3)]})
+    monkeypatch.setitem(verify._SUITES, "order", lambda cfg: sent)
+    two = run_suite("all", small(max_element=5))
+    set_cpus(1)
+    one = run_suite("all", small(max_element=5))
+    assert len(forked) == 1
+    assert two == one
+    assert two.failures == (VerifyFailure("[order] E={1, 3}", "oracle=True", "closed=False"),)
+
+
+@needs_fork
+def test_a_refusal_in_the_child_exits_2(forks, monkeypatch, capsys):
+    from kirch.cli import main
+
+    monkeypatch.setitem(verify._SUITES, "order", _raiser("x"))
+    assert main(["verify", "all"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "kirch verify: x\n")
+    assert len(forks[1]) == 1
+
+
+@needs_fork
+@pytest.mark.parametrize("raising,first", [
+    (("closure", "order"), "closure"),
+    (("pair_formula", "order", "gamma"), "pair_formula"),
+    (("order", "top"), "order"),
+    (("top", "mihailescu"), "top"),
+], ids=["closure-and-order", "pair_formula-order-gamma", "order-and-top", "top-and-mihailescu"])
+def test_the_earliest_suite_raises(forks, monkeypatch, raising, first):
+    for name in raising:
+        monkeypatch.setitem(verify._SUITES, name, _raiser(name))
+    with pytest.raises(ValueError, match=f"^{first}$"):
+        run_suite("all", small(max_element=5))
+    assert len(forks[1]) == 1
+
+
+@needs_fork
+def test_an_exception_keeps_its_type_from_the_child(forks, monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "order", _raiser("big", OverflowError))
+    with pytest.raises(OverflowError, match="^big$") as caught:
+        run_suite("all", small(max_element=5))
+    # the child's traceback comes along as the cause
+    cause = str(caught.value.__cause__)
+    assert cause.startswith("in the child running suite 'order':\nTraceback")
+    assert cause.endswith("OverflowError: big\n")
+
+
+@needs_fork
+def test_a_refusal_before_order_kills_the_child_at_once(forks, monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "order", lambda cfg: time.sleep(60))
+    monkeypatch.setitem(verify._SUITES, "pair_formula", _raiser("refused"))
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="refused"):
+        run_suite("all", small(max_element=5))
+    assert time.monotonic() - start < 10
+
+
+@needs_fork
+def test_an_interrupt_in_the_parent_reaps_the_child(forks, monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "order", lambda cfg: time.sleep(60))
+    monkeypatch.setitem(verify._SUITES, "top", _raiser("", KeyboardInterrupt))
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("all", small(max_element=5))
+
+
+def _exit_3(cfg):
+    os._exit(3)
+
+
+def _killed(cfg):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _marshal_refuses(cfg):
+    return 1, [], {"k": object()}
+
+
+@needs_fork
+@pytest.mark.parametrize("order,message", [
+    (_exit_3, "exited with status 3"),
+    (_killed, f"was killed by signal {signal.SIGKILL}"),
+    (_marshal_refuses, "exited with status 1"),
+], ids=["exit-3", "sigkill", "unmarshallable"])
+def test_a_child_without_a_report_is_a_runtime_error(forks, monkeypatch, order, message):
+    monkeypatch.setitem(verify._SUITES, "order", order)
+    with pytest.raises(RuntimeError, match=f"suite 'order' {message} without a complete report"):
+        run_suite("all", small(max_element=5))
+
+
+@pytest.mark.parametrize("cpus,fork", [(1, True), (2, False)], ids=["one-cpu", "no-fork"])
+def test_one_lane_without_fork_or_a_second_cpu(monkeypatch, cpus, fork):
+    monkeypatch.setattr(lanes, "_usable_cpus", lambda: cpus)
+    if fork:
+        monkeypatch.setattr(os, "fork", _raiser("forked", AssertionError))
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    report = run_suite("all", small(max_element=5))
+    assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
+
+
+def test_a_failed_fork_runs_one_lane(monkeypatch):
+    monkeypatch.setattr(lanes, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", _raiser("no more processes", BlockingIOError))
+    report = run_suite("all", small(max_element=5))
+    assert report.passed
+
+
+def test_importing_the_cli_loads_no_fork_machinery():
+    # every kirch call imports the cli; only `verify all` needs kirch.lanes,
+    # and a process pool or pickle would cost more than the fork saves
+    code = ("import sys, kirch.cli; print(sorted({'multiprocessing', 'concurrent.futures',"
+            " 'pickle', 'kirch.lanes'} & set(sys.modules)))")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n"
