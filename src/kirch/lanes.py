@@ -11,6 +11,12 @@ another, which is what happens everywhere else. The child only
 computes and writes to its own pipe, so it takes no lock that another
 thread of the parent could have held at the fork.
 
+On one CPU the fork costs more than it saves: perfbench's verify_all
+run_s reads 0.213 s with it and 0.196 s without under taskset -c 0,
+one lane lower in 10 of 10 alternating pairs (2-core VM, Python
+3.11.7; BENCH_31.json). The usable CPUs are those of the affinity
+mask; a CPU quota set by a cgroup is not read.
+
 Only run_suite("all", ...) imports this module, so no other kirch call
 pays for compiling it. It uses os.fork, os.pipe and marshal directly:
 importing multiprocessing or concurrent.futures takes about 12 or 35 ms
@@ -25,9 +31,6 @@ import os
 
 from .verify import _SUITES, SuiteConfig, SuiteReport, VerifyFailure, run_suite
 
-# the suite that run_suite("all", ...) runs in a forked child
-_FORKED = "order"
-
 
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
@@ -35,114 +38,73 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _serve(name: str, cfg: SuiteConfig, fd: int):
-    """The forked child: write run_suite(name, cfg) to fd as marshal
-    data, (True, (cases, failures as plain tuples, details)), or
-    (False, (the pickled exception, its formatted traceback)) if it
-    raised; then leave with os._exit, so the child never returns into
-    its caller's frames."""
-    status = 1
-    try:
-        try:
-            r = run_suite(name, cfg)
-            sent = True, (r.cases, [tuple(f) for f in r.failures], r.details)
-        except BaseException as exc:
-            import pickle
-            import traceback
-            sent = False, (pickle.dumps(exc), traceback.format_exc())
-        with open(fd, "wb") as out:
-            out.write(marshal.dumps(sent))
-        status = 0
-    finally:
-        os._exit(status)
-
-
-class _ForkedSuite:
-    """run_suite(name, cfg) in a forked child, read back by report().
-    Leaving the `with` block kills and reaps a child that report() has
-    not reaped."""
-
-    def __init__(self, name: str, cfg: SuiteConfig):
-        self.name = name
-        self.fd, w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(self.fd)
-            os.close(w)
-            raise
-        if self.pid == 0:
-            os.close(self.fd)
-            _serve(name, cfg, w)
-        os.close(w)
-
-    def __enter__(self) -> "_ForkedSuite":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.pid is not None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-
-    def report(self) -> SuiteReport:
-        """The child's report, or the exception it raised, raised again
-        with its type and message and caused by a RuntimeError that
-        holds the child's traceback. A child that ends without a
-        complete report is a RuntimeError naming its exit status or
-        signal."""
-        fd, self.fd = self.fd, None
-        with open(fd, "rb") as f:
-            data = f.read()
-        status = os.waitpid(self.pid, 0)[1]
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        try:
-            sent = marshal.loads(data) if code == 0 else None
-        except (EOFError, ValueError):
-            sent = None
-        if sent is None:
-            how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
-            raise RuntimeError(f"the child running suite {self.name!r} {how} "
-                               "without a complete report")
-        ok, body = sent
-        if not ok:
-            import pickle
-            raise pickle.loads(body[0]) from RuntimeError(
-                f"in the child running suite {self.name!r}:\n{body[1]}")
-        cases, failures, details = body
-        return SuiteReport(self.name, cases,
-                           tuple(VerifyFailure(*f) for f in failures), details)
-
-
 def all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     """run_suite(s, cfg) for each suite s in _SUITES order, with the
     one-lane loop's outcome: the exception that propagates is the one
-    the earliest suite raises."""
-    child = None
+    the earliest suite raises, with its type and message. A child that
+    ends without a complete report is a RuntimeError naming its exit
+    status or signal. The child is reaped before this returns or
+    raises; a suite that raises before `order` kills it first."""
+    pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
+        fd, w = os.pipe()
         try:
-            child = _ForkedSuite(_FORKED, cfg)
+            pid = os.fork()
         except OSError:
-            pass
-    if child is None:
+            os.close(fd)
+            os.close(w)
+    if pid is None:
         return [run_suite(s, cfg) for s in _SUITES]
-    reports = {}
-    with child:
-        past_child = False
+    if pid == 0:  # the child: write (True, report) or (False, exception)
+        status = 1
         try:
+            os.close(fd)
+            try:
+                r = run_suite("order", cfg)
+                sent = True, (r.cases, [tuple(f) for f in r.failures], r.details)
+            except BaseException as exc:
+                import pickle
+                sent = False, pickle.dumps(exc)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(sent))
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's frames
+    os.close(w)
+    reports, raised, past_order = {}, None, False
+    try:
+        with open(fd, "rb") as inp:
             for s in _SUITES:
-                if s == _FORKED:
-                    past_child = True
-                else:
+                if s == "order":
+                    past_order = True
+                    continue
+                try:
                     reports[s] = run_suite(s, cfg)
-        except Exception:
-            if past_child:
-                child.report()  # raises what the child raised, which came first
-            raise
-        reports[_FORKED] = child.report()
+                except Exception as exc:
+                    if not past_order:
+                        raise
+                    raised = exc  # unless `order` raised first
+                    break
+            data = inp.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+    finally:
+        if pid is not None:
+            import signal
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        ok, body = marshal.loads(data) if code == 0 else (None, None)
+    except (EOFError, ValueError):
+        ok = None
+    if ok is None:
+        how = f"exited with status {code}" if code >= 0 else f"was killed by signal {-code}"
+        raise RuntimeError(f"the child running suite 'order' {how} without a complete report")
+    if not ok:
+        import pickle
+        raise pickle.loads(body)
+    if raised is not None:
+        raise raised
+    cases, failures, details = body
+    reports["order"] = SuiteReport("order", cases, tuple(VerifyFailure(*f) for f in failures), details)
     return [reports[s] for s in _SUITES]
