@@ -41,6 +41,8 @@ from typing import NamedTuple
 from .numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
+    _Frozen,
+    _Value,
     _factorize,
     crt_solve,
     is_prime,
@@ -57,7 +59,7 @@ def _braced(xs) -> str:
     return "{" + ", ".join(map(str, xs)) + "}"
 
 
-class FiniteSubset:
+class FiniteSubset(_Value):
     """A nonempty set of nonzero integers within the 63-bit range,
     stored sorted.
 
@@ -78,18 +80,6 @@ class FiniteSubset:
             x = xs[0] if abs(xs[0]) > MAX_MAGNITUDE else xs[-1]
             raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
         object.__setattr__(self, "elements", xs)
-
-    def __repr__(self) -> str:
-        return f"FiniteSubset(elements={self.elements!r})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.elements == self.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def of(cls, *elements: int) -> "FiniteSubset":
@@ -174,7 +164,7 @@ def a_of_pair_formula(x: int, y: int) -> tuple[int, ...]:
     return tuple(sorted({*px, *py, *pd}))
 
 
-class FilterDescriptor:
+class FilterDescriptor(_Frozen):
     """A filter's invariants, held in alpha, plus its source set.
 
     alpha's keys are A_E, its zeros the odd primes of Pi_E and
@@ -189,12 +179,6 @@ class FilterDescriptor:
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "source", source)
-
-    def __repr__(self) -> str:
-        return f"FilterDescriptor(Pi={self.Pi!r}, alpha={self.alpha!r}, source={self.source!r})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def A(self) -> tuple[int, ...] | None:

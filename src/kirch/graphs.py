@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .filters import a_of_pair_formula
-from .numtheory import MAX_MAGNITUDE, classify_prime, is_prime
+from .numtheory import MAX_MAGNITUDE, _Frozen, classify_prime, is_prime
 
 Bounds = tuple[int, int]
 
@@ -168,7 +168,7 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
     return _edges(p, bounds, _families(p))
 
 
-class GammaGraph:
+class GammaGraph(_Frozen):
     """An immutable built graph: p, exponent bounds, the vertices in
     grid order, and the edge sets of the two constructions, the
     predicate and the closed form, as index pairs into vertices; every
@@ -184,13 +184,6 @@ class GammaGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "closed", closed)
-
-    def __repr__(self) -> str:
-        return (f"GammaGraph(p={self.p!r}, bounds={self.bounds!r}, vertices={self.vertices!r}, "
-                f"predicate={self.predicate!r}, closed={self.closed!r})")
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def edges(self) -> frozenset[Edge]:

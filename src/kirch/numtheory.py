@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -226,7 +227,40 @@ def prime_divisors(x: int) -> tuple[int, ...]:
     return tuple(factorize(x))
 
 
-class CongruenceSystem:
+class _Frozen:
+    """Base of kirch's `__slots__` records: each __init__ validates and
+    stores its fields with object.__setattr__, after which assignment
+    raises AttributeError. The repr shows the fields in __slots__ order.
+    A record compares by identity unless it is a _Value."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class _Value(_Frozen):
+    """A _Frozen record equal only to one of its exact type with equal
+    fields, and hashed by them; _fields reads every field in one C call."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._fields(other) == self._fields(self)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+
+class CongruenceSystem(_Value):
     """Congruences x = a_i (mod b_i) with pairwise coprime moduli."""
 
     __slots__ = ("congruences",)
@@ -244,18 +278,6 @@ class CongruenceSystem:
                 if math.gcd(b1, b2) != 1:
                     raise ValueError(f"moduli {b1} and {b2} are not coprime")
         object.__setattr__(self, "congruences", congruences)
-
-    def __repr__(self) -> str:
-        return f"CongruenceSystem(congruences={self.congruences!r})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.congruences == self.congruences
-
-    def __hash__(self) -> int:
-        return hash(self.congruences)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def of(cls, *congruences: tuple[int, int]) -> "CongruenceSystem":

@@ -12,13 +12,13 @@ from __future__ import annotations
 import itertools
 import math
 
-from .numtheory import MAX_MAGNITUDE, prime_divisors
+from .numtheory import MAX_MAGNITUDE, _Value, prime_divisors
 
 # largest window bound W; a sample of [-W, W] is built and printed whole
 _MAX_WINDOW = 10**6
 
 
-class Progression:
+class Progression(_Value):
     """(a + bZ) minus {0}, with a reduced to the least-magnitude nonzero
     representative of its class (ties broken toward the positive one).
     Both a and b must lie within the 63-bit range.
@@ -47,18 +47,6 @@ class Progression:
         object.__setattr__(self, "a", rep)
         object.__setattr__(self, "b", b)
 
-    def __repr__(self) -> str:
-        return f"Progression(a={self.a!r}, b={self.b!r})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and (other.a, other.b) == (self.a, self.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     def __contains__(self, z: int) -> bool:
         return z != 0 and (z - self.a) % self.b == 0
 
@@ -66,7 +54,7 @@ class Progression:
         return f"{self.a}+{self.b}Z"
 
 
-class Window:
+class Window(_Value):
     """The finite test universe [-W, W] minus {0}, for 1 <= W <= 10^6.
 
     The bound keeps a sample small enough to materialize and print.
@@ -79,23 +67,11 @@ class Window:
             raise ValueError(f"window bound {W} must lie in [1, {_MAX_WINDOW}]")
         object.__setattr__(self, "W", W)
 
-    def __repr__(self) -> str:
-        return f"Window(W={self.W!r})"
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other.W == self.W
-
-    def __hash__(self) -> int:
-        return hash(self.W)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
     def members(self):
         return itertools.chain(range(-self.W, 0), range(1, self.W + 1))
 
 
-class ClosureSet:
+class ClosureSet(_Value):
     """{z != 0 : z = 0 or allowed_residue (mod p) for every listed p}.
 
     This is the closure of a progression whose modulus has exactly the
@@ -108,21 +84,6 @@ class ClosureSet:
     def __init__(self, modulus_primes: tuple[int, ...], allowed_residue: int):
         object.__setattr__(self, "modulus_primes", modulus_primes)
         object.__setattr__(self, "allowed_residue", allowed_residue)
-
-    def __repr__(self) -> str:
-        return (f"ClosureSet(modulus_primes={self.modulus_primes!r}, "
-                f"allowed_residue={self.allowed_residue!r})")
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self)
-                and (other.modulus_primes, other.allowed_residue)
-                == (self.modulus_primes, self.allowed_residue))
-
-    def __hash__(self) -> int:
-        return hash((self.modulus_primes, self.allowed_residue))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __contains__(self, z: int) -> bool:
         if z == 0:

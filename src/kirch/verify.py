@@ -2,16 +2,19 @@
 
 Each suite pits a closed-form statement against its definitional
 oracle over an exhaustive catalog, collecting mismatches as explicit
-failures, and refuses with ValueError before it starts when its
-config plans more than _MAX_CASES cases, or none. The `order` suite names a
-filter by its generator conditions, read from the residues of a set's
-elements: they pick its 1450 catalog sets and decide its 1450^2
-catalog pairs and its sampled pairs, never the alpha maps its
-closed form compares. Both sides decide the catalog
-a column at a time, from per-prime bitsets over its rows, with no
-loop over pairs. Reports are deterministic:
-catalogs enumerate in canonical order, any sampling is driven by the
-configured seed, and the JSON rendering carries no wall-clock data.
+failures, and refuses with ValueError a config that plans more than
+_MAX_CASES cases, or none. A suite refuses from its bounds alone,
+before it builds anything, with two exceptions: `order` counts its
+pairs once its catalog is built, and `gamma` refuses only after it has
+built a graph with no interior vertex, on which the degree lemmas
+would check nothing. The `order` suite names a filter by its generator
+conditions, read from the residues of a set's elements: they pick its
+1450 catalog sets and decide its 1450^2 catalog pairs and its sampled
+pairs, never the alpha maps its closed form compares. Both sides
+decide the catalog a column at a time, from per-prime bitsets over its
+rows, with no loop over pairs. Reports are deterministic: catalogs
+enumerate in canonical order, any sampling is driven by the configured
+seed, and the JSON rendering carries no wall-clock data.
 
 run_suite("all", cfg) runs the suites in two lanes where os.fork exists
 and at least two CPUs are usable (see kirch.lanes); its report is the
@@ -43,6 +46,7 @@ from .filters import (
 )
 from .graphs import _grid, build_gamma, closed_form_edges, degree_signature, printed_p3_report
 from .numtheory import (
+    _Value,
     classify_prime,
     consecutive_power_pairs,
     primes_upto,
@@ -52,7 +56,7 @@ from .numtheory import (
 from .topology import Progression, closure, closure_oracle_member
 
 
-class SuiteConfig:
+class SuiteConfig(_Value):
     """Knobs shared by the suites; every bound has a suite-appropriate
     default, and max_element of None means each suite uses the bound
     its statement is quoted at."""
@@ -68,21 +72,6 @@ class SuiteConfig:
         object.__setattr__(self, "max_element", max_element)
         object.__setattr__(self, "graph_bounds", graph_bounds)
         object.__setattr__(self, "seed", seed)
-
-    def _key(self) -> tuple:
-        return self.max_element, self.graph_bounds, self.seed
-
-    def __repr__(self) -> str:
-        return "SuiteConfig(max_element=%r, graph_bounds=%r, seed=%r)" % self._key()
-
-    def __eq__(self, other) -> bool:
-        return type(other) is type(self) and other._key() == self._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 # the most cases a suite may plan; the defaults plan at most 3.2 M
@@ -172,14 +161,17 @@ def _suite_closure(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 20
     w = _CLOSURE_WINDOW
     cases = _within_budget(2 * bound * bound * 2 * w, "closure cases")
-    mismatches: dict[Progression, list[tuple[int, bool, bool]]] = {}
+    # keyed by the reduced (a, b), which names the progression: a tuple
+    # hashes in C, a Progression through Python-level __hash__ and __eq__
+    mismatches: dict[tuple[int, int], list[tuple[int, bool, bool]]] = {}
     failures = []
     for a in range(-bound, bound + 1):
         if a == 0:
             continue
         for b in range(1, bound + 1):
             prog = Progression(a, b)
-            if prog not in mismatches:
+            key = prog.a, b
+            if key not in mismatches:
                 cs = closure(prog)
                 period = math.lcm(prog.b, math.prod(cs.modulus_primes))
                 reps = min(period, w)
@@ -190,8 +182,8 @@ def _suite_closure(cfg: SuiteConfig):
                     if lhs != rhs:
                         step, stop = (period, w + 1) if z > 0 else (-period, -w - 1)
                         found += [(y, lhs, rhs) for y in range(z, stop, step)]
-                mismatches[prog] = sorted(found)
-            for z, lhs, rhs in mismatches[prog]:
+                mismatches[key] = sorted(found)
+            for z, lhs, rhs in mismatches[key]:
                 failures.append(VerifyFailure(
                     f"a={a} b={b} z={z}", f"oracle={rhs}", f"formula={lhs}"
                 ))

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from kirch import filters, graphs, numtheory, verify
-from kirch.filters import FilterClass, FilterDescriptor, filter_leq, realize
+from kirch.filters import FilterClass, FilterDescriptor, FiniteSubset, filter_leq, realize
 from kirch.numtheory import prime_divisors
 from kirch.topology import ClosureSet
 from kirch.verify import SuiteConfig, run_suite
@@ -17,20 +17,37 @@ from kirch.verify import SuiteConfig, run_suite
 _DEPTH = {c: k for k, c in enumerate(FilterClass)}
 
 
-def _layer_violations():
-    """classify against the filter order on every realized set with
-    A inside {2, 3, 5}: a layered E strictly below F lies deeper."""
+def _realized_sets():
+    """One realized set per filter with A inside {2, 3, 5}."""
     sets = [
         realize((2, *odd), {2: 1, **dict(zip(odd, residues))})
         for odd in ((), (3,), (5,), (3, 5))
         for residues in product(*(range(p) for p in odd))
     ]
     assert len(sets) == 24
+    return sets
+
+
+def _layer_violations():
+    """classify against the filter order on every realized set with
+    A inside {2, 3, 5}: a layered E strictly below F lies deeper."""
+    sets = _realized_sets()
     depth = {E: _DEPTH[filters.classify(E)] for E in sets}
     return [
         (E, F) for E in sets for F in sets
         if depth[E] < _DEPTH[FilterClass.OTHER]
         and filter_leq(E, F) and not filter_leq(F, E) and depth[E] <= depth[F]
+    ]
+
+
+def _doubling_changes_the_class():
+    """The realized sets whose class changes when every element is
+    doubled. Doubling keeps A_E and the odd part of Pi_E, which is all
+    a class depends on, and makes every element even: {7, 15, 30}
+    doubles to {14, 30, 60}, with Pi = {2}, and both are FDoublePrime."""
+    return [
+        E for E in _realized_sets()
+        if filters.classify(E) != filters.classify(FiniteSubset(tuple(2 * x for x in E.elements)))
     ]
 
 
@@ -99,6 +116,19 @@ def _classify_ignoring_pi(real):
     return classify
 
 
+def _classify_with_pi_test(pi_test):
+    # `set(d.Pi) <= {2}` in classify's three-prime branch replaced by
+    # pi_test(set(d.Pi))
+    def mutant(real):
+        def classify(E):
+            d = filters.descriptor(E)
+            if d.A is not None and len(d.A) == 3:
+                return FilterClass.F_DOUBLE_PRIME if pi_test(set(d.Pi)) else FilterClass.OTHER
+            return real(E)
+        return classify
+    return mutant
+
+
 def _closure_dropping_its_largest_prime_past_30(real):
     def closure(prog):
         cs = real(prog)
@@ -113,6 +143,10 @@ def _closure_dropping_its_largest_prime_past_30(real):
 MUTANTS = [
     pytest.param(filters, "classify", _classify_ignoring_pi, _layer_violations,
                  id="classify-pi"),
+    pytest.param(filters, "classify", _classify_with_pi_test(lambda pi: pi < {2}),
+                 _doubling_changes_the_class, id="classify-pi-strict-subset"),
+    pytest.param(filters, "classify", _classify_with_pi_test(lambda pi: pi <= {1}),
+                 _doubling_changes_the_class, id="classify-pi-within-1"),
     pytest.param(verify, "upset_in_fprime", _upset_without_its_first,
                  partial(_failures, "classify"), id="upset-no-first"),
     # 31 is the least bound with a modulus b > 30
@@ -138,6 +172,33 @@ MUTANTS = [
     pytest.param(numtheory, "perfect_powers", _perfect_powers_without_8,
                  partial(_failures, "mihailescu"), id="perfect-powers-no-8"),
 ]
+
+# The mutants of the one-site mutation sweep (a comparison swapped, an
+# integer constant moved by 1, and/or or +/- swapped, a `not` dropped,
+# a table row dropped) that pass every suite and every test, and need
+# no row above: each is equivalent to the real code, or changes only a
+# guard that no input in range reaches. 28 in all.
+#
+#   target                       n  why no check can tell
+#   filters._residues            3  the pair shortcut, and which two
+#                                   elements bound the scan: any two
+#                                   distinct elements bound the primes
+#   filters.a_of_pair_formula    1  `<` at exactly 2^63 - 1: both branches
+#                                   factor the same difference
+#   filters.descriptor           1  a singleton reads elements[-1], which
+#                                   is its only element
+#   graphs._shape                6  the exponent short-circuits before the
+#                                   exact 63-bit test, which decides alone
+#   numtheory.crt_solve          1  the skip of modulus 1, whose term is 0
+#   numtheory.classify_prime     2  m read off p + 2 or p in place of
+#                                   p + 1 or p - 1: the same bit length
+#   numtheory.prime_divisors     4  the cache size, which no answer reads
+#   graphs.printed_p3_edges     10  ranges past the grid, a family written
+#                                   from its other end, or `k <= l`: no
+#                                   output byte changes on the pinned grids
+#
+# The sweep itself is not kept here: through `kirch verify all` and then
+# the tests it takes about an hour on two cores.
 
 
 @pytest.mark.parametrize("module,name,mutant,check", MUTANTS)

@@ -209,13 +209,16 @@ class TestPeriod:
 class TestSuperconnectWitness:
     def test_frozen_examples(self):
         # cl(1+qZ) and cl(2+qZ) meet exactly in the nonzero multiples of
-        # q, for odd squarefree q
-        def meet(q, W):
-            c1, c2 = closure(Progression(1, q)), closure(Progression(2, q))
-            return {z for z in Window(W).members() if z in c1 and z in c2}
-
-        assert meet(15, 150) == {
-            s * k for s in (1, -1) for k in range(15, 151, 15)
-        }
-        assert meet(3, 9) == {3, 6, 9, -3, -6, -9}
-        assert meet(105, 210) == {105, 210, -105, -210}
+        # q, for odd squarefree q. Both sides are periodic mod q (the
+        # TestPeriod premise), so the points +-1..+-q decide each q.
+        # 3, 5 and 7 are the odd primes whose squares are at most 105
+        odd_squarefree = [q for q in range(1, 106, 2) if all(q % (p * p) for p in (3, 5, 7))]
+        assert {3, 15, 105} <= set(odd_squarefree)
+        for q in odd_squarefree:
+            p1, p2 = Progression(1, q), Progression(2, q)
+            c1, c2 = closure(p1), closure(p2)
+            for z in (*range(-q, 0), *range(1, q + 1)):
+                assert (z in c1 and z in c2) == (z % q == 0), (q, z)
+                assert (closure_oracle_member(z, p1) and closure_oracle_member(z, p2)) == (
+                    z % q == 0
+                ), (q, z)

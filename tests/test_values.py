@@ -2,16 +2,19 @@
 hash, immutability and every validation message; and an import of the
 command line that loads no dataclass machinery."""
 
+import importlib
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
+import kirch
 from kirch.filters import FilterDescriptor, FiniteSubset, OrderWitness, descriptor
 from kirch.graphs import GammaGraph, build_gamma
-from kirch.numtheory import CongruenceSystem, PrimeClass, classify_prime
+from kirch.numtheory import CongruenceSystem, PrimeClass, _Frozen, _Value, classify_prime
 from kirch.topology import ClosureSet, Progression, Window, closure
 from kirch.verify import SuiteConfig, SuiteReport, VerifyFailure
 
@@ -61,12 +64,25 @@ BY_IDENTITY = [
 ]
 
 
+def _records(base):
+    """Every class below base, at any depth, that names its fields, in
+    every kirch module but __main__, which would run the CLI."""
+    for m in pkgutil.iter_modules(kirch.__path__):
+        if m.name != "__main__":
+            importlib.import_module(f"kirch.{m.name}")
+    below = base.__subclasses__()
+    return {c for c in below if c.__slots__} | {r for c in below for r in _records(c)}
+
+
 def test_the_tables_cover_every_value_type():
-    made = [p.values[0]() for p in BY_VALUE + BY_IDENTITY]
-    assert {type(v) for v in made} == {
-        CongruenceSystem, PrimeClass, FiniteSubset, FilterDescriptor, OrderWitness,
-        Progression, Window, ClosureSet, GammaGraph, SuiteConfig, VerifyFailure, SuiteReport,
+    # every __slots__ record derives from _Frozen, so a new one shows up
+    # here; the NamedTuples are listed by hand
+    by_value = {type(p.values[0]()) for p in BY_VALUE}
+    by_identity = {type(p.values[0]()) for p in BY_IDENTITY}
+    assert by_value | by_identity == _records(_Frozen) | {
+        PrimeClass, OrderWitness, VerifyFailure, SuiteReport,
     }
+    assert by_value & _records(_Frozen) == _records(_Value)
 
 
 @pytest.mark.parametrize("make,other,text", BY_VALUE)
