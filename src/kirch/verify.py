@@ -646,11 +646,12 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
 
     For "all", each suite runs through run_suite. With os.fork and at
     least two usable CPUs (os.sched_getaffinity), `order` runs in a
-    forked child while this process runs the other ten; the child's
-    report comes back over a pipe and is merged in its place, so the
-    report, and the exception raised, if any, are those of running the
-    suites one after another, as happens everywhere else. The child is
-    reaped before this returns or raises. The fork machinery lives in
+    forked child while this process runs the other ten, and the child's
+    report comes back over a pipe to be merged in its place. Any other
+    outcome, an exception in either lane or a child without a report,
+    reaps the child and runs the suites again one after another, as
+    happens everywhere else, so the report, or the exception raised,
+    is always that of the one-lane loop. The fork machinery lives in
     kirch.lanes, imported here so that no other kirch call compiles it.
 
     >>> run_suite("mihailescu", SuiteConfig()).passed

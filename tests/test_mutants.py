@@ -100,6 +100,27 @@ def _families_without_the_last(real):
     return lambda p: real(p)[:-1]
 
 
+# a prime of each class whose table _families gives
+_CLASS_PRIMES = {"p3": 3, "fermat": 5, "mersenne": 7, "neither": 11}
+
+
+def _prime_class(p):
+    if p == 3:
+        return "p3"
+    cls = numtheory.classify_prime(p)
+    return "fermat" if cls.is_fermat else "mersenne" if cls.is_mersenne else "neither"
+
+
+def _families_without(cls, k):
+    # family k of one class's table dropped, for the primes of that class only
+    def mutant(real):
+        def families(p):
+            table = real(p)
+            return table[:k] + table[k + 1:] if _prime_class(p) == cls else table
+        return families
+    return mutant
+
+
 def _pair_formula_without_the_difference(real):
     return lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)}))
 
@@ -163,8 +184,10 @@ MUTANTS = [
                  partial(_failures, "ppix"), id="column-past-40"),
     pytest.param(filters, "crt_solve", _crt_solve_off_by_one,
                  partial(_failures, "realize"), id="crt-plus-one"),
-    pytest.param(graphs, "_families", _families_without_the_last,
-                 partial(_failures, "gamma", graph_bounds=(6, 3)), id="families-no-last"),
+    # one row per shift family: the (6, 3) grids must need every one
+    *(pytest.param(graphs, "_families", _families_without(cls, k),
+                   partial(_failures, "gamma", graph_bounds=(6, 3)), id=f"families-{cls}-{k}")
+      for cls, p in _CLASS_PRIMES.items() for k in range(len(graphs._families(p)))),
     pytest.param(graphs, "_families", _families_without_the_last,
                  partial(_failures, "gamma2"), id="families-no-last-gamma2"),
     pytest.param(verify, "zsigmondy_closed_form", _zsigmondy_missing_2_6,
