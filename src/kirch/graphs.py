@@ -11,17 +11,18 @@ endpoints by a power of 2 and of p scales their difference alike, so
 whether a pair is an edge depends only on its exponent offset and on
 whether the signs agree. Both constructions are therefore tables of
 forward offset classes (dj, di, t), both instantiated by the same
-index arithmetic, _edges: an edge is a pair (k, l), k < l, of indices
-into the grid-order vertex tuple of _grid. The predicate's table comes
-from _scored_offsets, which scores each class once by stripping 2 and
-p from one representative difference instead of factoring anything.
-The closed form's table, _families, is written out by hand:
-every edge shifts the exponents by a bounded amount, so the whole edge
-set falls into finitely many shift families depending only on whether
-p is a Fermat prime, a Mersenne prime, both (p = 3), or neither. The
-two tables share nothing; interior_margins reads from _families how
-far from the grid's upper bounds a vertex keeps its whole
-neighborhood.
+index arithmetic, _edges: an edge is one int, k << 16 | l, for
+indices k < l into the grid-order vertex tuple of _grid (edge_ends
+gives (k, l) back), so sorted codes are in grid order. The predicate's
+table comes from _scored_offsets, which scores each class once by
+stripping 2 and p from one representative difference instead of
+factoring anything. The closed form's table, _families, is written
+out by hand: every edge shifts the exponents by a bounded amount, so
+the whole edge set falls into finitely many shift families depending
+only on whether p is a Fermat prime, a Mersenne prime, both (p = 3),
+or neither. The two tables share nothing; interior_margins reads from
+_families how far from the grid's upper bounds a vertex keeps its
+whole neighborhood.
 
 The closed-form tables here were re-derived from the definitional
 predicate by exhausting the coprime smooth pairs with smooth difference
@@ -54,9 +55,21 @@ class GammaVertex(NamedTuple):
         return self.sign * 2**self.two_exp * p**self.p_exp
 
 
-# (k, l) with k < l: indices into the grid-order vertex tuple of _grid
-Edge = tuple[int, int]
+# k << 16 | l for indices k < l into the grid-order vertex tuple of
+# _grid: _shape admits only grids whose largest vertex fits 63 bits,
+# which have at most 1,280 vertices (p = 3, bounds (31, 20)), so
+# l < 2^16 and sorted codes are in (k, l) order
+Edge = int
 Offset = tuple[int, int, int]
+_SHIFT = 16
+_MASK = (1 << _SHIFT) - 1
+# the code of (k + 1, l + 1) less the code of (k, l)
+_DIAGONAL = _MASK + 2
+
+
+def edge_ends(e: Edge) -> tuple[int, int]:
+    """The indices (k, l), k < l, that an edge joins."""
+    return e >> _SHIFT, e & _MASK
 
 
 def vertex_from_value(x: int, p: int) -> GammaVertex:
@@ -147,8 +160,11 @@ def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]
     vertex built: (dj, di, t) adds (dj * width + di) * 2 to the index of
     each vertex whose partner fits, and flips its sign bit when t = -1.
     A forward class ((dj, di) >= (0, 0)) never moves an index down, so
-    each edge is (k, l) with k < l; the rung (0, 0, -1) is taken from
-    the sign -1 alone."""
+    each edge joins k < l; the rung (0, 0, -1) is taken from the sign
+    -1 alone. Within one row and sign the partner of each index k is
+    k + gap for one gap, so the codes k << 16 | (k + gap), which equal
+    k * _DIAGONAL + gap, of k = first + b, first + b + 2, ... are one
+    range."""
     rows, width = _shape(p, bounds)
     out: set[Edge] = set()
     for dj, di, t in offsets:
@@ -157,8 +173,9 @@ def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]
         for r in range(len(rows) - dj):
             first, last = (r * width + lo) * 2, (r * width + hi) * 2
             for b in (0, 1) if step else (0,):
-                c = b if t == 1 else 1 - b
-                out.update(zip(range(first + b, last, 2), range(first + step + c, last + step, 2)))
+                gap = step if t == 1 else step + 1 - 2 * b
+                out.update(range((first + b) * _DIAGONAL + gap, last * _DIAGONAL + gap,
+                                 2 * _DIAGONAL))
     return frozenset(out)
 
 
@@ -171,7 +188,7 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
 class GammaGraph(_Frozen):
     """An immutable built graph: p, exponent bounds, the vertices in
     grid order, and the edge sets of the two constructions, the
-    predicate and the closed form, as index pairs into vertices; every
+    predicate and the closed form, as Edge codes into vertices; every
     other view of the edges is derived from those two. Graphs compare
     by identity."""
 
@@ -194,8 +211,10 @@ class GammaGraph(_Frozen):
         vertex pairs in grid order."""
         v = self.vertices
         return {
-            "predicate": [(v[k], v[l]) for k, l in sorted(self.predicate - self.closed)],
-            "closed_form": [(v[k], v[l]) for k, l in sorted(self.closed - self.predicate)],
+            "predicate": [(v[e >> _SHIFT], v[e & _MASK])
+                          for e in sorted(self.predicate - self.closed)],
+            "closed_form": [(v[e >> _SHIFT], v[e & _MASK])
+                            for e in sorted(self.closed - self.predicate)],
         }
 
 
@@ -260,7 +279,8 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
 
     >>> g = build_gamma(5, (4, 3))
     >>> five = g.vertices.index(GammaVertex(1, 0, 1))
-    >>> sorted(g.vertices[w].value(5) for e in g.predicate if five in e for w in e if w != five)
+    >>> ends = map(edge_ends, g.predicate)
+    >>> sorted(g.vertices[k + l - five].value(5) for k, l in ends if five in (k, l))
     [-20, -5, 10, 25]
     """
     vertices = _grid(p, bounds)
@@ -289,9 +309,9 @@ def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
     [-1, 1]
     """
     degree = [0] * len(g.vertices)
-    for k, l in g.predicate:
-        degree[k] += 1
-        degree[l] += 1
+    for e in g.predicate:
+        degree[e >> _SHIFT] += 1
+        degree[e & _MASK] += 1
     m2, mp = interior_margins(g.p)
     max_i, max_j = g.bounds
     return {
@@ -325,7 +345,7 @@ def emit_dot(g: GammaGraph) -> str:
     lines = [f"graph gamma_{g.p} {{"]
     lines.extend(f'  "{label}";' for label in labels)
     lines.extend(sorted(
-        f'  "{labels[e[0]]}" -- "{labels[e[1]]}"{_TAGS[e in pred, e in closed][1]};'
+        f'  "{labels[e >> _SHIFT]}" -- "{labels[e & _MASK]}"{_TAGS[e in pred, e in closed][1]};'
         for e in g.edges
     ))
     lines.append("}")
@@ -340,7 +360,7 @@ def graph_json_dict(g: GammaGraph) -> dict:
     prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
     pairs = []
     for e in sorted(g.edges):
-        pair = [values[e[0]], values[e[1]]]
+        pair = [values[e >> _SHIFT], values[e & _MASK]]
         pairs.append(pair)
         prov[_TAGS[e in pred, e in closed][0]].append(pair)
     return {
@@ -384,7 +404,7 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
                 ):
                     if v in at and w in at:
                         k, l = at[v], at[w]
-                        out.add((k, l) if k < l else (l, k))
+                        out.add(k << _SHIFT | l if k < l else l << _SHIFT | k)
     return frozenset(out)
 
 
@@ -396,7 +416,7 @@ def printed_p3_report(bounds: Bounds) -> dict:
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:
-        return sorted(sorted([values[k], values[l]]) for k, l in edges)
+        return sorted(sorted([values[e >> _SHIFT], values[e & _MASK]]) for e in edges)
 
     return {
         "bounds": list(bounds),

@@ -44,7 +44,14 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import _grid, build_gamma, closed_form_edges, degree_signature, printed_p3_report
+from .graphs import (
+    _grid,
+    build_gamma,
+    closed_form_edges,
+    degree_signature,
+    edge_ends,
+    printed_p3_report,
+)
 from .numtheory import (
     _Value,
     classify_prime,
@@ -401,7 +408,10 @@ def _suite_top(cfg: SuiteConfig):
     bounds = (bound.bit_length() - 1, 0)
     powers = [v.value(2) for v in _grid(2, bounds)]
     # each edge as (x, y) with x < y, the order the loop below meets it in
-    listed = {tuple(sorted((powers[k], powers[l]))) for k, l in closed_form_edges(2, bounds)}
+    listed = {
+        tuple(sorted((powers[k], powers[l])))
+        for k, l in map(edge_ends, closed_form_edges(2, bounds))
+    }
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -577,12 +587,13 @@ def _suite_gamma2(cfg: SuiteConfig):
     failures = []
     cases = 0
     vals = [v.value(2) for v in g.vertices]
+    predicate, closed_form = set(map(edge_ends, g.predicate)), set(map(edge_ends, g.closed))
     for k, x in enumerate(vals):
         for l in range(k + 1, len(vals)):
             cases += 1
             y = vals[l]
             top = is_top(FiniteSubset.of(x, y))
-            pred, closed = (k, l) in g.predicate, (k, l) in g.closed
+            pred, closed = (k, l) in predicate, (k, l) in closed_form
             if not top == pred == closed:
                 failures.append(VerifyFailure(
                     f"E={{{x}, {y}}}", f"is_top={top}",

@@ -233,18 +233,31 @@ def test_realize_rejects_bad_alpha(capsys):
     assert code == 2 and out == "" and err.count("\n") == 1 and "twice" in err
 
 
-# sha256 of `kirch gamma` stdout: DOT and JSON on the benchmark's p = 3
-# grid, the p = 2 row at the 63-bit edge, an empty grid, and the p = 3
-# grid near the 63-bit edge
+# sha256 of `kirch gamma` stdout, DOT and JSON: the benchmark's p = 3
+# grid, the p = 2 row and the p = 3 grid near the 63-bit edge, the one
+# row of Gamma_5 that fits, a Fermat and a Mersenne prime, and an empty
+# grid
 GAMMA_SHA256 = {
     "3 --bounds 14,8": "e91153254c3d4d7ddce9a62b36a9fa13123f00c58de2feaafc679f3b1b1112ea",
     "3 --bounds 14,8 --format json":
         "6f07cc509ef91c5666cad943db08e8715ee9b129f99bb10702246811ae84689f",
+    "2 --bounds 62,0": "7f32b129ff90834fc27ce6d098357d6efc7d5861222c7c514b2f7446f6599e1e",
     "2 --bounds 62,0 --format json":
         "a86404bee4b86d2df8eb41ed0da34c3ede5db8ac753a0f9383d80fe01bd6f98d",
+    "3 --bounds 38,14": "751dcc932b4965054e3e12a81b2e0b8be1194f9e13ae4244dc07ffab71a05df2",
+    "3 --bounds 38,14 --format json":
+        "4ca932e4fff05834598280ca67176a2e5354bd199a3c8de507398b71d2a0feab",
+    "5 --bounds 0,27": "65e32732a058babb3f63a7328af036b1d1b97b1a14e5b7ea554c5b891a1efec7",
+    "5 --bounds 0,27 --format json":
+        "0091281aa714d5fbd3af333c9359f2726ada3e2050d0a4dc8eab64d3bd70a2ac",
+    "17 --bounds 16,5": "a43b862c2326cf502a9b24980ac983943aa825fc03facecc5cceb391379e3bc8",
+    "17 --bounds 16,5 --format json":
+        "0f254c6bf73963cd0db309b7a08f973e8d95f53913658b432a1cc39fa36d9a49",
+    "31 --bounds 16,4": "6499a9f6005de098b919723bf7694227e1d23cd184b8f98c03170922a7834f5d",
+    "31 --bounds 16,4 --format json":
+        "d916bd17b31368a4394fb59d7401c262aa776664c35481daaa4dc654a11e82c3",
     "5 --bounds 3,0 --format json":
         "92abc4da6878469d90d17a7dab746d8247d9b1557d38cda68291396eae14831b",
-    "3 --bounds 38,14": "751dcc932b4965054e3e12a81b2e0b8be1194f9e13ae4244dc07ffab71a05df2",
 }
 
 

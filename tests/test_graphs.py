@@ -13,6 +13,7 @@ from kirch.graphs import (
     build_gamma,
     closed_form_edges,
     degree_signature,
+    edge_ends,
     edge_predicate,
     emit_dot,
     graph_json_dict,
@@ -37,8 +38,8 @@ def values(g):
 
 
 def as_vertices(g, edges):
-    """Index-pair edges of g decoded through g.vertices."""
-    return {(g.vertices[k], g.vertices[l]) for k, l in edges}
+    """Edges of g decoded through g.vertices."""
+    return {(g.vertices[k], g.vertices[l]) for k, l in map(edge_ends, edges)}
 
 
 def neighbor_values(g, v):
@@ -117,6 +118,42 @@ def test_build_gamma_does_not_read_the_families(monkeypatch):
     assert g.discrepancies()["predicate"] != []
 
 
+# An edge only one side claims, rendered: dashed and under "predicate"
+# when the closed form misses the shift (0, 1, 1) of Gamma_5, dotted and
+# under "closed_form" when it adds (0, 2, 1), whose representative
+# 1 - 4 = -3 is not {2,5}-smooth.
+@pytest.mark.parametrize("shift,side,style", [
+    ((0, 1, 1), "predicate", " [style=dashed]"),
+    ((0, 2, 1), "closed_form", " [style=dotted]"),
+])
+def test_one_sided_edges_are_rendered(monkeypatch, shift, side, style):
+    real = graphs._families
+
+    def families(p):
+        rest = tuple(c for c in real(p) if c != shift)
+        return rest if side == "predicate" else rest + (shift,)
+
+    monkeypatch.setattr(graphs, "_families", families)
+    g = build_gamma(5, (6, 4))
+    # the shift's pairs, by a vertex loop, in grid order
+    order = sorted(g.vertices)
+    dj, di, t = shift
+    want = [
+        (v, w)
+        for v in order
+        for w in [GammaVertex(v.p_exp + dj, v.two_exp + di, v.sign * t)]
+        if w in order
+    ]
+    assert want
+    prov = graph_json_dict(g)["provenance"]
+    assert prov[side] == [[v.value(5), w.value(5)] for v, w in want]
+    assert prov["closed_form" if side == "predicate" else "predicate"] == []
+    styled = sorted(line for line in emit_dot(g).splitlines() if "style" in line)
+    assert styled == sorted(
+        f'  "{graphs._label(v, 5)}" -- "{graphs._label(w, 5)}"{style};' for v, w in want
+    )
+
+
 # Each class's hand-written table against the scored one, with no grid
 # instantiated, on bounds that reach two columns past the largest |di|:
 # three rows for p = 3, two for the other odd primes, the row j = 0 for
@@ -193,7 +230,10 @@ def forward_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_edges_match_the_vertex_lookup(case):
     p, bounds, table = case
-    assert graphs._edges(p, bounds, table) == lookup_edges(p, bounds, table)
+    ends = [edge_ends(e) for e in graphs._edges(p, bounds, table)]
+    n = len(graphs._grid(p, bounds))
+    assert all(k < l < n for k, l in ends)
+    assert set(ends) == lookup_edges(p, bounds, table)
 
 
 def test_p3_families_hold_past_2_to_60():

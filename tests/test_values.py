@@ -62,7 +62,7 @@ BY_IDENTITY = [
     pytest.param(lambda: build_gamma(2, (0, 0)),
                  "GammaGraph(p=2, bounds=(0, 0), vertices=(GammaVertex(p_exp=0, two_exp=0, "
                  "sign=-1), GammaVertex(p_exp=0, two_exp=0, sign=1)), "
-                 "predicate=frozenset({(0, 1)}), closed=frozenset({(0, 1)}))", id="GammaGraph"),
+                 "predicate=frozenset({1}), closed=frozenset({1}))", id="GammaGraph"),
 ]
 
 

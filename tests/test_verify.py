@@ -21,7 +21,7 @@ from kirch.filters import (
     filter_leq,
     order_oracle,
 )
-from kirch.graphs import GammaGraph, build_gamma, degree_signature
+from kirch.graphs import GammaGraph, build_gamma, degree_signature, edge_ends
 from kirch.numtheory import prime_divisors, primes_upto
 from kirch.topology import ClosureSet, Progression
 from kirch.verify import (
@@ -493,7 +493,7 @@ def test_gamma_suite_compares_the_whole_grid(monkeypatch):
         # no interior reaches
         g = real(p, bounds)
         corner = g.vertices.index(max(g.vertices))
-        closed = frozenset(e for e in g.closed if corner not in e)
+        closed = frozenset(e for e in g.closed if corner not in edge_ends(e))
         return GammaGraph(g.p, g.bounds, g.vertices, g.predicate, closed)
 
     monkeypatch.setattr(verify, "build_gamma", build)
@@ -718,6 +718,63 @@ def test_one_lane_without_fork_or_a_second_cpu(monkeypatch, cpus, fork):
 def test_a_failed_fork_runs_one_lane(monkeypatch):
     monkeypatch.setattr(lanes, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", _raiser("no more processes", BlockingIOError))
+    report = run_suite("all", small(max_element=5))
+    assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
+
+
+@pytest.fixture
+def cgroup(monkeypatch, tmp_path):
+    """Point the cgroup files at tmp_path, where none exists yet, and
+    make four CPUs affine; yield a writer taking each file's text."""
+    paths = {name: tmp_path / name for name in ("cpu.max", "quota", "period")}
+    monkeypatch.setattr(lanes, "_CPU_MAX", str(paths["cpu.max"]))
+    monkeypatch.setattr(lanes, "_CFS_QUOTA", str(paths["quota"]))
+    monkeypatch.setattr(lanes, "_CFS_PERIOD", str(paths["period"]))
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    else:
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+
+    def write(**texts):
+        for name, text in texts.items():
+            paths[name.replace("_", ".")].write_text(text)
+    yield write
+
+
+@pytest.mark.parametrize("files,cpus", [
+    ({}, 4),
+    ({"cpu_max": "max 100000\n"}, 4),
+    ({"cpu_max": "100000 100000\n"}, 1),
+    ({"cpu_max": "150000 100000\n"}, 2),
+    ({"cpu_max": "250000 100000\n"}, 3),
+    ({"cpu_max": "900000 100000\n"}, 4),
+    ({"cpu_max": "max 100000\n", "quota": "100000\n", "period": "100000\n"}, 4),
+    ({"cpu_max": "", "quota": "100000\n", "period": "100000\n"}, 4),
+    ({"cpu_max": "many 100000\n"}, 4),
+    ({"quota": "-1\n", "period": "100000\n"}, 4),
+    ({"quota": "50000\n", "period": "100000\n"}, 1),
+    ({"quota": "200000\n", "period": "100000\n"}, 2),
+    ({"quota": "200000\n"}, 4),
+    ({"quota": "200000\n", "period": "0\n"}, 4),
+], ids=[
+    "none", "v2-max", "v2-one", "v2-one-and-a-half", "v2-two-and-a-half", "v2-past-affinity",
+    "v2-max-before-v1", "v2-empty", "v2-malformed", "v1-none", "v1-half", "v1-two",
+    "v1-no-period", "v1-zero-period",
+])
+def test_usable_cpus_reads_the_cgroup_quota(cgroup, files, cpus):
+    cgroup(**files)
+    assert lanes._usable_cpus() == cpus
+
+
+def test_an_unreadable_quota_gives_the_affinity_count(cgroup, tmp_path):
+    # a directory where the file should be cannot be read as one
+    (tmp_path / "cpu.max").mkdir()
+    assert lanes._usable_cpus() == 4
+
+
+def test_a_one_cpu_quota_runs_one_lane(cgroup, monkeypatch):
+    cgroup(cpu_max="100000 100000\n")
+    monkeypatch.setattr(os, "fork", _raiser("forked", AssertionError))
     report = run_suite("all", small(max_element=5))
     assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
 
