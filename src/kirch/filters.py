@@ -104,15 +104,11 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
 
     A singleton fits such a set for every p, so it gets None. Otherwise
     they are the keys of _residues(E), which descriptor() also keeps as
-    the keys of alpha; is_top needs them alone. For a pair those keys
-    are a_of_pair_formula's primes, which are returned as they are.
+    the keys of alpha; is_top needs them alone.
     """
-    xs = E.elements
-    if len(xs) == 1:
+    if len(E.elements) == 1:
         return None
-    if len(xs) == 2:
-        return a_of_pair_formula(*xs)
-    return tuple(_residues(xs))
+    return tuple(_residues(E.elements))
 
 
 def _residues(xs: tuple[int, ...]) -> dict[int, int]:

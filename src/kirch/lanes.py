@@ -18,9 +18,7 @@ On one CPU the fork costs more than it saves: perfbench's verify_all
 run_s reads 0.213 s with it and 0.196 s without under taskset -c 0,
 one lane lower in 10 of 10 alternating pairs (2-core VM, Python
 3.11.7; BENCH_31.json). The usable CPUs are those of the affinity
-mask, cut to the CPU quota of the cgroup when one is set: cgroup v2's
-cpu.max, or v1's cpu.cfs_quota_us over cpu.cfs_period_us, rounded up,
-so that a quota of more than one CPU still forks.
+mask; a CPU quota set by a cgroup is not read.
 
 Only run_suite("all", ...) imports this module, so no other kirch call
 pays for compiling it. It uses os.fork, os.pipe and marshal directly:
@@ -36,40 +34,10 @@ import os
 from .verify import _SUITES, SuiteConfig, SuiteReport, VerifyFailure, run_suite
 
 
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
-_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
-
-
-def _read(path: str) -> str | None:
-    try:
-        with open(path) as f:
-            return f.read()
-    except (OSError, ValueError):
-        return None
-
-
-def _quota_cpus() -> int | None:
-    """The CPUs a cgroup quota allows, rounded up, or None for no
-    quota: "max", -1, or a file that is missing, unreadable or
-    malformed. cgroup v2 holds "quota period" in one file, v1 the two
-    numbers in two."""
-    v2 = _read(_CPU_MAX)
-    fields = v2.split() if v2 is not None else [_read(_CFS_QUOTA), _read(_CFS_PERIOD)]
-    try:
-        quota, period = int(fields[0]), int(fields[1])
-    except (IndexError, TypeError, ValueError):
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    quota = _quota_cpus()
-    return cpus if quota is None else min(cpus, quota)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def all_reports(cfg: SuiteConfig) -> list[SuiteReport]:

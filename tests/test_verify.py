@@ -722,63 +722,6 @@ def test_a_failed_fork_runs_one_lane(monkeypatch):
     assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
 
 
-@pytest.fixture
-def cgroup(monkeypatch, tmp_path):
-    """Point the cgroup files at tmp_path, where none exists yet, and
-    make four CPUs affine; yield a writer taking each file's text."""
-    paths = {name: tmp_path / name for name in ("cpu.max", "quota", "period")}
-    monkeypatch.setattr(lanes, "_CPU_MAX", str(paths["cpu.max"]))
-    monkeypatch.setattr(lanes, "_CFS_QUOTA", str(paths["quota"]))
-    monkeypatch.setattr(lanes, "_CFS_PERIOD", str(paths["period"]))
-    if hasattr(os, "sched_getaffinity"):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    else:
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-
-    def write(**texts):
-        for name, text in texts.items():
-            paths[name.replace("_", ".")].write_text(text)
-    yield write
-
-
-@pytest.mark.parametrize("files,cpus", [
-    ({}, 4),
-    ({"cpu_max": "max 100000\n"}, 4),
-    ({"cpu_max": "100000 100000\n"}, 1),
-    ({"cpu_max": "150000 100000\n"}, 2),
-    ({"cpu_max": "250000 100000\n"}, 3),
-    ({"cpu_max": "900000 100000\n"}, 4),
-    ({"cpu_max": "max 100000\n", "quota": "100000\n", "period": "100000\n"}, 4),
-    ({"cpu_max": "", "quota": "100000\n", "period": "100000\n"}, 4),
-    ({"cpu_max": "many 100000\n"}, 4),
-    ({"quota": "-1\n", "period": "100000\n"}, 4),
-    ({"quota": "50000\n", "period": "100000\n"}, 1),
-    ({"quota": "200000\n", "period": "100000\n"}, 2),
-    ({"quota": "200000\n"}, 4),
-    ({"quota": "200000\n", "period": "0\n"}, 4),
-], ids=[
-    "none", "v2-max", "v2-one", "v2-one-and-a-half", "v2-two-and-a-half", "v2-past-affinity",
-    "v2-max-before-v1", "v2-empty", "v2-malformed", "v1-none", "v1-half", "v1-two",
-    "v1-no-period", "v1-zero-period",
-])
-def test_usable_cpus_reads_the_cgroup_quota(cgroup, files, cpus):
-    cgroup(**files)
-    assert lanes._usable_cpus() == cpus
-
-
-def test_an_unreadable_quota_gives_the_affinity_count(cgroup, tmp_path):
-    # a directory where the file should be cannot be read as one
-    (tmp_path / "cpu.max").mkdir()
-    assert lanes._usable_cpus() == 4
-
-
-def test_a_one_cpu_quota_runs_one_lane(cgroup, monkeypatch):
-    cgroup(cpu_max="100000 100000\n")
-    monkeypatch.setattr(os, "fork", _raiser("forked", AssertionError))
-    report = run_suite("all", small(max_element=5))
-    assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
-
-
 def test_importing_the_cli_loads_no_fork_machinery():
     # every kirch call imports the cli; only `verify all` needs kirch.lanes,
     # and a process pool or pickle would cost more than the fork saves
