@@ -331,45 +331,44 @@ def _label(v: GammaVertex, p: int) -> str:
     return ("-" if v.sign < 0 else "") + body
 
 
-# JSON provenance tag and DOT style by (in predicate, in closed form)
-_TAGS = {(True, True): ("both", ""), (True, False): ("predicate", " [style=dashed]"),
-         (False, True): ("closed_form", " [style=dotted]")}
+def _sides(g: GammaGraph) -> tuple[tuple[str, str, frozenset[Edge]], ...]:
+    """(JSON provenance tag, DOT style, edges) per side that claims an
+    edge, by three set operations rather than a tag test per edge."""
+    pred_only, closed_only = g.predicate - g.closed, g.closed - g.predicate
+    return (("both", "", g.predicate - pred_only),
+            ("closed_form", " [style=dotted]", closed_only),
+            ("predicate", " [style=dashed]", pred_only))
 
 
 def emit_dot(g: GammaGraph) -> str:
     """Deterministic DOT text: vertices in grid order, edges sorted by
     their label pair; edges only one side claims are styled dashed
-    (predicate only) or dotted (closed form only)."""
+    (predicate only) or dotted (closed form only). Sorting the lines as
+    text is label-pair order: the quote closing a label sorts below all
+    a label holds (digits, -, * and ^), so a label sorts before those it
+    prefixes, and no two edges get as far as the style."""
     labels = [_label(v, g.p) for v in g.vertices]
-    pred, closed = g.predicate, g.closed
-    lines = [f"graph gamma_{g.p} {{"]
-    lines.extend(f'  "{label}";' for label in labels)
+    lines = [f"graph gamma_{g.p} {{", *(f'  "{label}";' for label in labels)]
     lines.extend(sorted(
-        f'  "{labels[e >> _SHIFT]}" -- "{labels[e & _MASK]}"{_TAGS[e in pred, e in closed][1]};'
-        for e in g.edges
+        f'  "{labels[e >> _SHIFT]}" -- "{labels[e & _MASK]}"{style};'
+        for _, style, edges in _sides(g) for e in edges
     ))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n}\n"
 
 
 def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
     as value pairs in grid order, provenance grouped by tag."""
     values = [v.value(g.p) for v in g.vertices]
-    pred, closed = g.predicate, g.closed
-    prov: dict[str, list[list[int]]] = {"both": [], "closed_form": [], "predicate": []}
-    pairs = []
-    for e in sorted(g.edges):
-        pair = [values[e >> _SHIFT], values[e & _MASK]]
-        pairs.append(pair)
-        prov[_TAGS[e in pred, e in closed][0]].append(pair)
-    return {
-        "p": g.p,
-        "bounds": list(g.bounds),
-        "vertices": values,
-        "edges": pairs,
-        "provenance": prov,
-    }
+
+    def as_pairs(edges) -> list[list[int]]:
+        return [[values[e >> _SHIFT], values[e & _MASK]] for e in sorted(edges)]
+
+    prov = {tag: as_pairs(edges) for tag, _, edges in _sides(g)}
+    # when the sides agree "both" is every edge: copied, as callers may edit either
+    edges = as_pairs(g.edges) if prov["closed_form"] or prov["predicate"] else [*prov["both"]]
+    return {"p": g.p, "bounds": list(g.bounds), "vertices": values, "edges": edges,
+            "provenance": prov}
 
 
 def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
@@ -377,34 +376,38 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
     index bases and all. Family (2) reads "2 eps^(a-1) 3^(b+2)": a
     sign that flips with the parity of a and a fixed single factor of
     2. Families (6) and (7) start at a = 1, which drops their smallest
-    column. Edges index _grid(3, bounds), as in build_gamma. This list
-    exists to be audited, not used."""
-    at = {v: k for k, v in enumerate(_grid(3, bounds))}
+    column. Edges index _grid(3, bounds), where (j, i, s) sits at
+    ((j - 1) * width + i) * 2 + (s > 0). A family's ends move one row up
+    as b grows, so for one eps and a its edges are one range of codes,
+    written at b = 1. This list exists to be audited, not used."""
+    _, width = _shape(3, bounds)
     max_i, max_j = bounds
+    up = 2 * width * _DIAGONAL  # the code one row up less the code
+    b = j = 1
     out: set[Edge] = set()
     for eps in (1, -1):
         for a in range(1, max_i + 2):
             i = a - 1
-            for b in range(1, max_j + 1):
-                j = b
-                flip = 1 if i % 2 == 0 else eps  # eps^(a-1), literally
-                # endpoints as (p_exp, two_exp, sign)
-                for v, w in (
-                    ((j, i, eps), (j + 1, i, eps)),
-                    ((j, i, eps), (j + 2, 1, flip)),
-                    ((j, i, eps), (j, i + 1, eps)),
-                    ((j, i, eps), (j, i + 2, eps)),
-                    ((j + 1, i, eps), (j, i + 2, eps)),
-                    ((b, a + 1, eps), (b + 1, a, eps)),
-                    ((b, a + 3, eps), (b + 2, a, eps)),
-                    ((j, i, eps), (j + 1, i, -eps)),
-                    ((j, i, eps), (j, i + 1, -eps)),
-                    ((j, i, eps), (j, i + 3, -eps)),
-                    ((j, i, eps), (j, i, -eps)),
-                ):
-                    if v in at and w in at:
-                        k, l = at[v], at[w]
-                        out.add(k << _SHIFT | l if k < l else l << _SHIFT | k)
+            flip = 1 if i % 2 == 0 else eps  # eps^(a-1), literally
+            # endpoints as (p_exp, two_exp, sign); none has i < 0 or j < 1
+            for (vj, vi, vs), (wj, wi, ws) in (
+                ((j, i, eps), (j + 1, i, eps)),
+                ((j, i, eps), (j + 2, 1, flip)),
+                ((j, i, eps), (j, i + 1, eps)),
+                ((j, i, eps), (j, i + 2, eps)),
+                ((j + 1, i, eps), (j, i + 2, eps)),
+                ((b, a + 1, eps), (b + 1, a, eps)),
+                ((b, a + 3, eps), (b + 2, a, eps)),
+                ((j, i, eps), (j + 1, i, -eps)),
+                ((j, i, eps), (j, i + 1, -eps)),
+                ((j, i, eps), (j, i + 3, -eps)),
+                ((j, i, eps), (j, i, -eps)),
+            ):
+                if vi <= max_i and wi <= max_i:
+                    k, l = sorted((((vj - 1) * width + vi) * 2 + (vs > 0),
+                                   ((wj - 1) * width + wi) * 2 + (ws > 0)))
+                    code, fits = k << _SHIFT | l, max_j - max(vj, wj) + 1  # b = 1..fits
+                    out.update(range(code, code + fits * up, up))
     return frozenset(out)
 
 
@@ -418,9 +421,7 @@ def printed_p3_report(bounds: Bounds) -> dict:
     def as_values(edges) -> list[list[int]]:
         return sorted(sorted([values[e >> _SHIFT], values[e & _MASK]]) for e in edges)
 
-    return {
-        "bounds": list(bounds),
-        "agree": len(predicate & printed),
-        "printed_only": as_values(printed - predicate),
-        "predicate_only": as_values(predicate - printed),
-    }
+    predicate_only = predicate - printed
+    return {"bounds": list(bounds), "agree": len(predicate) - len(predicate_only),
+            "printed_only": as_values(printed - predicate),
+            "predicate_only": as_values(predicate_only)}

@@ -235,8 +235,8 @@ def test_realize_rejects_bad_alpha(capsys):
 
 # sha256 of `kirch gamma` stdout, DOT and JSON: the benchmark's p = 3
 # grid, the p = 2 row and the p = 3 grid near the 63-bit edge, the one
-# row of Gamma_5 that fits, a Fermat and a Mersenne prime, and an empty
-# grid
+# row of Gamma_5 that fits, a Fermat and a Mersenne prime, the largest
+# p = 3 grid the 63-bit range admits (1,280 vertices), and an empty grid
 GAMMA_SHA256 = {
     "3 --bounds 14,8": "e91153254c3d4d7ddce9a62b36a9fa13123f00c58de2feaafc679f3b1b1112ea",
     "3 --bounds 14,8 --format json":
@@ -256,6 +256,9 @@ GAMMA_SHA256 = {
     "31 --bounds 16,4": "6499a9f6005de098b919723bf7694227e1d23cd184b8f98c03170922a7834f5d",
     "31 --bounds 16,4 --format json":
         "d916bd17b31368a4394fb59d7401c262aa776664c35481daaa4dc654a11e82c3",
+    "3 --bounds 31,20": "2bb2bfb33c09780cd22e130f2ed4c445e3b43db5f7c3e544cb9e402ef18a913b",
+    "3 --bounds 31,20 --format json":
+        "a665643b6f1f5c12ad5ccdcea1f4f76b1003777b17cbd9f3489b7771b7ecde47",
     "5 --bounds 3,0 --format json":
         "92abc4da6878469d90d17a7dab746d8247d9b1557d38cda68291396eae14831b",
 }

@@ -154,6 +154,53 @@ def test_one_sided_edges_are_rendered(monkeypatch, shift, side, style):
     )
 
 
+def per_edge_render(g):
+    """emit_dot and graph_json_dict by per-edge membership: every edge of
+    the union, in grid order, tagged by which sides claim it."""
+    labels = [graphs._label(v, g.p) for v in g.vertices]
+    values = [v.value(g.p) for v in g.vertices]
+    tags = {(True, True): ("both", ""), (True, False): ("predicate", " [style=dashed]"),
+            (False, True): ("closed_form", " [style=dotted]")}
+    lines, pairs = [], []
+    prov = {"both": [], "closed_form": [], "predicate": []}
+    for e in sorted(g.predicate | g.closed):
+        k, l = edge_ends(e)
+        tag, style = tags[e in g.predicate, e in g.closed]
+        lines.append(f'  "{labels[k]}" -- "{labels[l]}"{style};')
+        pairs.append([values[k], values[l]])
+        prov[tag].append(pairs[-1])
+    dot = [f"graph gamma_{g.p} {{", *(f'  "{label}";' for label in labels), *sorted(lines), "}"]
+    data = {"p": g.p, "bounds": list(g.bounds), "vertices": values, "edges": pairs,
+            "provenance": prov}
+    return "\n".join(dot) + "\n", data
+
+
+# Gamma_5 with the shift (0, 1, 1) dropped from the closed form
+# (dashed), (0, 2, 1) added to it (dotted), or both at once, so the
+# edges list interleaves all three tags; and graphs whose sides agree.
+@pytest.mark.parametrize("p,bounds,drop,add", [
+    (5, (6, 4), (0, 1, 1), (0, 2, 1)),
+    (5, (6, 4), (0, 1, 1), None),
+    (5, (6, 4), None, (0, 2, 1)),
+    (5, (6, 4), None, None),
+    (3, (14, 8), None, None),
+    (2, (9, 0), None, None),
+])
+def test_renderers_match_per_edge_membership(monkeypatch, p, bounds, drop, add):
+    real = graphs._families
+    monkeypatch.setattr(graphs, "_families", lambda p: tuple(
+        c for c in real(p) if c != drop) + ((add,) if add else ()))
+    g = build_gamma(p, bounds)
+    dot, data = per_edge_render(g)
+    tags = {tag for tag, pairs in data["provenance"].items() if pairs}
+    assert tags == {"both"} | ({"predicate"} if drop else set()) | (
+        {"closed_form"} if add else set())
+    assert emit_dot(g) == dot
+    got = graph_json_dict(g)
+    assert json.dumps(got) == json.dumps(data)
+    assert got["edges"] is not got["provenance"]["both"]
+
+
 # Each class's hand-written table against the scored one, with no grid
 # instantiated, on bounds that reach two columns past the largest |di|:
 # three rows for p = 3, two for the other odd primes, the row j = 0 for
@@ -420,7 +467,7 @@ def test_mirror_symmetry():
 
 def test_printed_p3_list_defects():
     rep = printed_p3_report((6, 5))
-    assert rep["agree"] > 400
+    assert rep["agree"] == len(printed_p3_edges((6, 5)) & build_gamma(3, (6, 5)).predicate) > 400
     # the parity-twisted family claims pairs that are not edges
     assert [3, 54] in rep["printed_only"]
     assert [-3, 54] in rep["printed_only"]
@@ -457,6 +504,43 @@ def test_printed_p3_report_refuses_before_any_vertex(monkeypatch, bounds, error,
     monkeypatch.setattr(graphs, "GammaVertex", boom)
     with pytest.raises(error, match=message):
         printed_p3_report(bounds)
+
+
+def printed_p3_by_vertex_lookup(bounds):
+    """printed_p3_edges with each endpoint looked up on the built grid."""
+    at = {v: k for k, v in enumerate(graphs._grid(3, bounds))}
+    max_i, max_j = bounds
+    out = set()
+    for eps in (1, -1):
+        for a in range(1, max_i + 2):
+            i = a - 1
+            for b in range(1, max_j + 1):
+                j = b
+                flip = 1 if i % 2 == 0 else eps
+                for v, w in (
+                    ((j, i, eps), (j + 1, i, eps)),
+                    ((j, i, eps), (j + 2, 1, flip)),
+                    ((j, i, eps), (j, i + 1, eps)),
+                    ((j, i, eps), (j, i + 2, eps)),
+                    ((j + 1, i, eps), (j, i + 2, eps)),
+                    ((b, a + 1, eps), (b + 1, a, eps)),
+                    ((b, a + 3, eps), (b + 2, a, eps)),
+                    ((j, i, eps), (j + 1, i, -eps)),
+                    ((j, i, eps), (j, i + 1, -eps)),
+                    ((j, i, eps), (j, i + 3, -eps)),
+                    ((j, i, eps), (j, i, -eps)),
+                ):
+                    if v in at and w in at:
+                        k, l = sorted((at[v], at[w]))
+                        out.add(k << 16 | l)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("bounds", [
+    *((i, j) for i in range(16) for j in range(1, 10)), (38, 14), (31, 20),
+])
+def test_printed_p3_edges_match_a_vertex_lookup(bounds):
+    assert printed_p3_edges(bounds) == printed_p3_by_vertex_lookup(bounds)
 
 
 def test_printed_p3_overlap_is_real():

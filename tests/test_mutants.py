@@ -200,7 +200,7 @@ MUTANTS = [
 # integer constant moved by 1, and/or or +/- swapped, a `not` dropped,
 # a table row dropped) that pass every suite and every test, and need
 # no row above: each is equivalent to the real code, or changes only a
-# guard that no input in range reaches. 28 in all.
+# guard that no input in range reaches. 26 in all.
 #
 #   target                       n  why no check can tell
 #   filters._residues            3  the pair shortcut, and which two
@@ -216,9 +216,10 @@ MUTANTS = [
 #   numtheory.classify_prime     2  m read off p + 2 or p in place of
 #                                   p + 1 or p - 1: the same bit length
 #   numtheory.prime_divisors     4  the cache size, which no answer reads
-#   graphs.printed_p3_edges     10  ranges past the grid, a family written
-#                                   from its other end, or `k <= l`: no
-#                                   output byte changes on the pinned grids
+#   graphs.printed_p3_edges      8  a range past the grid (1), and a sign
+#                                   moved off +-1 or its test `s > 0`
+#                                   loosened (7): only the side of 0 that
+#                                   a sign is on is read
 #
 # The sweep itself is not kept here: through `kirch verify all` and then
 # the tests it takes about an hour on two cores.
