@@ -221,11 +221,11 @@ def _cmd_verify(ns) -> int:
     return 0 if report.passed else 1
 
 
-def _command(run, help_text, *arguments, formats=("text", "json")):
+def _command(run, help_text, *arguments):
     """A row of the command table: the handler, the help text, and each
     argument as its flag and the keyword arguments of argparse's
     add_argument, --format first."""
-    rendering = ("--format", {"choices": formats, "default": "text",
+    rendering = ("--format", {"choices": ("text", "json"), "default": "text",
                               "help": "output rendering"})
     return run, help_text, (rendering, *arguments)
 
@@ -262,11 +262,10 @@ _COMMANDS = {
                      "help": "comma-separated residue choices, e.g. 2=1,5=2"}),
     ),
     "gamma": _command(
-        _cmd_gamma, "emit the prime-power graph (DOT by default; text is DOT too)",
+        _cmd_gamma, "emit the prime-power graph: DOT as text, or JSON",
         ("p", {"type": int}),
         ("--bounds", {"default": "9,5",
                       "help": "exponent bounds i,j (for p=2 only i is used)"}),
-        formats=("text", "json", "dot"),
     ),
     "prime-class": _command(
         _cmd_prime_class, "Fermat/Mersenne class of a prime",

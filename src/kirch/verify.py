@@ -16,14 +16,16 @@ rows, with no loop over pairs. Reports are deterministic: catalogs
 enumerate in canonical order, any sampling is driven by the configured
 seed, and the JSON rendering carries no wall-clock data.
 
-run_suite("all", cfg) runs the suites in two lanes where os.fork exists
-and at least two CPUs are usable (see kirch.lanes); its report is the
-same, byte for byte, as that of running them one after another.
+run_suite("all", cfg) merges the eleven reports, which _all_reports
+may compute in two processes; the merged report is that of running
+them one after another.
 """
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
 import random
 from itertools import combinations, product
 from typing import NamedTuple
@@ -44,14 +46,7 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import (
-    _grid,
-    build_gamma,
-    closed_form_edges,
-    degree_signature,
-    edge_ends,
-    printed_p3_report,
-)
+from .graphs import build_gamma, degree_signature, edge_ends, printed_p3_report
 from .numtheory import (
     _Value,
     classify_prime,
@@ -405,13 +400,10 @@ def _suite_top(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 64
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
-    bounds = (bound.bit_length() - 1, 0)
-    powers = [v.value(2) for v in _grid(2, bounds)]
+    g = build_gamma(2, (bound.bit_length() - 1, 0))
+    powers = [v.value(2) for v in g.vertices]
     # each edge as (x, y) with x < y, the order the loop below meets it in
-    listed = {
-        tuple(sorted((powers[k], powers[l])))
-        for k, l in map(edge_ends, closed_form_edges(2, bounds))
-    }
+    listed = {tuple(sorted((powers[k], powers[l]))) for k, l in map(edge_ends, g.closed)}
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -564,8 +556,7 @@ def _suite_gamma(cfg: SuiteConfig):
                     "claimed by both constructions", f"only {side}",
                 ))
         sig = degree_signature(g)
-        if not sig:
-            raise ValueError(f"graph bounds {i},{j} leave Gamma_{p} without interior vertices")
+        _within_budget(len(sig), f"interior vertices of Gamma_{p} at graph bounds {i},{j}")
         dc, df = _gamma_degree_checks(p, sig)
         cases += dc
         failures.extend(df)
@@ -652,26 +643,82 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
-    """Run one named suite, or all of them merged in fixed order.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    For "all", each suite runs through run_suite. With os.fork and at
-    least two usable CPUs (os.sched_getaffinity), `order` runs in a
-    forked child while this process runs the other ten, and the child's
-    report comes back over a pipe to be merged in its place. Any other
-    outcome, an exception in either lane or a child without a report,
-    reaps the child and runs the suites again one after another, as
-    happens everywhere else, so the report, or the exception raised,
-    is always that of the one-lane loop. The fork machinery lives in
-    kirch.lanes, imported here so that no other kirch call compiles it.
+
+def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
+    """run_suite(s, cfg) for each suite s in _SUITES order: the reports,
+    or the exception, of running them one after another.
+
+    Where os.fork exists and at least two CPUs are usable (the affinity
+    mask; a cgroup's CPU quota is not read), a forked child runs
+    `order`, about half of the default run, while this process runs the
+    other ten. The child writes its report to a pipe as marshal data
+    and leaves with os._exit(0), or leaves with status 1 and no report;
+    it only computes and writes to its own pipe, so it takes no lock
+    that another thread could have held at the fork. Only that clean
+    case is merged. An Exception in either lane, a nonzero child status
+    or a report that does not decode reaps the child and runs the
+    eleven suites again in process, so the outcome is that of the
+    one-lane loop by construction; running again costs time only on a
+    refusal after `order`. The child is reaped on every path. On one
+    CPU, or beside a process busy on the second, the fork costs more
+    than it saves (BENCH_31.json, BENCH_36.json); os.fork with marshal
+    stays clear of the 12 to 35 ms that importing multiprocessing or
+    concurrent.futures takes."""
+    pid = None
+    if hasattr(os, "fork") and _usable_cpus() >= 2:
+        fd, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(fd)
+            os.close(w)
+    if pid == 0:  # the child: exit 0 with a report, or 1 without
+        status = 1
+        try:
+            os.close(fd)
+            r = run_suite("order", cfg)
+            with open(w, "wb") as out:
+                out.write(marshal.dumps((r.cases, [tuple(f) for f in r.failures], r.details)))
+            status = 0
+        finally:
+            os._exit(status)  # never return into the caller's frames
+    if pid is not None:
+        os.close(w)
+        try:
+            with open(fd, "rb") as inp:
+                reports = {s: run_suite(s, cfg) for s in _SUITES if s != "order"}
+                data = inp.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pid = None
+            if code == 0:
+                cases, failures, details = marshal.loads(data)
+                failures = tuple(VerifyFailure(*f) for f in failures)
+                reports["order"] = SuiteReport("order", cases, failures, details)
+                return [reports[s] for s in _SUITES]
+        except Exception:
+            pass  # the one-lane loop below gives the outcome
+        finally:
+            if pid is not None:
+                import signal
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [run_suite(s, cfg) for s in _SUITES]
+
+
+def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
+    """Run one named suite, or all of them merged in fixed order (see
+    _all_reports).
 
     >>> run_suite("mihailescu", SuiteConfig()).passed
     True
     """
     if name == "all":
-        from .lanes import all_reports
-
-        subs = all_reports(cfg)
+        subs = _all_reports(cfg)
         failures = tuple(
             VerifyFailure(f"[{r.suite}] {f.inputs}", f.expected, f.actual)
             for r in subs
@@ -687,4 +734,3 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}")
     cases, failures, details = _SUITES[name](cfg)
     return SuiteReport(name, cases, tuple(failures), details)
-

@@ -525,6 +525,14 @@ def test_usage_errors(capsys):
     assert run(capsys, "ae", "--format", "dot", "5")[0] == 2
 
 
+def test_gamma_takes_no_dot_format(capsys):
+    # text is DOT already, so gamma has the same two renderings as every command
+    code, out, err = run(capsys, "gamma", "3", "--format", "dot")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("kirch gamma: error: argument --format: invalid choice: 'dot'")
+
+
 @pytest.mark.parametrize("argv", [
     (), ("nonsense",), ("clos", "1", "2"), ("--format", "json", "ae", "1", "2"),
     ("-h", "ae"),

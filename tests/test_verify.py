@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from kirch import filters, lanes, verify
+from kirch import filters, verify
 from kirch.filters import (
     FilterDescriptor,
     FiniteSubset,
@@ -559,7 +559,7 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(lanes, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     yield forked
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -573,7 +573,7 @@ def _raiser(message, exc=ValueError):
 
 def _one_lane(monkeypatch, cfg):
     with monkeypatch.context() as m:
-        m.setattr(lanes, "_usable_cpus", lambda: 1)
+        m.setattr(verify, "_usable_cpus", lambda: 1)
         return run_suite("all", cfg)
 
 
@@ -706,7 +706,7 @@ def test_a_child_without_a_report_falls_back_to_one_lane(forks, monkeypatch, mak
 
 @pytest.mark.parametrize("cpus,fork", [(1, True), (2, False)], ids=["one-cpu", "no-fork"])
 def test_one_lane_without_fork_or_a_second_cpu(monkeypatch, cpus, fork):
-    monkeypatch.setattr(lanes, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
     if fork:
         monkeypatch.setattr(os, "fork", _raiser("forked", AssertionError))
     else:
@@ -716,17 +716,17 @@ def test_one_lane_without_fork_or_a_second_cpu(monkeypatch, cpus, fork):
 
 
 def test_a_failed_fork_runs_one_lane(monkeypatch):
-    monkeypatch.setattr(lanes, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", _raiser("no more processes", BlockingIOError))
     report = run_suite("all", small(max_element=5))
     assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
 
 
 def test_importing_the_cli_loads_no_fork_machinery():
-    # every kirch call imports the cli; only `verify all` needs kirch.lanes,
-    # and a process pool or pickle would cost more than the fork saves
+    # every kirch call imports the cli; a process pool or pickle would
+    # cost more than the fork of `verify all` saves
     code = ("import sys, kirch.cli; print(sorted({'multiprocessing', 'concurrent.futures',"
-            " 'pickle', 'kirch.lanes'} & set(sys.modules)))")
+            " 'pickle'} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
