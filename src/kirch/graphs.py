@@ -34,6 +34,7 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import product, starmap
 from typing import NamedTuple
 
 from .filters import a_of_pair_formula
@@ -152,7 +153,27 @@ def _grid(p: int, bounds: Bounds) -> tuple[GammaVertex, ...]:
     """Every vertex in grid order: by row, then i, then sign -1 before
     1, so (j, i, s) in row number r sits at (r * width + i) * 2 + (s > 0)."""
     rows, width = _shape(p, bounds)
-    return tuple(GammaVertex(j, i, s) for j in rows for i in range(width) for s in (-1, 1))
+    return tuple(starmap(GammaVertex, product(rows, range(width), (-1, 1))))
+
+
+def _values(p: int, bounds: Bounds) -> list[int]:
+    """The value of every vertex in grid order, read off _shape."""
+    rows, width = _shape(p, bounds)
+    return [x for q in [p**j for j in rows] for i in range(width) for x in (-(q << i), q << i)]
+
+
+def _labels(p: int, bounds: Bounds) -> list[str]:
+    """The DOT label of every vertex in grid order, read off _shape: the
+    factors 2^i and p^j other than 1, joined by *, or 1 for +-1."""
+    rows, width = _shape(p, bounds)
+    twos = ["", "2", *(f"2^{i}" for i in range(2, width))][:width]
+    out: list[str] = []
+    for j in rows:
+        row = f"{p}^{j}" if j > 1 else str(p) if j else ""
+        for t in twos:
+            body = f"{t}*{row}" if t and row else t or row or "1"
+            out += ("-" + body, body)
+    return out
 
 
 def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]:
@@ -321,21 +342,17 @@ def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
     }
 
 
-def _label(v: GammaVertex, p: int) -> str:
-    parts = []
-    if v.two_exp:
-        parts.append(f"2^{v.two_exp}" if v.two_exp > 1 else "2")
-    if v.p_exp:
-        parts.append(f"{p}^{v.p_exp}" if v.p_exp > 1 else str(p))
-    body = "*".join(parts) if parts else "1"
-    return ("-" if v.sign < 0 else "") + body
-
-
 def _sides(g: GammaGraph) -> tuple[tuple[str, str, frozenset[Edge]], ...]:
     """(JSON provenance tag, DOT style, edges) per side that claims an
-    edge, by three set operations rather than a tag test per edge."""
-    pred_only, closed_only = g.predicate - g.closed, g.closed - g.predicate
-    return (("both", "", g.predicate - pred_only),
+    edge, not a tag per edge. When the sides agree, as on every real
+    grid, one comparison shows it and "both" is the predicate itself;
+    only a graph with discrepancies takes three set operations."""
+    both = g.predicate
+    pred_only = closed_only = frozenset()
+    if both != g.closed:
+        pred_only, closed_only = both - g.closed, g.closed - both
+        both = both - pred_only
+    return (("both", "", both),
             ("closed_form", " [style=dotted]", closed_only),
             ("predicate", " [style=dashed]", pred_only))
 
@@ -346,8 +363,9 @@ def emit_dot(g: GammaGraph) -> str:
     (predicate only) or dotted (closed form only). Sorting the lines as
     text is label-pair order: the quote closing a label sorts below all
     a label holds (digits, -, * and ^), so a label sorts before those it
-    prefixes, and no two edges get as far as the style."""
-    labels = [_label(v, g.p) for v in g.vertices]
+    prefixes, and no two edges get as far as the style. No vertex is
+    read: the labels come from _labels."""
+    labels = _labels(g.p, g.bounds)
     lines = [f"graph gamma_{g.p} {{", *(f'  "{label}";' for label in labels)]
     lines.extend(sorted(
         f'  "{labels[e >> _SHIFT]}" -- "{labels[e & _MASK]}"{style};'
@@ -358,8 +376,9 @@ def emit_dot(g: GammaGraph) -> str:
 
 def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
-    as value pairs in grid order, provenance grouped by tag."""
-    values = [v.value(g.p) for v in g.vertices]
+    as value pairs in grid order, provenance grouped by tag; the values
+    come from _values, not from the vertices."""
+    values = _values(g.p, g.bounds)
 
     def as_pairs(edges) -> list[list[int]]:
         return [[values[e >> _SHIFT], values[e & _MASK]] for e in sorted(edges)]
@@ -404,8 +423,9 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
                 ((j, i, eps), (j, i, -eps)),
             ):
                 if vi <= max_i and wi <= max_i:
-                    k, l = sorted((((vj - 1) * width + vi) * 2 + (vs > 0),
-                                   ((wj - 1) * width + wi) * 2 + (ws > 0)))
+                    k = ((vj - 1) * width + vi) * 2 + (vs > 0)
+                    l = ((wj - 1) * width + wi) * 2 + (ws > 0)
+                    k, l = (k, l) if k < l else (l, k)
                     code, fits = k << _SHIFT | l, max_j - max(vj, wj) + 1  # b = 1..fits
                     out.update(range(code, code + fits * up, up))
     return frozenset(out)
@@ -414,7 +434,7 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
 def printed_p3_report(bounds: Bounds) -> dict:
     """Where the published p = 3 list and the predicate disagree on the
     given grid: value pairs only one side claims, plus totals."""
-    values = [v.value(3) for v in _grid(3, bounds)]
+    values = _values(3, bounds)
     predicate = _edges(3, bounds, _scored_offsets(3, bounds))
     printed = printed_p3_edges(bounds)
 

@@ -548,7 +548,8 @@ def _suite_gamma(cfg: SuiteConfig):
     for p, bounds in grids.items():
         g = build_gamma(p, bounds)
         whole = g.discrepancies()
-        cases += len(g.edges)
+        edge_count = len(g.edges)
+        cases += edge_count
         for side, edges in whole.items():
             for a, b in edges:
                 failures.append(VerifyFailure(
@@ -563,7 +564,7 @@ def _suite_gamma(cfg: SuiteConfig):
         details[str(p)] = {
             "bounds": list(bounds),
             "vertices": len(g.vertices),
-            "edges": len(g.edges),
+            "edges": edge_count,
             "interior": len(sig),
             "grid_predicate_only": len(whole["predicate"]),
             "grid_closed_only": len(whole["closed_form"]),

@@ -1,6 +1,7 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -291,6 +292,29 @@ def test_gamma_two_uses_power_chain(capsys):
     assert code == 0
     assert out.startswith("graph gamma_2 {")
     assert out.count("--") == 7
+
+
+# The benchmark's checker, loaded by path: its own vertex list and its
+# own smooth-difference edges, with no kirch import.
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_checks", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(checks)
+
+
+# kirch gamma in DOT and JSON, read back and checked against the
+# pairwise smooth-difference edges, for each odd prime class: p = 3,
+# Fermat, Mersenne and neither.
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_gamma_output_matches_the_checker(capsys, p):
+    bounds = (6, 3)
+    code, dot, err = run(capsys, "gamma", str(p), "--bounds", "6,3")
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "gamma", str(p), "--bounds", "6,3", "--format", "json")
+    assert code == 0 and err == ""
+    truth = checks.gamma_edges(p, bounds)
+    assert truth
+    assert checks.check_gamma(p, bounds, dot, json.loads(out), truth) == []
 
 
 def test_gamma_rejects_nonprime(capsys):

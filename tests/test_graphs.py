@@ -37,6 +37,31 @@ def values(g):
     return {v.value(g.p) for v in g.vertices}
 
 
+def _label(v, p):
+    """The DOT label of one vertex, from its fields: the per-vertex
+    reference for graphs._labels."""
+    parts = []
+    if v.two_exp:
+        parts.append(f"2^{v.two_exp}" if v.two_exp > 1 else "2")
+    if v.p_exp:
+        parts.append(f"{p}^{v.p_exp}" if v.p_exp > 1 else str(p))
+    body = "*".join(parts) if parts else "1"
+    return ("-" if v.sign < 0 else "") + body
+
+
+# The row j = 0 (p = 2), each prime class, the one-column grid of
+# Gamma_5 (width 1: the power-of-two table must be sized by _shape's
+# width), an empty grid and the largest p = 3 grid that fits.
+@pytest.mark.parametrize("p,bounds", [
+    (2, (0, 0)), (2, (9, 0)), (2, (62, 0)), (3, (14, 8)), (5, (6, 4)), (7, (5, 3)),
+    (11, (6, 3)), (17, (16, 5)), (5, (0, 27)), (3, (0, 0)), (3, (31, 20)),
+])
+def test_labels_and_values_match_the_vertices(p, bounds):
+    grid = graphs._grid(p, bounds)
+    assert graphs._labels(p, bounds) == [_label(v, p) for v in grid]
+    assert graphs._values(p, bounds) == [v.value(p) for v in grid]
+
+
 def as_vertices(g, edges):
     """Edges of g decoded through g.vertices."""
     return {(g.vertices[k], g.vertices[l]) for k, l in map(edge_ends, edges)}
@@ -150,14 +175,14 @@ def test_one_sided_edges_are_rendered(monkeypatch, shift, side, style):
     assert prov["closed_form" if side == "predicate" else "predicate"] == []
     styled = sorted(line for line in emit_dot(g).splitlines() if "style" in line)
     assert styled == sorted(
-        f'  "{graphs._label(v, 5)}" -- "{graphs._label(w, 5)}"{style};' for v, w in want
+        f'  "{_label(v, 5)}" -- "{_label(w, 5)}"{style};' for v, w in want
     )
 
 
 def per_edge_render(g):
     """emit_dot and graph_json_dict by per-edge membership: every edge of
     the union, in grid order, tagged by which sides claim it."""
-    labels = [graphs._label(v, g.p) for v in g.vertices]
+    labels = [_label(v, g.p) for v in g.vertices]
     values = [v.value(g.p) for v in g.vertices]
     tags = {(True, True): ("both", ""), (True, False): ("predicate", " [style=dashed]"),
             (False, True): ("closed_form", " [style=dotted]")}
