@@ -12,7 +12,7 @@ whether a pair is an edge depends only on its exponent offset and on
 whether the signs agree. Both constructions are therefore tables of
 forward offset classes (dj, di, t), both instantiated by the same
 index arithmetic, _edges: an edge is one int, k << 16 | l, for
-indices k < l into the grid-order vertex tuple of _grid (edge_ends
+indices k < l into the grid-order vertex values of _values (edge_ends
 gives (k, l) back), so sorted codes are in grid order. The predicate's
 table comes from _scored_offsets, which scores each class once by
 stripping 2 and p from one representative difference instead of
@@ -34,8 +34,6 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import product, starmap
-from typing import NamedTuple
 
 from .filters import a_of_pair_formula
 from .numtheory import MAX_MAGNITUDE, _Frozen, classify_prime, is_prime
@@ -43,21 +41,8 @@ from .numtheory import MAX_MAGNITUDE, _Frozen, classify_prime, is_prime
 Bounds = tuple[int, int]
 
 
-class GammaVertex(NamedTuple):
-    """One grid point s * 2^two_exp * p^p_exp; p_exp is 0 on the graph
-    for p = 2, whose vertices are plain signed powers of two. The
-    fields are declared in grid order, so tuple order is grid order."""
-
-    p_exp: int
-    two_exp: int
-    sign: int
-
-    def value(self, p: int) -> int:
-        return self.sign * 2**self.two_exp * p**self.p_exp
-
-
-# k << 16 | l for indices k < l into the grid-order vertex tuple of
-# _grid: _shape admits only grids whose largest vertex fits 63 bits,
+# k << 16 | l for indices k < l into the grid-order vertex values of
+# _values: _shape admits only grids whose largest vertex fits 63 bits,
 # which have at most 1,280 vertices (p = 3, bounds (31, 20)), so
 # l < 2^16 and sorted codes are in (k, l) order
 Edge = int
@@ -73,22 +58,21 @@ def edge_ends(e: Edge) -> tuple[int, int]:
     return e >> _SHIFT, e & _MASK
 
 
-def vertex_from_value(x: int, p: int) -> GammaVertex:
-    """Decode a nonzero integer as a grid point of Gamma_p, or fail."""
+def _check_vertex(x: int, p: int) -> None:
+    """Fail unless x is a vertex s * 2^i * p^j of Gamma_p (j >= 1 for
+    odd p)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if x == 0:
         raise ValueError("0 is not a vertex")
-    n, i, j = abs(x), 0, 0
+    n, j = abs(x), 0
     while n % 2 == 0:
         n //= 2
-        i += 1
     while n % p == 0:
         n //= p
         j += 1
     if n != 1 or (p != 2 and j == 0):
         raise ValueError(f"{x} is not of the form s*2^i*{p}^j with j >= 1")
-    return GammaVertex(j, i, 1 if x > 0 else -1)
 
 
 def edge_predicate(x: int, y: int, p: int) -> bool:
@@ -99,8 +83,8 @@ def edge_predicate(x: int, y: int, p: int) -> bool:
     """
     if x == y:
         raise ValueError("no self-loops")
-    vertex_from_value(x, p)
-    vertex_from_value(y, p)
+    _check_vertex(x, p)
+    _check_vertex(y, p)
     return set(a_of_pair_formula(x, y)) == {2, p}
 
 
@@ -149,15 +133,10 @@ def _shape(p: int, bounds: Bounds) -> tuple[range, int]:
     return (range(1) if p == 2 else range(1, max_j + 1)), max_i + 1
 
 
-def _grid(p: int, bounds: Bounds) -> tuple[GammaVertex, ...]:
-    """Every vertex in grid order: by row, then i, then sign -1 before
-    1, so (j, i, s) in row number r sits at (r * width + i) * 2 + (s > 0)."""
-    rows, width = _shape(p, bounds)
-    return tuple(starmap(GammaVertex, product(rows, range(width), (-1, 1))))
-
-
 def _values(p: int, bounds: Bounds) -> list[int]:
-    """The value of every vertex in grid order, read off _shape."""
+    """The value of every vertex in grid order, read off _shape: by row,
+    then i, then sign -1 before 1, so s * 2^i * p^j in row number r
+    sits at (r * width + i) * 2 + (s > 0)."""
     rows, width = _shape(p, bounds)
     return [x for q in [p**j for j in rows] for i in range(width) for x in (-(q << i), q << i)]
 
@@ -207,15 +186,15 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
 
 
 class GammaGraph(_Frozen):
-    """An immutable built graph: p, exponent bounds, the vertices in
-    grid order, and the edge sets of the two constructions, the
+    """An immutable built graph: p, exponent bounds, the vertex values
+    in grid order, and the edge sets of the two constructions, the
     predicate and the closed form, as Edge codes into vertices; every
     other view of the edges is derived from those two. Graphs compare
     by identity."""
 
     __slots__ = ("p", "bounds", "vertices", "predicate", "closed")
 
-    def __init__(self, p: int, bounds: Bounds, vertices: tuple[GammaVertex, ...],
+    def __init__(self, p: int, bounds: Bounds, vertices: tuple[int, ...],
                  predicate: frozenset[Edge], closed: frozenset[Edge]):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "bounds", bounds)
@@ -227,9 +206,9 @@ class GammaGraph(_Frozen):
     def edges(self) -> frozenset[Edge]:
         return self.predicate | self.closed
 
-    def discrepancies(self) -> dict[str, list[tuple[GammaVertex, GammaVertex]]]:
+    def discrepancies(self) -> dict[str, list[tuple[int, int]]]:
         """Edges claimed by only one side, never silently reconciled, as
-        vertex pairs in grid order."""
+        value pairs in grid order."""
         v = self.vertices
         return {
             "predicate": [(v[e >> _SHIFT], v[e & _MASK])
@@ -241,7 +220,7 @@ class GammaGraph(_Frozen):
 
 def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
     """The forward offset classes (dj, di, t) the predicate accepts on a
-    grid _grid admits, one test per class as build_gamma argues."""
+    grid _shape admits, one test per class as build_gamma argues."""
     max_i, max_j = bounds
     # the odd parts of {2,p}-smooth representatives; none exceeds
     # 2 * MAX_MAGNITUDE, since each of its two terms divides the
@@ -299,12 +278,12 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     before building any vertex.
 
     >>> g = build_gamma(5, (4, 3))
-    >>> five = g.vertices.index(GammaVertex(1, 0, 1))
+    >>> five = g.vertices.index(5)
     >>> ends = map(edge_ends, g.predicate)
-    >>> sorted(g.vertices[k + l - five].value(5) for k, l in ends if five in (k, l))
+    >>> sorted(g.vertices[k + l - five] for k, l in ends if five in (k, l))
     [-20, -5, 10, 25]
     """
-    vertices = _grid(p, bounds)
+    vertices = tuple(_values(p, bounds))
     predicate = _edges(p, bounds, _scored_offsets(p, bounds))
     return GammaGraph(p, bounds, vertices, predicate, closed_form_edges(p, bounds))
 
@@ -320,25 +299,28 @@ def interior_margins(p: int) -> tuple[int, int]:
     return max(abs(di) for _, di, _ in table), max(dj for dj, _, _ in table)
 
 
-def degree_signature(g: GammaGraph) -> dict[GammaVertex, int]:
-    """Predicate-side degrees of the interior vertices, in grid order:
-    those at least interior_margins(p) below the grid's upper bounds.
-    The margin keeps boundary truncation from faking low degrees.
+def degree_signature(g: GammaGraph) -> dict[int, int]:
+    """Predicate-side degrees of the interior vertices, keyed by value,
+    in grid order: those at least interior_margins(p) below the grid's
+    upper bounds, which are the first columns of the lower rows. The
+    margin keeps boundary truncation from faking low degrees.
 
     >>> sig = degree_signature(build_gamma(2, (4, 0)))
-    >>> sorted(v.value(2) for v, d in sig.items() if d == 2)
+    >>> sorted(x for x, d in sig.items() if d == 2)
     [-1, 1]
     """
     degree = [0] * len(g.vertices)
     for e in g.predicate:
         degree[e >> _SHIFT] += 1
         degree[e & _MASK] += 1
+    rows, width = _shape(g.p, g.bounds)
     m2, mp = interior_margins(g.p)
     max_i, max_j = g.bounds
+    inner = 2 * max(max_i - m2 + 1, 0)  # indices of the columns i <= max_i - m2
     return {
-        v: d
-        for v, d in zip(g.vertices, degree)
-        if v.two_exp <= max_i - m2 and v.p_exp <= max_j - mp
+        g.vertices[k]: degree[k]
+        for r, j in enumerate(rows) if j <= max_j - mp
+        for k in range(2 * r * width, 2 * r * width + inner)
     }
 
 
@@ -363,8 +345,8 @@ def emit_dot(g: GammaGraph) -> str:
     (predicate only) or dotted (closed form only). Sorting the lines as
     text is label-pair order: the quote closing a label sorts below all
     a label holds (digits, -, * and ^), so a label sorts before those it
-    prefixes, and no two edges get as far as the style. No vertex is
-    read: the labels come from _labels."""
+    prefixes, and no two edges get as far as the style. The labels
+    come from _labels."""
     labels = _labels(g.p, g.bounds)
     lines = [f"graph gamma_{g.p} {{", *(f'  "{label}";' for label in labels)]
     lines.extend(sorted(
@@ -376,9 +358,8 @@ def emit_dot(g: GammaGraph) -> str:
 
 def graph_json_dict(g: GammaGraph) -> dict:
     """Canonical JSON form: integer vertex values in grid order, edges
-    as value pairs in grid order, provenance grouped by tag; the values
-    come from _values, not from the vertices."""
-    values = _values(g.p, g.bounds)
+    as value pairs in grid order, provenance grouped by tag."""
+    values = list(g.vertices)
 
     def as_pairs(edges) -> list[list[int]]:
         return [[values[e >> _SHIFT], values[e & _MASK]] for e in sorted(edges)]
@@ -395,10 +376,11 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
     index bases and all. Family (2) reads "2 eps^(a-1) 3^(b+2)": a
     sign that flips with the parity of a and a fixed single factor of
     2. Families (6) and (7) start at a = 1, which drops their smallest
-    column. Edges index _grid(3, bounds), where (j, i, s) sits at
-    ((j - 1) * width + i) * 2 + (s > 0). A family's ends move one row up
-    as b grows, so for one eps and a its edges are one range of codes,
-    written at b = 1. This list exists to be audited, not used."""
+    column. Edges index the grid order of _values(3, bounds), where
+    s * 2^i * 3^j sits at ((j - 1) * width + i) * 2 + (s > 0). A
+    family's ends move one row up as b grows, so for one eps and a its
+    edges are one range of codes, written at b = 1. This list exists to
+    be audited, not used."""
     _, width = _shape(3, bounds)
     max_i, max_j = bounds
     up = 2 * width * _DIAGONAL  # the code one row up less the code
@@ -408,7 +390,7 @@ def printed_p3_edges(bounds: Bounds) -> frozenset[Edge]:
         for a in range(1, max_i + 2):
             i = a - 1
             flip = 1 if i % 2 == 0 else eps  # eps^(a-1), literally
-            # endpoints as (p_exp, two_exp, sign); none has i < 0 or j < 1
+            # endpoints as (j, i, s); none has i < 0 or j < 1
             for (vj, vi, vs), (wj, wi, ws) in (
                 ((j, i, eps), (j + 1, i, eps)),
                 ((j, i, eps), (j + 2, 1, flip)),

@@ -401,7 +401,7 @@ def _suite_top(cfg: SuiteConfig):
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
     g = build_gamma(2, (bound.bit_length() - 1, 0))
-    powers = [v.value(2) for v in g.vertices]
+    powers = g.vertices
     # each edge as (x, y) with x < y, the order the loop below meets it in
     listed = {tuple(sorted((powers[k], powers[l]))) for k, l in map(edge_ends, g.closed)}
     failures = []
@@ -512,24 +512,24 @@ def _suite_ppix(cfg: SuiteConfig):
 
 def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
     """The degree lemma of p's class, one case per interior vertex of
-    sig. For a Fermat or Mersenne prime the vertices +-p have degree 4
-    (8 for p = 3) and every other vertex more; for every other prime,
-    2 included, the column two_exp = 0 has degree 2 and every other
-    vertex 3."""
+    sig, keyed by value. For a Fermat or Mersenne prime the vertices
+    +-p have degree 4 (8 for p = 3) and every other vertex more; for
+    every other prime, 2 included, the column i = 0, the odd values,
+    has degree 2 and every other vertex 3."""
     failures = []
     if classify_prime(p).m is not None:
         low = 8 if p == 3 else 4
-        for v, d in sig.items():
-            if (v.two_exp, v.p_exp) == (0, 1):
+        for x, d in sig.items():
+            if abs(x) == p:
                 if d != low:
-                    failures.append(VerifyFailure(f"deg({v.value(p)})", str(low), str(d)))
+                    failures.append(VerifyFailure(f"deg({x})", str(low), str(d)))
             elif d <= low:
-                failures.append(VerifyFailure(f"deg({v.value(p)})", f">={low + 1}", str(d)))
+                failures.append(VerifyFailure(f"deg({x})", f">={low + 1}", str(d)))
     else:
-        for v, d in sig.items():
-            want = 2 if v.two_exp == 0 else 3
+        for x, d in sig.items():
+            want = 2 if x & 1 else 3
             if d != want:
-                failures.append(VerifyFailure(f"deg({v.value(p)})", str(want), str(d)))
+                failures.append(VerifyFailure(f"deg({x})", str(want), str(d)))
     return len(sig), failures
 
 
@@ -553,7 +553,7 @@ def _suite_gamma(cfg: SuiteConfig):
         for side, edges in whole.items():
             for a, b in edges:
                 failures.append(VerifyFailure(
-                    f"p={p} edge {a.value(p)},{b.value(p)}",
+                    f"p={p} edge {a},{b}",
                     "claimed by both constructions", f"only {side}",
                 ))
         sig = degree_signature(g)
@@ -578,7 +578,7 @@ def _suite_gamma2(cfg: SuiteConfig):
     g = build_gamma(2, (max_exp, 0))
     failures = []
     cases = 0
-    vals = [v.value(2) for v in g.vertices]
+    vals = g.vertices
     predicate, closed_form = set(map(edge_ends, g.predicate)), set(map(edge_ends, g.closed))
     for k, x in enumerate(vals):
         for l in range(k + 1, len(vals)):
@@ -595,7 +595,7 @@ def _suite_gamma2(cfg: SuiteConfig):
     dc, df = _gamma_degree_checks(2, sig)
     cases += dc
     failures.extend(df)
-    profile = {str(v.value(2)): d for v, d in sig.items()}
+    profile = {str(x): d for x, d in sig.items()}
     details = {"max_exp": max_exp, "profile": dict(sorted(profile.items()))}
     return cases, failures, details
 

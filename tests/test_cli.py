@@ -294,10 +294,11 @@ def test_gamma_two_uses_power_chain(capsys):
     assert out.count("--") == 7
 
 
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
 # The benchmark's checker, loaded by path: its own vertex list and its
 # own smooth-difference edges, with no kirch import.
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_checks", pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py")
+_spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
 checks = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(checks)
 
@@ -312,9 +313,38 @@ def test_gamma_output_matches_the_checker(capsys, p):
     assert code == 0 and err == ""
     code, out, err = run(capsys, "gamma", str(p), "--bounds", "6,3", "--format", "json")
     assert code == 0 and err == ""
+    data = json.loads(out)
     truth = checks.gamma_edges(p, bounds)
     assert truth
-    assert checks.check_gamma(p, bounds, dot, json.loads(out), truth) == []
+    assert checks.check_gamma(p, bounds, dot, data, truth) == []
+    # check_gamma compares the vertices as sets, and Gamma_p is symmetric
+    # under x -> -x, so a renderer that swapped the labels of x and -x
+    # would pass it: the i-th DOT vertex line must name the i-th JSON
+    # vertex
+    names = [line.strip().rstrip(";").strip('"') for line in dot.splitlines()
+             if line.count('"') == 2]
+    assert [checks._dot_value(name) for name in names] == data["vertices"]
+
+
+# The benchmark's stream of CLI calls, two rounds for each of two seeds
+# across the 63-bit range, each judged as the queries workload judges
+# it: exit 0 with an empty checker verdict, or exit 2 with nothing on
+# stdout and one line on stderr. No exception may escape main.
+@pytest.mark.parametrize("seed", [7, 11])
+def test_query_stream_keeps_the_cli_contract(monkeypatch, capsys, seed):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    queries = importlib.import_module("queries")
+    workload = importlib.import_module("workload")
+    kinds = set()
+    for calls in queries.rounds(seed, 0, 2):
+        for q in calls:
+            code, out, err = run(capsys, *q.argv)
+            assert workload._check_query(q, code, out, err) == [], q.argv
+            assert code in (0, 2), q.argv
+            if code == 2:
+                assert out == "" and err.count("\n") == 1, q.argv
+            kinds.add((q.kind, code))
+    assert ("out_of_range", 2) in kinds and len(kinds) > 5
 
 
 def test_gamma_rejects_nonprime(capsys):

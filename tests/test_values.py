@@ -13,7 +13,7 @@ import pytest
 
 import kirch
 from kirch.filters import FilterDescriptor, FiniteSubset, OrderWitness, descriptor
-from kirch.graphs import GammaGraph, GammaVertex, build_gamma
+from kirch.graphs import GammaGraph, build_gamma
 from kirch.numtheory import CongruenceSystem, PrimeClass, _Frozen, _Value, classify_prime
 from kirch.topology import ClosureSet, Progression, Window, closure
 from kirch.verify import SuiteConfig, SuiteReport, VerifyFailure
@@ -39,8 +39,6 @@ BY_VALUE = [
     pytest.param(lambda: Progression(8, 3), lambda: Progression(8, 5),
                  "Progression(a=-1, b=3)", id="Progression"),
     pytest.param(lambda: Window(10), lambda: Window(11), "Window(W=10)", id="Window"),
-    pytest.param(lambda: GammaVertex(1, 2, -1), lambda: GammaVertex(1, 2, 1),
-                 "GammaVertex(p_exp=1, two_exp=2, sign=-1)", id="GammaVertex"),
     pytest.param(lambda: closure(Progression(1, 15)), lambda: closure(Progression(2, 15)),
                  "ClosureSet(modulus_primes=(3, 5), allowed_residue=1)", id="ClosureSet"),
     pytest.param(lambda: SuiteConfig(), lambda: SuiteConfig(seed=8),
@@ -60,8 +58,7 @@ BY_IDENTITY = [
                  "source=FiniteSubset(elements=(5, 10)))", id="FilterDescriptor"),
     # one edge, so that no set order is pinned
     pytest.param(lambda: build_gamma(2, (0, 0)),
-                 "GammaGraph(p=2, bounds=(0, 0), vertices=(GammaVertex(p_exp=0, two_exp=0, "
-                 "sign=-1), GammaVertex(p_exp=0, two_exp=0, sign=1)), "
+                 "GammaGraph(p=2, bounds=(0, 0), vertices=(-1, 1), "
                  "predicate=frozenset({1}), closed=frozenset({1}))", id="GammaGraph"),
 ]
 
@@ -82,7 +79,7 @@ def test_the_tables_cover_every_value_type():
     by_value = {type(p.values[0]()) for p in BY_VALUE}
     by_identity = {type(p.values[0]()) for p in BY_IDENTITY}
     assert by_value | by_identity == _records(_Frozen) | {
-        PrimeClass, OrderWitness, VerifyFailure, SuiteReport, GammaVertex,
+        PrimeClass, OrderWitness, VerifyFailure, SuiteReport,
     }
     assert by_value & _records(_Frozen) == _records(_Value)
 

@@ -517,12 +517,22 @@ def test_degree_lemma_follows_the_prime_class(p, bounds):
 
 def test_degree_lemma_sees_one_vertex_off_column_zero():
     # a vertex of Gamma_11 whose degree grows from 3 to 4 keeps the
-    # degree-2 set as it was, and must still fail the lemma
+    # degree-2 set as it was, and must still fail the lemma; off the
+    # column i = 0 means an even value
     sig = degree_signature(build_gamma(11, (9, 5)))
-    v = next(v for v in sig if v.two_exp > 0)
-    cases, failures = verify._gamma_degree_checks(11, {**sig, v: 4})
+    x = next(x for x in sig if x % 2 == 0)
+    cases, failures = verify._gamma_degree_checks(11, {**sig, x: 4})
     assert cases == len(sig)
-    assert failures == [VerifyFailure(f"deg({v.value(11)})", "3", "4")]
+    assert failures == [VerifyFailure(f"deg({x})", "3", "4")]
+
+
+def test_degree_lemma_sees_a_wrong_degree_at_minus_p():
+    # -5 has degree 4 in Gamma_5, as 5 does; one more fails the lemma
+    sig = degree_signature(build_gamma(5, (7, 5)))
+    assert sig[-5] == 4
+    cases, failures = verify._gamma_degree_checks(5, {**sig, -5: 5})
+    assert cases == len(sig)
+    assert failures == [VerifyFailure("deg(-5)", "4", "5")]
 
 
 def test_top_disagreements_are_reported_not_raised(monkeypatch):
