@@ -12,9 +12,10 @@ whether a pair is an edge depends only on its exponent offset and on
 whether the signs agree. Both constructions are therefore tables of
 forward offset classes (dj, di, t), both instantiated by the same
 index arithmetic, _edges: an edge is one int, k << 16 | l, for
-indices k < l into the grid-order vertex values of _values (edge_ends
-gives (k, l) back), so sorted codes are in grid order. The predicate's
-table comes from _scored_offsets, which scores each class once by
+indices k < l into the grid-order vertex values of _values, so sorted
+codes are in grid order; outside this module an edge is the value
+pair that graph_json_dict lists. The predicate's table comes from
+_scored_offsets, which scores each class once by
 stripping 2 and p from one representative difference instead of
 factoring anything. The closed form's table, _families, is written
 out by hand: every edge shifts the exponents by a bounded amount, so
@@ -51,11 +52,6 @@ _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 # the code of (k + 1, l + 1) less the code of (k, l)
 _DIAGONAL = _MASK + 2
-
-
-def edge_ends(e: Edge) -> tuple[int, int]:
-    """The indices (k, l), k < l, that an edge joins."""
-    return e >> _SHIFT, e & _MASK
 
 
 def _check_vertex(x: int, p: int) -> None:
@@ -188,9 +184,8 @@ def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
 class GammaGraph(_Frozen):
     """An immutable built graph: p, exponent bounds, the vertex values
     in grid order, and the edge sets of the two constructions, the
-    predicate and the closed form, as Edge codes into vertices; every
-    other view of the edges is derived from those two. Graphs compare
-    by identity."""
+    predicate and the closed form, as Edge codes into vertices. Graphs
+    compare by identity."""
 
     __slots__ = ("p", "bounds", "vertices", "predicate", "closed")
 
@@ -201,21 +196,6 @@ class GammaGraph(_Frozen):
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "predicate", predicate)
         object.__setattr__(self, "closed", closed)
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return self.predicate | self.closed
-
-    def discrepancies(self) -> dict[str, list[tuple[int, int]]]:
-        """Edges claimed by only one side, never silently reconciled, as
-        value pairs in grid order."""
-        v = self.vertices
-        return {
-            "predicate": [(v[e >> _SHIFT], v[e & _MASK])
-                          for e in sorted(self.predicate - self.closed)],
-            "closed_form": [(v[e >> _SHIFT], v[e & _MASK])
-                            for e in sorted(self.closed - self.predicate)],
-        }
 
 
 def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
@@ -277,10 +257,8 @@ def build_gamma(p: int, bounds: Bounds) -> GammaGraph:
     largest vertex 2^max_i * p^max_j leaves the 63-bit range, both
     before building any vertex.
 
-    >>> g = build_gamma(5, (4, 3))
-    >>> five = g.vertices.index(5)
-    >>> ends = map(edge_ends, g.predicate)
-    >>> sorted(g.vertices[k + l - five] for k, l in ends if five in (k, l))
+    >>> edges = graph_json_dict(build_gamma(5, (4, 3)))["edges"]
+    >>> sorted(x + y - 5 for x, y in edges if 5 in (x, y))
     [-20, -5, 10, 25]
     """
     vertices = tuple(_values(p, bounds))
@@ -366,7 +344,8 @@ def graph_json_dict(g: GammaGraph) -> dict:
 
     prov = {tag: as_pairs(edges) for tag, _, edges in _sides(g)}
     # when the sides agree "both" is every edge: copied, as callers may edit either
-    edges = as_pairs(g.edges) if prov["closed_form"] or prov["predicate"] else [*prov["both"]]
+    edges = (as_pairs(g.predicate | g.closed) if prov["closed_form"] or prov["predicate"]
+             else [*prov["both"]])
     return {"p": g.p, "bounds": list(g.bounds), "vertices": values, "edges": edges,
             "provenance": prov}
 

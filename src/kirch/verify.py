@@ -46,7 +46,7 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import build_gamma, degree_signature, edge_ends, printed_p3_report
+from .graphs import build_gamma, degree_signature, graph_json_dict, printed_p3_report
 from .numtheory import (
     _Value,
     classify_prime,
@@ -400,10 +400,9 @@ def _suite_top(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 64
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
-    g = build_gamma(2, (bound.bit_length() - 1, 0))
-    powers = g.vertices
+    _, _, closed = _edge_pairs(build_gamma(2, (bound.bit_length() - 1, 0)))
     # each edge as (x, y) with x < y, the order the loop below meets it in
-    listed = {tuple(sorted((powers[k], powers[l]))) for k, l in map(edge_ends, g.closed)}
+    listed = {tuple(sorted(e)) for e in closed}
     failures = []
     for i, x in enumerate(vals):
         for y in vals[i + 1:]:
@@ -533,11 +532,25 @@ def _gamma_degree_checks(p: int, sig) -> tuple[int, list[VerifyFailure]]:
     return len(sig), failures
 
 
+def _edge_pairs(g) -> tuple[list[int], set[tuple[int, int]], set[tuple[int, int]]]:
+    """A built graph read through its JSON form, which `kirch gamma
+    --format json` prints: the vertex values in grid order, and the
+    value pairs, each in grid order, that the predicate claims and that
+    the closed form claims."""
+    data = graph_json_dict(g)
+    prov = data["provenance"]
+    both = {*map(tuple, prov["both"])}
+    return (data["vertices"], both | {*map(tuple, prov["predicate"])},
+            both | {*map(tuple, prov["closed_form"])})
+
+
 def _suite_gamma(cfg: SuiteConfig):
     """The edge families of Gamma_p against the predicate on the whole
     grid, where the closed form adds an edge only when both endpoints
     fit, so the two agree exactly; and the degree lemmas on the grid's
-    interior. A grid without interior vertices would pass the lemmas
+    interior. Edges are read from graph_json_dict, the form `kirch gamma
+    --format json` prints, as are the Gamma_2 edges of `top` and
+    `gamma2`. A grid without interior vertices would pass the lemmas
     on nothing, so the bounds are refused as soon as a built graph has
     none; such a grid has i < 5 or at most two rows, so it is small."""
     i, j = cfg.graph_bounds
@@ -547,11 +560,12 @@ def _suite_gamma(cfg: SuiteConfig):
     details: dict = {}
     for p, bounds in grids.items():
         g = build_gamma(p, bounds)
-        whole = g.discrepancies()
-        edge_count = len(g.edges)
+        data = graph_json_dict(g)
+        prov = data["provenance"]
+        edge_count = len(data["edges"])
         cases += edge_count
-        for side, edges in whole.items():
-            for a, b in edges:
+        for side in ("predicate", "closed_form"):
+            for a, b in prov[side]:
                 failures.append(VerifyFailure(
                     f"p={p} edge {a},{b}",
                     "claimed by both constructions", f"only {side}",
@@ -563,11 +577,11 @@ def _suite_gamma(cfg: SuiteConfig):
         failures.extend(df)
         details[str(p)] = {
             "bounds": list(bounds),
-            "vertices": len(g.vertices),
+            "vertices": len(data["vertices"]),
             "edges": edge_count,
             "interior": len(sig),
-            "grid_predicate_only": len(whole["predicate"]),
-            "grid_closed_only": len(whole["closed_form"]),
+            "grid_predicate_only": len(prov["predicate"]),
+            "grid_closed_only": len(prov["closed_form"]),
         }
     details["p3_printed"] = printed_p3_report(grids[3])
     return cases, failures, details
@@ -578,14 +592,12 @@ def _suite_gamma2(cfg: SuiteConfig):
     g = build_gamma(2, (max_exp, 0))
     failures = []
     cases = 0
-    vals = g.vertices
-    predicate, closed_form = set(map(edge_ends, g.predicate)), set(map(edge_ends, g.closed))
+    vals, predicate, closed_form = _edge_pairs(g)
     for k, x in enumerate(vals):
-        for l in range(k + 1, len(vals)):
+        for y in vals[k + 1:]:
             cases += 1
-            y = vals[l]
             top = is_top(FiniteSubset.of(x, y))
-            pred, closed = (k, l) in predicate, (k, l) in closed_form
+            pred, closed = (x, y) in predicate, (x, y) in closed_form
             if not top == pred == closed:
                 failures.append(VerifyFailure(
                     f"E={{{x}, {y}}}", f"is_top={top}",

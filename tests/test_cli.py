@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -345,6 +346,54 @@ def test_query_stream_keeps_the_cli_contract(monkeypatch, capsys, seed):
                 assert out == "" and err.count("\n") == 1, q.argv
             kinds.add((q.kind, code))
     assert ("out_of_range", 2) in kinds and len(kinds) > 5
+
+
+# The edge values of every integer option of gamma and verify, and the
+# bounds built from them, two malformed ones included.
+EDGES = ["0", "1", "62", "63", str(2**63 - 1), str(2**63), "-1"]
+BOUNDS = [f"{i},{j}" for i in EDGES for j in EDGES] + ["1,2,3", "x,y"]
+# primes of every class, the Mersenne prime 2^61 - 1, the largest prime
+# below 2^63, non-primes, 0, +-1 and 2^63
+GAMMA_P = ["2", "3", "5", "7", "11", "13", "17", "31", "127", "257", "65537",
+           str(2**61 - 1), str(2**63 - 25), "4", "9", "15", "91", str(2**63 - 1),
+           "0", "1", "-1", "-3", str(2**63)]
+
+
+def contract_calls():
+    """gamma on every p and bounds above; every suite, all included, on
+    every edge value of --max-element, and on every bounds value that
+    gamma or gamma2 reads or that is refused as it is parsed (the other
+    suites ignore well-formed bounds, so there each would rerun one
+    default plan); order on every edge value of --seed, at
+    --max-element 1."""
+    for p in GAMMA_P:
+        for b in BOUNDS:
+            yield "gamma", p, "--bounds", b
+    for suite in cli._SUITE_NAMES:
+        for m in EDGES:
+            yield "verify", suite, "--max-element", m
+        for b in BOUNDS:
+            if suite in ("gamma", "gamma2") or not re.fullmatch(r"\d+,\d+", b):
+                yield "verify", suite, "--bounds", b
+    for seed in EDGES:
+        yield "verify", "order", "--seed", seed, "--max-element", "1"
+
+
+# Every call ends in exit 0 with parseable JSON and nothing on stderr,
+# or in exit 2 with nothing on stdout and one line on stderr; exit 1
+# (no suite may fail) and an exception escaping main both fail the test.
+def test_gamma_and_verify_keep_the_cli_contract(capsys):
+    codes = {0: 0, 2: 0}
+    for argv in contract_calls():
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code in codes, argv
+        if code == 0:
+            json.loads(out)
+            assert err == "", argv
+        else:
+            assert out == "" and err.count("\n") == 1 and err.endswith("\n"), argv
+        codes[code] += 1
+    assert min(codes.values()) > 100
 
 
 def test_gamma_rejects_nonprime(capsys):

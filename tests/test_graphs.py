@@ -13,7 +13,6 @@ from kirch.graphs import (
     build_gamma,
     closed_form_edges,
     degree_signature,
-    edge_ends,
     edge_predicate,
     emit_dot,
     graph_json_dict,
@@ -84,8 +83,13 @@ def test_labels_and_values_match_the_vertices(p, bounds):
     assert build_gamma(p, bounds).vertices == tuple(v.value(p) for v in grid)
 
 
+def edge_ends(e):
+    """The indices (k, l) that the private edge code k << 16 | l joins."""
+    return e >> 16, e & 0xFFFF
+
+
 def as_pairs(g, edges):
-    """Edges of g as value pairs, read through g.vertices."""
+    """Edge codes of g as value pairs, read through g.vertices."""
     return {(g.vertices[k], g.vertices[l]) for k, l in map(edge_ends, edges)}
 
 
@@ -114,10 +118,7 @@ def pairwise_predicate(p, bounds):
 )
 def test_closed_form_matches_predicate(p, bounds):
     g = build_gamma(p, bounds)
-    report = g.discrepancies()
-    assert report["predicate"] == []
-    assert report["closed_form"] == []
-    assert len(g.edges) > 0
+    assert len(g.predicate) > 0
     assert g.predicate == g.closed
 
 
@@ -160,7 +161,7 @@ def test_build_gamma_does_not_read_the_families(monkeypatch):
     monkeypatch.setattr(graphs, "_families", without_one_shift)
     g = build_gamma(5, (6, 4))
     assert g.predicate == want
-    assert g.discrepancies()["predicate"] != []
+    assert g.predicate - g.closed
 
 
 # An edge only one side claims, rendered: dashed and under "predicate"
@@ -270,7 +271,7 @@ def test_build_gamma_does_not_factorize(monkeypatch):
     monkeypatch.setattr(numtheory, "factorize", boom)
     monkeypatch.setattr(graphs, "a_of_pair_formula", boom)
     g = build_gamma(7, (7, 4))
-    assert g.discrepancies() == {"predicate": [], "closed_form": []}
+    assert g.predicate == g.closed
 
 
 def forbid_vertex_lists(monkeypatch):
@@ -354,7 +355,7 @@ def test_edges_match_the_vertex_lookup(case):
 def test_p3_families_hold_past_2_to_60():
     g = build_gamma(3, (38, 14))
     assert 2**38 * 3**14 > 2**60
-    assert g.discrepancies() == {"predicate": [], "closed_form": []}
+    assert g.predicate == g.closed
 
 
 @pytest.mark.parametrize("p,bounds", [
@@ -378,7 +379,8 @@ def test_build_gamma_accepts_the_largest_grids_that_fit():
     for p, bounds in [(3, (61, 1)), (5, (0, 27)), (2, (62, 0))]:
         max_i, max_j = bounds
         assert 2**max_i * p**max_j <= numtheory.MAX_MAGNITUDE
-        assert build_gamma(p, bounds).discrepancies()["predicate"] == []
+        g = build_gamma(p, bounds)
+        assert g.predicate <= g.closed
 
 
 def test_edge_predicate_examples():
@@ -563,7 +565,7 @@ def test_interior_vertices_respect_margins():
 
 def test_mirror_symmetry():
     g = build_gamma(5, (5, 3))
-    edges = as_pairs(g, g.edges)
+    edges = as_pairs(g, g.predicate | g.closed)
     for a, b in edges:
         assert (-a, -b) in edges or (-b, -a) in edges
 
@@ -657,14 +659,14 @@ def test_printed_p3_overlap_is_real():
 def test_gamma2_small():
     g = build_gamma(2, (2, 0))
     assert len(g.vertices) == 6
-    assert len(g.edges) == 7
+    assert len(g.predicate | g.closed) == 7
     assert set(g.vertices) == {1, 2, 4, -1, -2, -4}
-    assert g.discrepancies() == {"predicate": [], "closed_form": []}
+    assert g.predicate == g.closed
 
 
 def test_gamma2_edges_at_four():
     g = build_gamma(2, (3, 0))
-    at4 = sorted(sorted([a, b]) for a, b in as_pairs(g, g.edges) if 4 in (a, b))
+    at4 = sorted(sorted([a, b]) for a, b in as_pairs(g, g.predicate | g.closed) if 4 in (a, b))
     assert at4 == [[-4, 4], [2, 4], [4, 8]]
 
 

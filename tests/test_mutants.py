@@ -121,6 +121,15 @@ def _families_without(cls, k):
     return mutant
 
 
+def _json_with_reversed_edges(real):
+    # each edge [x, y] listed as [y, x], in edges and in every provenance list
+    def graph_json_dict(g):
+        data = real(g)
+        prov = {tag: [[y, x] for x, y in pairs] for tag, pairs in data["provenance"].items()}
+        return {**data, "edges": [[y, x] for x, y in data["edges"]], "provenance": prov}
+    return graph_json_dict
+
+
 def _pair_formula_without_the_difference(real):
     return lambda x, y: tuple(sorted({*prime_divisors(x), *prime_divisors(y)}))
 
@@ -190,6 +199,8 @@ MUTANTS = [
       for cls, p in _CLASS_PRIMES.items() for k in range(len(graphs._families(p)))),
     pytest.param(graphs, "_families", _families_without_the_last,
                  partial(_failures, "gamma2"), id="families-no-last-gamma2"),
+    pytest.param(verify, "graph_json_dict", _json_with_reversed_edges,
+                 partial(_failures, "gamma2"), id="json-reversed-edges-gamma2"),
     pytest.param(verify, "zsigmondy_closed_form", _zsigmondy_missing_2_6,
                  partial(_failures, "zsigmondy"), id="zsigmondy-2-6"),
     pytest.param(numtheory, "perfect_powers", _perfect_powers_without_8,
@@ -200,7 +211,7 @@ MUTANTS = [
 # integer constant moved by 1, and/or or +/- swapped, a `not` dropped,
 # a table row dropped) that pass every suite and every test, and need
 # no row above: each is equivalent to the real code, or changes only a
-# guard that no input in range reaches. 26 in all.
+# guard that no input in range reaches. 27 in all.
 #
 #   target                       n  why no check can tell
 #   filters._residues            3  the pair shortcut, and which two
@@ -220,6 +231,10 @@ MUTANTS = [
 #                                   moved off +-1 or its test `s > 0`
 #                                   loosened (7): only the side of 0 that
 #                                   a sign is on is read
+#   verify._suite_top            1  `vals[i + 1:]` as `vals[i:]`: the loop
+#                                   also meets {x, x}, a singleton, which
+#                                   is not top and is no listed edge; the
+#                                   case count is read off the bound
 #
 # The sweep itself is not kept here: through `kirch verify all` and then
 # the tests it takes about an hour on two cores.
