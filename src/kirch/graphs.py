@@ -35,6 +35,7 @@ exactly where that list and the predicate disagree.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import chain
 
 from .filters import a_of_pair_formula
 from .numtheory import MAX_MAGNITUDE, _Frozen, classify_prime, is_prime
@@ -160,9 +161,9 @@ def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]
     -1 alone. Within one row and sign the partner of each index k is
     k + gap for one gap, so the codes k << 16 | (k + gap), which equal
     k * _DIAGONAL + gap, of k = first + b, first + b + 2, ... are one
-    range."""
+    range. The ranges are listed and the set is built from them once."""
     rows, width = _shape(p, bounds)
-    out: set[Edge] = set()
+    runs: list[range] = []
     for dj, di, t in offsets:
         step = (dj * width + di) * 2
         lo, hi = max(-di, 0), width - max(di, 0)
@@ -170,9 +171,9 @@ def _edges(p: int, bounds: Bounds, offsets: Sequence[Offset]) -> frozenset[Edge]
             first, last = (r * width + lo) * 2, (r * width + hi) * 2
             for b in (0, 1) if step else (0,):
                 gap = step if t == 1 else step + 1 - 2 * b
-                out.update(range((first + b) * _DIAGONAL + gap, last * _DIAGONAL + gap,
-                                 2 * _DIAGONAL))
-    return frozenset(out)
+                runs.append(range((first + b) * _DIAGONAL + gap, last * _DIAGONAL + gap,
+                                  2 * _DIAGONAL))
+    return frozenset(chain.from_iterable(runs))
 
 
 def closed_form_edges(p: int, bounds: Bounds) -> frozenset[Edge]:
@@ -200,7 +201,10 @@ class GammaGraph(_Frozen):
 
 def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
     """The forward offset classes (dj, di, t) the predicate accepts on a
-    grid _shape admits, one test per class as build_gamma argues."""
+    grid _shape admits, one test per class as build_gamma argues. The
+    representative's two terms are 2^max(-di,0) and p^dj * 2^max(di,0),
+    with p^dj computed once per row. Classes come in the order
+    (dj, di, t = 1 before -1)."""
     max_i, max_j = bounds
     # the odd parts of {2,p}-smooth representatives; none exceeds
     # 2 * MAX_MAGNITUDE, since each of its two terms divides the
@@ -212,9 +216,9 @@ def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
         q *= p
     offsets = []
     for dj in range(1 if p == 2 else max_j):
+        q = p**dj
         for di in range(-max_i if dj else 0, max_i + 1):
-            left = 1 << max(-di, 0)
-            right = p**dj << max(di, 0)
+            left, right = (1 << -di, q) if di < 0 else (1, q << di)
             for t, d in ((1, abs(left - right)), (-1, left + right)):
                 if d and d >> ((d & -d).bit_length() - 1) in p_powers:
                     offsets.append((dj, di, t))
@@ -400,7 +404,8 @@ def printed_p3_report(bounds: Bounds) -> dict:
     printed = printed_p3_edges(bounds)
 
     def as_values(edges) -> list[list[int]]:
-        return sorted(sorted([values[e >> _SHIFT], values[e & _MASK]]) for e in edges)
+        pairs = ((values[e >> _SHIFT], values[e & _MASK]) for e in edges)
+        return sorted([x, y] if x < y else [y, x] for x, y in pairs)
 
     predicate_only = predicate - printed
     return {"bounds": list(bounds), "agree": len(predicate) - len(predicate_only),

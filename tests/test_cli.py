@@ -327,6 +327,16 @@ def test_gamma_output_matches_the_checker(capsys, p):
     assert [checks._dot_value(name) for name in names] == data["vertices"]
 
 
+# kirch verify all at its default, judged by the benchmark's checker:
+# the suite list, every suite's case count from the loop bounds, and
+# each gamma grid's vertex and predicate edge counts against the
+# checker's own pairwise edges, with the p = 3 printed-list report.
+def test_verify_all_report_matches_the_checker(capsys):
+    code, out, err = run(capsys, "verify", "all", "--format", "json")
+    assert code == 0 and err == ""
+    assert checks.check_verify_all(out) == []
+
+
 # The benchmark's stream of CLI calls, two rounds for each of two seeds
 # across the 63-bit range, each judged as the queries workload judges
 # it: exit 0 with an empty checker verdict, or exit 2 with nothing on

@@ -141,14 +141,30 @@ def test_build_gamma_scores_pairs_like_edge_predicate(p, bounds):
 
 
 # offset-class scoring against the pair loop: the benchmark's grids, a
-# row graph, and the largest grids, whose differences pass 2^63
+# row graph, and the largest grids, whose differences pass 2^63; (59, 2)
+# is the widest two-row p = 3 grid that fits, so a row's classes run
+# from di = -59 to 59
 @pytest.mark.parametrize("p,bounds", [
     (3, (14, 8)), (5, (12, 8)), (17, (16, 5)), (7, (14, 7)), (31, (16, 4)),
     (11, (16, 6)), (13, (16, 5)), (2, (20, 0)), (3, (61, 1)), (5, (0, 27)),
+    (3, (59, 2)),
 ])
 def test_build_gamma_matches_the_pairwise_oracle(p, bounds):
     g = build_gamma(p, bounds)
     assert as_pairs(g, g.predicate) == pairwise_predicate(p, bounds)
+
+
+# the same on small grids of every prime class, the empty odd grids
+# (max_j = 0) and the row j = 0 of p = 2 included; and every class the
+# scoring returns joins at least one pair of the grid, so none is
+# scored past its rows or columns
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 31]), st.integers(0, 8), st.integers(0, 3))
+@settings(max_examples=600, deadline=None)
+def test_build_gamma_matches_the_pairwise_oracle_on_small_grids(p, max_i, max_j):
+    bounds = (max_i, 0 if p == 2 else max_j)
+    g = build_gamma(p, bounds)
+    assert as_pairs(g, g.predicate) == pairwise_predicate(p, bounds)
+    assert all(graphs._edges(p, bounds, [c]) for c in graphs._scored_offsets(p, bounds))
 
 
 def test_build_gamma_does_not_read_the_families(monkeypatch):

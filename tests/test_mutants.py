@@ -208,10 +208,11 @@ MUTANTS = [
 ]
 
 # The mutants of the one-site mutation sweep (a comparison swapped, an
-# integer constant moved by 1, and/or or +/- swapped, a `not` dropped,
-# a table row dropped) that pass every suite and every test, and need
-# no row above: each is equivalent to the real code, or changes only a
-# guard that no input in range reaches. 27 in all.
+# integer constant moved by 1, and/or, +/-, <</>> or |/& swapped, a
+# `not` or a unary minus dropped, a table row dropped) that pass every
+# suite and every test, and need no row above: each is equivalent to
+# the real code, or changes only a guard that no input in range
+# reaches. 35 in all.
 #
 #   target                       n  why no check can tell
 #   filters._residues            3  the pair shortcut, and which two
@@ -223,6 +224,20 @@ MUTANTS = [
 #                                   is its only element
 #   graphs._shape                6  the exponent short-circuits before the
 #                                   exact 63-bit test, which decides alone
+#   graphs._scored_offsets       6  the power table's bound 2 * MAX_MAGNITUDE
+#                                   as 1 *, 3 * or `<` (3): no odd part
+#                                   of a representative that is a power
+#                                   of p exceeds the largest vertex, and
+#                                   2^64 - 2 is no power of p;
+#                                   `di < 0` as `di <= 0` or `di < 1` (2):
+#                                   at di = 0 both branches give (1, p^dj);
+#                                   `d & -d` as `d | -d` (1): that is
+#                                   -(d & -d), of the same bit length
+#   graphs._edges                1  a range's stop `+ gap` as `- gap`: a gap
+#                                   is below 1,280 vertices, far below
+#                                   _DIAGONAL / 2, so no code crosses it
+#   graphs.printed_p3_report     1  `x < y` as `x <= y`: an edge joins two
+#                                   distinct values
 #   numtheory.crt_solve          1  the skip of modulus 1, whose term is 0
 #   numtheory.classify_prime     2  m read off p + 2 or p in place of
 #                                   p + 1 or p - 1: the same bit length
