@@ -494,14 +494,17 @@ def upset_in_fprime(E: FiniteSubset) -> list[FilterDescriptor]:
     """The filters of the FPrime layer strictly above a FDoublePrime one.
 
     A filter with A_E = {2,p}, p common, sits below the p-1 filters of
-    {a, p, 2p}; one with A_E = {2,p,q} sits below exactly the two
-    filters picked out by its residues at p and q.
+    {a, p, 2p}, refused with ValueError past p = 10^4; one with A_E =
+    {2,p,q} sits below exactly the two filters picked out by its
+    residues at p and q.
     """
     if classify(E) is not FilterClass.F_DOUBLE_PRIME:
         raise ValueError(f"{E} is not in the FDoublePrime layer")
     d = descriptor(E)
     if len(d.A) == 2:
         p = d.A[1]
+        if p > 10**4:
+            raise ValueError(f"{E} lies below {p - 1} FPrime filters; at most 10^4 are listed")
         return [
             descriptor(FiniteSubset.of(a, p, 2 * p)) for a in range(1, p)
         ]

@@ -10,9 +10,11 @@ built a graph with no interior vertex, on which the degree lemmas
 would check nothing. The `order` suite names a filter by its generator
 conditions, read from the residues of a set's elements: they pick its
 1450 catalog sets and decide its 1450^2 catalog pairs and its sampled
-pairs, never the alpha maps its closed form compares. Both sides
-decide the catalog a column at a time, from per-prime bitsets over its
-rows, with no loop over pairs. Reports are deterministic: catalogs
+pairs, never the alpha maps its closed form compares. _order_matrix
+decides the order on any list of sets a column at a time on both
+sides, from per-prime bitsets over its rows, with no loop over pairs,
+and reads antisymmetry modulo equal conditions, so a list may name one
+filter twice. Reports are deterministic: catalogs
 enumerate in canonical order, any sampling is driven by the configured
 seed, and the JSON rendering carries no wall-clock data.
 
@@ -323,46 +325,56 @@ def _cells(mask: int, conds, by_res) -> list[tuple[int, tuple]]:
     return cells
 
 
-def _suite_order(cfg: SuiteConfig):
-    """The alpha-map comparison on every pair of the catalog, a
-    column at a time from _DescriptorIndex over the catalog's
-    descriptors, against _Generators.column on the catalog's sets;
-    reflexivity, transitivity and antisymmetry on the comparison's
-    columns; and 400 seeded pairs of larger sets, filter_leq against
-    order_oracle. Both oracles read the sets' elements, never the
-    descriptors, and no two catalog sets share generator conditions,
-    so antisymmetry tests the closed form."""
-    bound = cfg.max_element if cfg.max_element is not None else 30
-    reps = _order_catalog(bound)
-    k = len(reps)
-    _within_budget(k * k, "order catalog pairs")
-    descs = [descriptor(E) for E in reps]
+def _order_matrix(sets: list[FiniteSubset], bound: int):
+    """The filter order on sets of two or more elements, each at most
+    bound in magnitude: column j holds the rows i with E_i <= E_j, from
+    _DescriptorIndex, checked against _Generators.column; then the
+    order's laws. Returns (cols, failures, law_failures).
+
+    Two rows may name one filter, as {1, -1} and {2, 4} both name the
+    top, and then lie below each other. So two rows below each other
+    fail antisymmetry only if their generator conditions differ: over
+    the primes up to 2 * bound, which hold every A_E, equal conditions
+    are equal filters, and the comparison with _Generators catches two
+    that the closed form leaves unordered."""
+    descs = [descriptor(E) for E in sets]
     index = _DescriptorIndex(descs)
-    gens = _Generators(reps, primes_upto(2 * bound))
+    gens = _Generators(sets, primes_upto(2 * bound))
     failures = []
-    # column j holds the rows i with E_i <= E_j
     cols = []
     for j, dF in enumerate(descs):
         col = index.column(dF)
         for i in _bits(col ^ gens.column(j)[0]):
             closed = bool(col >> i & 1)
             failures.append(VerifyFailure(
-                f"E={reps[i]} F={reps[j]}", f"oracle={not closed}", f"closed={closed}"
+                f"E={sets[i]} F={sets[j]}", f"oracle={not closed}", f"closed={closed}"
             ))
         cols.append(col)
 
     law_failures = []
     for j, col in enumerate(cols):
         if not col >> j & 1:
-            law_failures.append(VerifyFailure(f"E={reps[j]}", "E<=E", "false"))
+            law_failures.append(VerifyFailure(f"E={sets[j]}", "E<=E", "false"))
         not_below = ~col
         for i in _bits(col):
             if cols[i] & not_below:
                 law_failures.append(VerifyFailure(
-                    f"E={reps[i]} F={reps[j]}", "transitivity", "escape"))
-            if i != j and cols[i] >> j & 1:
+                    f"E={sets[i]} F={sets[j]}", "transitivity", "escape"))
+            if cols[i] >> j & 1 and gens.conds[i] != gens.conds[j]:
                 law_failures.append(VerifyFailure(
-                    f"E={reps[i]} F={reps[j]}", "antisymmetry", "mutual order"))
+                    f"E={sets[i]} F={sets[j]}", "antisymmetry", "mutual order"))
+    return cols, failures, law_failures
+
+
+def _suite_order(cfg: SuiteConfig):
+    """_order_matrix on the catalog, whose sets all differ in their
+    generator conditions, then 400 seeded pairs of larger sets,
+    filter_leq against order_oracle, which never sees a descriptor."""
+    bound = cfg.max_element if cfg.max_element is not None else 30
+    reps = _order_catalog(bound)
+    k = len(reps)
+    _within_budget(k * k, "order catalog pairs")
+    _, failures, law_failures = _order_matrix(reps, bound)
 
     rng = random.Random(cfg.seed)
     sample_bound = max(bound, 50)

@@ -1,5 +1,6 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
+import functools
 import hashlib
 import importlib.util
 import json
@@ -9,6 +10,7 @@ import re
 import subprocess
 import sys
 import time
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -356,6 +358,55 @@ def test_query_stream_keeps_the_cli_contract(monkeypatch, capsys, seed):
                 assert out == "" and err.count("\n") == 1, q.argv
             kinds.add((q.kind, code))
     assert ("out_of_range", 2) in kinds and len(kinds) > 5
+
+
+# The values at the edges of the 63-bit range, 0 and +-1, and 61- and
+# 62-bit primes and a 62-bit composite, 3 * (2^31 - 1) * 715827883.
+QUERY_EDGES = [0, 1, -1, 2**61 - 1, -(2**61 - 1), 2**62 - 57, -(2**62 - 57), 2**62 - 1,
+               2**63 - 1, -(2**63 - 1), 2**63, -(2**63)]
+
+
+def edge_queries(queries):
+    """Fixed calls of the five query commands on the edge values: ae and
+    classify on every pair, cmp of every pair against {1, 2} (it answers
+    both directions) and of every two singletons, closure on every
+    (a, b), prime-class on every value; each a Query as the queries
+    workload's checker reads it."""
+    fmt = ("--format", "json")
+    for x, y in combinations(QUERY_EDGES, 2):
+        E = (x, y)
+        for kind in ("ae", "classify"):
+            yield queries.Query(kind, (kind, *fmt, str(x), str(y)), E)
+        for left, right in ((E, (1, 2)), ((x,), (y,))):
+            argv = ("cmp", *fmt, *map(str, left), ";", *map(str, right))
+            yield queries.Query("cmp", argv, (left, right))
+    for a, b in product(QUERY_EDGES, QUERY_EDGES):
+        yield queries.Query("closure", ("closure", *fmt, str(a), str(b)), (a, b))
+    for p in QUERY_EDGES:
+        yield queries.Query("prime_class", ("prime-class", *fmt, str(p)), (p,))
+
+
+# Each edge call exits 0 with an empty checker verdict, or exits 2 with
+# nothing on stdout and one line on stderr. No exception may escape main.
+def test_query_commands_keep_the_cli_contract_at_the_63_bit_edges(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    queries = importlib.import_module("queries")
+    workload = importlib.import_module("workload")
+    checker = importlib.import_module("checks")
+    # the checker factors every number afresh, and the calls share their
+    # elements and differences: a cache keeps its verdicts and the time
+    monkeypatch.setattr(checker, "prime_factors", functools.cache(checker.prime_factors))
+    kinds = set()
+    for q in edge_queries(queries):
+        code, out, err = run(capsys, *q.argv)
+        assert code in (0, 2), q.argv
+        if code == 0:
+            assert workload._check_query(q, code, out, err) == [], q.argv
+        else:
+            assert out == "" and err.count("\n") == 1, q.argv
+        kinds.add((q.kind, code))
+    # each of the five commands both answers and refuses
+    assert len(kinds) == 10
 
 
 # The edge values of every integer option of gamma and verify, and the

@@ -385,6 +385,14 @@ class TestUpset:
         assert len(upset_in_fprime(S(7, 14))) == 6
         assert len(upset_in_fprime(S(1, 15, 30))) == 2
 
+    def test_lists_at_most_10_4_filters(self):
+        # 9973 is the largest prime below 10^4; {-p, p} for a 61-bit
+        # prime p would otherwise list p - 1 descriptors
+        assert len(upset_in_fprime(S(-9973, 9973))) == 9972
+        for p in (10007, 2**61 - 1):
+            with pytest.raises(ValueError, match="at most 10\\^4"):
+                upset_in_fprime(S(-p, p))
+
     def test_rejects_wrong_class(self):
         with pytest.raises(ValueError):
             upset_in_fprime(S(1, 2))

@@ -2,8 +2,9 @@
 mutant of it applied with monkeypatch, and a check that passes on the
 real code and fails under the mutant."""
 
+import math
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -168,6 +169,19 @@ def _closure_dropping_its_largest_prime_past_30(real):
     return closure
 
 
+def _golomb_oracle_member(real):
+    # the prime-power parts q**k of b tried where the primes q are: the
+    # Golomb topology's neighborhoods, not only squarefree ones
+    def closure_oracle_member(z, p):
+        usable = [q**k for q, k in numtheory.factorize(p.b).items() if z % q != 0]
+        return not any(
+            (z - p.a) % math.gcd(math.prod(combo), p.b)
+            for r in range(1, len(usable) + 1)
+            for combo in combinations(usable, r)
+        )
+    return closure_oracle_member
+
+
 # (module, name, mutant, check); a check that runs a suite is
 # partial(_failures, suite, ...), so the table shows which suites it covers
 MUTANTS = [
@@ -182,6 +196,9 @@ MUTANTS = [
     # 31 is the least bound with a modulus b > 30
     pytest.param(verify, "closure", _closure_dropping_its_largest_prime_past_30,
                  partial(_failures, "closure", max_element=31), id="closure-b-past-30"),
+    # the squarefree condition that tells the Kirch space from Golomb's
+    pytest.param(verify, "closure_oracle_member", _golomb_oracle_member,
+                 partial(_failures, "closure", max_element=4), id="closure-oracle-golomb"),
     pytest.param(verify, "a_of_pair_formula", _pair_formula_without_the_difference,
                  partial(_failures, "pair_formula", max_element=10),
                  id="pair-formula-no-difference"),
@@ -212,7 +229,7 @@ MUTANTS = [
 # `not` or a unary minus dropped, a table row dropped) that pass every
 # suite and every test, and need no row above: each is equivalent to
 # the real code, or changes only a guard that no input in range
-# reaches. 35 in all.
+# reaches. 36 in all.
 #
 #   target                       n  why no check can tell
 #   filters._residues            3  the pair shortcut, and which two
@@ -246,6 +263,9 @@ MUTANTS = [
 #                                   moved off +-1 or its test `s > 0`
 #                                   loosened (7): only the side of 0 that
 #                                   a sign is on is read
+#   verify._order_matrix         1  `primes_upto(2 * bound)` as `3 *`: a
+#                                   prime past 2 * bound divides none of
+#                                   x, y, x - y, so it is in no A_E
 #   verify._suite_top            1  `vals[i + 1:]` as `vals[i:]`: the loop
 #                                   also meets {x, x}, a singleton, which
 #                                   is not top and is no listed edge; the

@@ -29,6 +29,7 @@ from kirch.verify import (
     SuiteReport,
     VerifyFailure,
     _order_catalog,
+    _order_matrix,
     run_suite,
 )
 
@@ -197,6 +198,26 @@ def test_order_fault_is_caught(monkeypatch, allowed, verdicts):
     first = report.failures[0]
     assert not first.inputs.startswith("sampled"), first
     assert (first.expected, first.actual) == verdicts
+    # the fault only adds rows or only drops them, so every mismatch
+    # reads the same way
+    assert {(f.expected, f.actual) for f in report.failures if f.expected.startswith("oracle=")} == {verdicts}
+
+
+def test_order_samples_two_to_four_elements_of_50(monkeypatch):
+    # the report counts the 400 sampled pairs but does not show them:
+    # each side holds 2 to 4 nonzero elements of [-50, 50] at any
+    # bound up to 50
+    drawn = []
+
+    def leq(E, F):
+        drawn.extend((E, F))
+        return filter_leq(E, F)
+
+    monkeypatch.setattr(verify, "filter_leq", leq)
+    assert run_suite("order", small(max_element=4)).passed
+    assert len(drawn) == 800
+    assert {len(E.elements) for E in drawn} == {2, 3, 4}
+    assert max(abs(x) for E in drawn for x in E.elements) == 50
 
 
 def test_order_suite_checks_every_escape(monkeypatch):
@@ -244,6 +265,49 @@ def test_order_suite_solves_each_witness_system_once(monkeypatch):
     # (F, system) pairs are distinct (F, extra congruence) pairs
     assert solved and len(solved) == len(set(solved))
     assert len(solved) < failing_pairs[0]
+
+
+def _doubletons(bound):
+    vals = [v for v in range(-bound, bound + 1) if v]
+    return [FiniteSubset.of(x, y) for x, y in combinations(vals, 2)]
+
+
+def test_order_matrix_on_doubletons_with_shared_filters():
+    # the 66 doubletons of [-6, 6], where {1, -1} and {2, 4} both name
+    # the top filter: equal filters below each other break no law
+    sets = _doubletons(6)
+    cols, failures, law_failures = _order_matrix(sets, 6)
+    assert failures == [] and law_failures == []
+    row = {E: i for i, E in enumerate(sets)}
+    top, also_top = row[FiniteSubset.of(-1, 1)], row[FiniteSubset.of(2, 4)]
+    assert cols[top] >> also_top & 1 and cols[also_top] >> top & 1
+
+    def broken(swap):
+        # the ordered pairs (E, F) whose order the map x -> swap(x) on
+        # elements changes, read off the columns alone
+        image = [row[FiniteSubset.of(*map(swap, E))] for E in sets]
+        return sum((cols[j] >> i & 1) != (cols[image[j]] >> image[i] & 1)
+                   for i in range(len(sets)) for j in range(len(sets)))
+
+    assert broken(lambda x: -x) == 0
+    # exchanging 1 and -1 alone is no self-map of the order
+    assert broken(lambda x: {1: -1, -1: 1}.get(x, x)) == 636
+
+
+def test_order_matrix_reports_each_broken_law(monkeypatch):
+    # a closed form that puts nothing below anything breaks reflexivity
+    # on every row; one that puts everything below everything breaks
+    # antisymmetry on each ordered pair of rows whose conditions differ,
+    # and on no other
+    sets = _doubletons(6)
+    monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: 0)
+    assert _order_matrix(sets, 6)[2] == [VerifyFailure(f"E={E}", "E<=E", "false") for E in sets]
+    monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: self.full)
+    conds = _Generators(sets, primes_upto(12)).conds
+    want = [VerifyFailure(f"E={E} F={F}", "antisymmetry", "mutual order")
+            for j, F in enumerate(sets) for i, E in enumerate(sets) if conds[i] != conds[j]]
+    assert len(sets) < len(want) < len(sets) * (len(sets) - 1)
+    assert _order_matrix(sets, 6)[2] == want
 
 
 def test_generator_order_agrees_with_order_oracle():
