@@ -17,16 +17,17 @@ inclusion of filters is decidable from the maps alone. A_E and Pi_E
 are ascending tuples of primes and alpha_E a dict in ascending p; a
 singleton fits {0,k}+pZ for every p, so its A-set is None, rendered
 "all". This module computes the invariants in one pass over the
-residues that decide A_E (_residues, whose map a_of reads the keys of
-and descriptor reads Pi_E and alpha_E from), decides the order twice,
-each time a column at a time from per-prime bitsets over a list of
-sets: from the alpha maps by one condition per prime
-(_DescriptorIndex) and, independently, from the sets' elements by the
-per-prime generator argument (_Generators, which also builds an
-escaping element, and scans the residues with its own _conditions so
-that the oracle shares no code with the closed form), classifies
-filters against the layers directly under the top one, and realizes a
-prescribed (A, alpha) pair. Nothing is cached: filter_leq builds a
+residues that decide A_E (_residues, whose map descriptor reads Pi_E
+and alpha_E from, and whose keys a_of reads for three or more
+elements; a pair's A-set is the primes of a_of_pair_formula, with no
+map built), decides the order twice, each time a column at a time
+from per-prime bitsets over a list of sets: from the alpha maps by
+one condition per prime (_DescriptorIndex) and, independently, from
+the sets' elements by the per-prime generator argument (_Generators,
+which also builds an escaping element, and scans the residues with
+its own _conditions so that the oracle shares no code with the closed
+form), classifies filters against the layers directly under the top
+one, and realizes a prescribed (A, alpha) pair. Nothing is cached: filter_leq builds a
 one-row _DescriptorIndex per call, and a caller that compares many
 sets builds one index over all of them.
 """
@@ -102,13 +103,18 @@ def a_of(E: FiniteSubset) -> tuple[int, ...] | None:
     """The primes p with E inside {0,k}+pZ for some single k, ascending:
     those at which E has at most one nonzero residue.
 
-    A singleton fits such a set for every p, so it gets None. Otherwise
-    they are the keys of _residues(E), which descriptor() also keeps as
-    the keys of alpha; is_top needs them alone.
+    A singleton fits such a set for every p, so it gets None. A pair
+    {x, y} fits at exactly the primes of x, y and x - y, so it reads
+    them off a_of_pair_formula(x, y) without a residue map; a larger
+    set gets the keys of _residues(E), which descriptor() also keeps as
+    the keys of alpha. is_top needs them alone.
     """
-    if len(E.elements) == 1:
+    xs = E.elements
+    if len(xs) == 1:
         return None
-    return tuple(_residues(E.elements))
+    if len(xs) == 2:
+        return a_of_pair_formula(*xs)
+    return tuple(_residues(xs))
 
 
 def _residues(xs: tuple[int, ...]) -> dict[int, int]:
@@ -212,9 +218,10 @@ def descriptor(E: FiniteSubset) -> FilterDescriptor:
     """
     if len(E.elements) == 1:
         return FilterDescriptor(prime_divisors(E.elements[0]), None, E)
-    residues = _residues(E.elements)
-    Pi = tuple(p for p, r in residues.items() if not r)
-    alpha = {p: 1 if p == 2 else r for p, r in residues.items()}
+    alpha = _residues(E.elements)
+    Pi = tuple([p for p, r in alpha.items() if not r])
+    # 2 divides x, y or x - y, so it is a key, the first, of every map
+    alpha[2] = 1
     return FilterDescriptor(Pi, alpha, E)
 
 
@@ -301,11 +308,17 @@ def _bits(mask: int):
 
 
 def _conditions(elements: tuple[int, ...], primes: Iterable[int]) -> dict[int, int]:
-    """S_E(p) for each given p in A_E, E the set of elements, in the
-    form _Generators keeps; a prime's scan stops at the second distinct
-    nonzero residue."""
+    """S_E(p) for each given p in A_E, E the set of at least two
+    elements, in the form _Generators keeps; a prime's scan stops at the
+    second distinct nonzero residue. A prime dividing none of x, y and
+    x - y, for the first two elements x and y, leaves them two distinct
+    nonzero residues, so it is passed over without a scan."""
+    a, b = elements[0], elements[1]
+    spread = a * b * (a - b)
     conds = {}
     for p in primes:
+        if spread % p:
+            continue
         r = 0
         for x in elements:
             m = x % p
@@ -334,22 +347,37 @@ class _Generators:
 
     def __init__(self, sources: list[FiniteSubset], primes: Iterable[int]):
         primes = tuple(primes)
-        self.full = (1 << len(sources)) - 1
+        self.full = full = (1 << len(sources)) - 1
         self.conds = [_conditions(E.elements, primes) for E in sources]
         # rows_with[p] maps r to the rows E with S_E(p) = {0, r}; r = 0
         # stands for every residue
-        self.rows_with: dict[int, dict[int, int]] = {p: {} for p in primes}
+        rows_with = {p: {} for p in primes}
         for i, conds in enumerate(self.conds):
+            bit = 1 << i
             for p, r in conds.items():
-                self.rows_with[p][r] = self.rows_with[p].get(r, 0) | 1 << i
-        # the groups at p are disjoint, so their sum is their union
-        self.in_a = {p: sum(groups.values()) for p, groups in self.rows_with.items()}
-        self.outside = {p: self.full & ~in_a for p, in_a in self.in_a.items()}
+                groups = rows_with[p]
+                groups[r] = groups.get(r, 0) | bit
+        # at[p]: unfit, mapping each r some row has to the rows whose
+        # S_E(p) does not hold S_F(p) = {0, r} (every residue for r = 0);
+        # the rows with p in A_E; and those with S_E(p) = {0, 1}
+        self.at = {}
         # per prime, the rows whose G_E(()) takes every nonzero residue
-        # (p outside A_E, or R empty), and the groups for the others
-        self.scan = tuple(
-            (p, self.outside[p] | groups.get(0, 0), groups) for p, groups in self.rows_with.items()
-        )
+        # (p outside A_E, or R empty), and those that take m, by m, with
+        # every row at m = 0
+        scan = []
+        for p, groups in rows_with.items():
+            # the groups at p are disjoint, so their sum is their union
+            in_a = sum(groups.values())
+            every = groups.get(0, 0)
+            free = full & ~in_a | every
+            unfit, takes = {}, {}
+            for r, g in groups.items():
+                unfit[r] = full & ~(every | g)
+                takes[r] = free | g
+            takes[0] = full
+            self.at[p] = unfit, in_a, groups.get(1, 0)
+            scan.append((p, free, takes))
+        self.scan = tuple(scan)
 
     def members(self, z: int) -> int:
         """The rows E whose generator G_E(()) contains z: at each scanned
@@ -360,15 +388,15 @@ class _Generators:
         if not z:
             return 0
         rows = self.full
-        for p, free, groups in self.scan:
-            if m := z % p:
-                rows &= free | groups.get(m, 0)
+        for p, free, takes in self.scan:
+            rows &= takes.get(z % p, free)
         return rows
 
-    def column(self, j: int) -> tuple[int, list[tuple[int, OrderWitness]]]:
+    def column(self, j: int) -> tuple[int, list[tuple[int, int, int, str]]]:
         """The rows E whose filter lies inside that of F, the set of row
         j, and a witness for each group of the other rows, after
-        checking it against every row of its group.
+        checking it against every row of its group: the group's rows
+        and the fields of its OrderWitness.
 
         The filter of E lies inside that of F iff every p in A_F lies in
         A_E with S_F(p) inside S_E(p). If p lies outside A_E, G_E({p})
@@ -389,44 +417,48 @@ class _Generators:
         G_E(()) comes from one members scan.
         """
         conds = self.conds[j]
-        system = tuple((r, q) for q, r in conds.items() if r)
+        at = self.at
+        system = None
         solved: dict[tuple[int, int] | None, tuple[int, int]] = {}
         witnesses = []
         below = self.full
         for p, r in conds.items():
-            groups = self.rows_with[p]
-            # the rows whose S_E(p) is every residue
-            free = groups.get(0, 0)
-            failing = below & ~(free | groups.get(r, 0))
+            unfit, in_a, ones = at[p]
+            failing = below & unfit[r]
             if not failing:
                 continue
             below ^= failing
-            in_a, outside = self.in_a[p], self.outside[p]
-            # every residue: a row's S_E(p) = {0, 1} forbids 2, any other
-            # forbids 1 (p is odd, since mod 2 no row fails)
-            for t in ((r,) if r else (1, 2)):
-                group = failing & ~(free | groups.get(t, 0))
+            if r:
+                parts = ((None, failing),)
+            else:
+                # every residue: a row's S_E(p) = {0, 1} forbids 2, any
+                # other forbids 1 (p is odd, since mod 2 no row fails)
+                parts = (((1, p), failing & ~ones), ((2, p), failing & ones))
+            for extra, group in parts:
                 if not group:
                     continue
-                failing ^= group
-                extra = None if r else (t, p)
                 hit = solved.get(extra)
                 if hit is None:
+                    if system is None:
+                        system = tuple([(s, q) for q, s in conds.items() if s])
                     z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
                     inside = self.members(z)
                     if not inside >> j & 1:
                         raise AssertionError("constructed element lies outside the F-side generator")
                     hit = solved[extra] = z, inside
                 z, inside = hit
-                # G_E({p}) is G_E(()) cut with pZ, for p outside A_E
-                caught = (inside if z % p == 0 else 0) & outside | inside & in_a
-                if group & caught:
+                # the rows whose target holds z: G_E(()) for p in A_E,
+                # else G_E({p}), which is G_E(()) cut with pZ
+                caught = group & inside
+                if z % p:
+                    caught &= in_a
+                if caught:
                     raise AssertionError("constructed element fails to escape the E-side generator")
-                if group & outside:
-                    witnesses.append((group & outside, OrderWitness(p, z, _MISSING)))
-                if group & in_a:
-                    why = _ALPHA if r else _PI_BLOCK
-                    witnesses.append((group & in_a, OrderWitness(p, z, why)))
+                in_group = group & in_a
+                if group ^ in_group:
+                    witnesses.append((group ^ in_group, p, z, _MISSING))
+                if in_group:
+                    witnesses.append((in_group, p, z, _ALPHA if r else _PI_BLOCK))
         return below, witnesses
 
 
@@ -451,7 +483,7 @@ def order_oracle(
     below, witnesses = _Generators([E, F], a_of_pair_formula(*F.elements[:2])).column(1)
     if below & 1:
         return True, None
-    return False, next(w for rows, w in witnesses if rows & 1)
+    return False, next(OrderWitness(*w) for rows, *w in witnesses if rows & 1)
 
 
 def is_top(E: FiniteSubset) -> bool:

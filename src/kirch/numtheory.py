@@ -266,7 +266,9 @@ class CongruenceSystem(_Value):
     __slots__ = ("congruences",)
 
     def __init__(self, congruences: tuple[tuple[int, int], ...]):
-        congruences = tuple((a, b) for a, b in congruences)
+        # one copy, which refuses a congruence that is not a pair and
+        # makes each one a tuple
+        congruences = tuple([(a, b) for a, b in congruences])
         moduli = [b for _, b in congruences]
         for b in moduli:
             if b < 1:
@@ -285,7 +287,7 @@ class CongruenceSystem(_Value):
 
     @property
     def modulus(self) -> int:
-        return math.prod(b for _, b in self.congruences)
+        return math.prod([b for _, b in self.congruences])
 
 
 def crt_solve(sys: CongruenceSystem) -> int:

@@ -229,16 +229,33 @@ MUTANTS = [
 # `not` or a unary minus dropped, a table row dropped) that pass every
 # suite and every test, and need no row above: each is equivalent to
 # the real code, or changes only a guard that no input in range
-# reaches. 36 in all.
+# reaches. 60 in all.
 #
 #   target                       n  why no check can tell
-#   filters._residues            3  the pair shortcut, and which two
+#   filters.a_of                 1  the pair branch `len(xs) == 2` as
+#                                   `== 1`: a pair then takes the keys of
+#                                   _residues, the same primes
+#   filters._residues            3  the pair shortcut, which only
+#                                   descriptor reaches, and which two
 #                                   elements bound the scan: any two
 #                                   distinct elements bound the primes
 #   filters.a_of_pair_formula    1  `<` at exactly 2^63 - 1: both branches
 #                                   factor the same difference
 #   filters.descriptor           1  a singleton reads elements[-1], which
 #                                   is its only element
+#   filters._conditions          4  the pass over primes dividing none of
+#                                   x, y, x - y: skipped (`continue` as
+#                                   `pass`), or read off another element
+#                                   (3): a distinct one bounds the primes
+#                                   too, the same one twice gives 0,
+#                                   which every prime divides
+#   filters._Generators.column   2  `continue` as `pass` on an empty mask
+#                                   of failing rows or an empty group: it
+#                                   adds no witness, the second after
+#                                   solving a system for nothing
+#   filters.order_oracle         1  `rows & 1` as `rows | 1`: every
+#                                   witness of a two-row instance's
+#                                   column 1 is for row 0
 #   graphs._shape                6  the exponent short-circuits before the
 #                                   exact 63-bit test, which decides alone
 #   graphs._scored_offsets       6  the power table's bound 2 * MAX_MAGNITUDE
@@ -255,7 +272,8 @@ MUTANTS = [
 #                                   _DIAGONAL / 2, so no code crosses it
 #   graphs.printed_p3_report     1  `x < y` as `x <= y`: an edge joins two
 #                                   distinct values
-#   numtheory.crt_solve          1  the skip of modulus 1, whose term is 0
+#   numtheory.crt_solve          2  the skip of modulus 1, whose term is 0,
+#                                   dropped or tested as `b == 0`
 #   numtheory.classify_prime     2  m read off p + 2 or p in place of
 #                                   p + 1 or p - 1: the same bit length
 #   numtheory.prime_divisors     4  the cache size, which no answer reads
@@ -263,9 +281,27 @@ MUTANTS = [
 #                                   moved off +-1 or its test `s > 0`
 #                                   loosened (7): only the side of 0 that
 #                                   a sign is on is read
-#   verify._order_matrix         1  `primes_upto(2 * bound)` as `3 *`: a
+#   verify._order_catalog        2  `primes_upto(2 * bound)` as `3 *`, as
+#                                   in _order_matrix; a triple's mask
+#                                   `2 << j` as `1 << j`: z = y extends a
+#                                   pair to its own key, already kept
+#   verify._cells                5  the shortcuts for a prime that no
+#                                   value or every value keeps, skipped
+#                                   or their tests widened (4): the split
+#                                   gives the same cells; `cell & -cell`
+#                                   as `cell | -cell` (1), of the same
+#                                   bit length
+#   verify._order_matrix         9  `primes_upto(2 * bound)` as `3 *` (1): a
 #                                   prime past 2 * bound divides none of
-#                                   x, y, x - y, so it is in no A_E
+#                                   x, y, x - y, so it is in no A_E; the
+#                                   law audit's fast path turned off (8):
+#                                   `transitive` set False, the union
+#                                   seeded nonzero (2), its test widened
+#                                   or its `~` dropped (2), the `break`
+#                                   dropped, the skip of an unshared
+#                                   column dropped or tested as `== 0`
+#                                   (2); the pair-by-pair scan then finds
+#                                   the same failures
 #   verify._suite_top            1  `vals[i + 1:]` as `vals[i:]`: the loop
 #                                   also meets {x, x}, a singleton, which
 #                                   is not top and is no listed edge; the

@@ -225,6 +225,21 @@ class TestCrt:
         else:
             assert CongruenceSystem(tuple((0, b) for b in moduli)).modulus == math.prod(moduli)
 
+    @pytest.mark.parametrize("moduli,named", [((3, 0, -5), 0), ((3, -5, 0), -5), ((-1, -2), -1)])
+    def test_names_the_first_modulus_below_1(self, moduli, named):
+        # in input order, not the least one
+        with pytest.raises(ValueError, match=f"^modulus {named} must be >= 1$"):
+            CongruenceSystem(tuple((0, b) for b in moduli))
+
+    def test_list_input_equals_the_tuple_form(self):
+        # each congruence is stored as a tuple, so a list of lists and a
+        # tuple of tuples make one value
+        listed = CongruenceSystem([[1, 2], [2, 3]])
+        tupled = CongruenceSystem.of((1, 2), (2, 3))
+        assert listed.congruences == ((1, 2), (2, 3))
+        assert listed == tupled and hash(listed) == hash(tupled)
+        assert crt_solve(listed) == 5
+
     @st.composite
     @staticmethod
     def coprime_systems(draw):

@@ -1,5 +1,6 @@
 """Harness behavior: suite verdicts, determinism, caught faults."""
 
+import hashlib
 import json
 import os
 import signal
@@ -203,10 +204,16 @@ def test_order_fault_is_caught(monkeypatch, allowed, verdicts):
     assert {(f.expected, f.actual) for f in report.failures if f.expected.startswith("oracle=")} == {verdicts}
 
 
+# sha256 of repr([E.elements for E in drawn]), the 800 sets the order
+# suite samples at seed 7, in the order filter_leq meets them
+ORDER_SAMPLES_SHA256 = "e17f6433bce5b3027c0f3e093d91374d6e31eccce95ffc96daf29ca1241e26de"
+
+
 def test_order_samples_two_to_four_elements_of_50(monkeypatch):
     # the report counts the 400 sampled pairs but does not show them:
     # each side holds 2 to 4 nonzero elements of [-50, 50] at any
-    # bound up to 50
+    # bound up to 50, every one of which is drawn, from a stream the
+    # seed fixes
     drawn = []
 
     def leq(E, F):
@@ -217,7 +224,9 @@ def test_order_samples_two_to_four_elements_of_50(monkeypatch):
     assert run_suite("order", small(max_element=4)).passed
     assert len(drawn) == 800
     assert {len(E.elements) for E in drawn} == {2, 3, 4}
-    assert max(abs(x) for E in drawn for x in E.elements) == 50
+    assert {x for E in drawn for x in E.elements} == set(range(-50, 51)) - {0}
+    elements = repr([E.elements for E in drawn]).encode()
+    assert hashlib.sha256(elements).hexdigest() == ORDER_SAMPLES_SHA256
 
 
 def test_order_suite_checks_every_escape(monkeypatch):
@@ -310,6 +319,48 @@ def test_order_matrix_reports_each_broken_law(monkeypatch):
     assert _order_matrix(sets, 6)[2] == want
 
 
+def _pairwise_law_failures(sets, cols, conds):
+    # the order's laws read off the columns pair by pair, in the order
+    # _order_matrix reports them
+    found = []
+    for j, F in enumerate(sets):
+        if not cols[j] >> j & 1:
+            found.append(VerifyFailure(f"E={F}", "E<=E", "false"))
+        for i, E in enumerate(sets):
+            if cols[j] >> i & 1:
+                if cols[i] & ~cols[j]:
+                    found.append(VerifyFailure(f"E={E} F={F}", "transitivity", "escape"))
+                if cols[i] >> j & 1 and conds[i] != conds[j]:
+                    found.append(VerifyFailure(f"E={E} F={F}", "antisymmetry", "mutual order"))
+    return found
+
+
+# rows 5 and 9 of _doubletons(6), {-6, 1} and {-6, 5}: two filters
+# that lie below no other row
+_TWO_MINIMAL = 1 << 5 | 1 << 9
+
+
+@pytest.mark.parametrize("fault,laws", [
+    # row 1 below what row 0 is
+    (lambda col: col | 0b10 if col & 1 else col, {"transitivity"}),
+    # rows 0 and 3 below every row
+    (lambda col: col | 0b1001, {"transitivity", "antisymmetry"}),
+    # two filters merged: equal columns, with transitivity intact
+    (lambda col: col | _TWO_MINIMAL if col & _TWO_MINIMAL else col, {"antisymmetry"}),
+], ids=["row-1-follows-row-0", "two-rows-below-all", "two-filters-merged"])
+def test_order_matrix_reads_every_law_of_a_faulty_order(monkeypatch, fault, laws):
+    # closed forms that break the order's laws: the fast path of the
+    # audit reports what the pair-by-pair reading of the same columns
+    # finds, in its order
+    sets = _doubletons(6)
+    real = _DescriptorIndex.column
+    monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: fault(real(self, dF)))
+    cols, _, found = _order_matrix(sets, 6)
+    want = _pairwise_law_failures(sets, cols, _Generators(sets, primes_upto(12)).conds)
+    assert {f.expected for f in want} == laws
+    assert found == want
+
+
 def test_generator_order_agrees_with_order_oracle():
     # the suite's batch over the sieve primes against the two-row
     # instances of order_oracle over the primes of one pair of F
@@ -319,6 +370,24 @@ def test_generator_order_agrees_with_order_oracle():
         below = gens.column(j)[0]
         for i, E in enumerate(sources):
             assert bool(below >> i & 1) == order_oracle(E, F)[0], (E, F)
+
+
+# sha256 of the lines repr((holds, prime, element, reason)) of
+# order_oracle(E, F), None for each field of a missing witness, over
+# the ordered pairs of _order_catalog(8), F-major: the witnesses
+# `kirch cmp` prints
+ORDER_WITNESS_SHA256 = "61d4ba1ba2d2ad63fb1c9c5c5ba1212334eb920d4dd97f668d7000118511bf78"
+
+
+def test_order_witnesses_are_pinned():
+    sources = _order_catalog(8)
+    h = hashlib.sha256()
+    for F in sources:
+        for E in sources:
+            holds, witness = order_oracle(E, F)
+            h.update(repr((holds, *(witness or (None, None, None)))).encode() + b"\n")
+    assert len(sources) ** 2 == 2916
+    assert h.hexdigest() == ORDER_WITNESS_SHA256
 
 
 def test_generator_columns_do_not_depend_on_their_order():
@@ -339,13 +408,21 @@ def test_generator_columns_do_not_depend_on_their_order():
 
     for j in range(k):
         assert got[j] == back[j], sources[j]
-        for rows, w in got[j][1]:
-            z = w.element
-            assert in_generator(j, z), (sources[j], w)
+        # each row outside the column has one witness, whose reason
+        # names its target
+        covered = 0
+        for rows, p, z, reason in got[j][1]:
+            assert rows and not rows & covered, (sources[j], p, z)
+            covered |= rows
+            assert in_generator(j, z), (sources[j], p, z)
             for i in filters._bits(rows):
                 # the target is G_E({p}) when p is outside A_E, else G_E(())
-                caught = in_generator(i, z) and (w.prime in conds[i] or z % w.prime == 0)
-                assert not caught, (sources[i], sources[j], w)
+                caught = in_generator(i, z) and (p in conds[i] or z % p == 0)
+                assert not caught, (sources[i], sources[j], p, z)
+                want = (filters._MISSING if p not in conds[i]
+                        else filters._ALPHA if conds[j][p] else filters._PI_BLOCK)
+                assert reason == want, (sources[i], sources[j], p, z)
+        assert covered == forward.full & ~got[j][0], sources[j]
     # members reads masks prepared once per instance; row by row, it is
     # the generator test above
     for z in range(-300, 301):
@@ -452,22 +529,28 @@ def test_closure_suite_calls_the_oracle_once_per_class(monkeypatch):
 
 def test_order_catalog_builds_no_descriptor(monkeypatch):
     # keyed on generator conditions, the catalog keeps the same sets in
-    # the same order as deduplicating every subset on its descriptor
+    # the same order as deduplicating every subset on its descriptor;
+    # its budget counts those subsets before it builds anything
     def refuse(E):
         raise AssertionError("the catalog built a descriptor")
 
     for bound in (8, 12):
+        budgeted = []
         with monkeypatch.context() as m:
             m.setattr(verify, "descriptor", refuse)
             m.setattr(filters, "descriptor", refuse)
+            m.setattr(verify, "_within_budget", lambda cases, what: budgeted.append(cases) or cases)
             catalog = _order_catalog(bound)
         vals = [v for v in range(-bound, bound + 1) if v != 0]
         want: dict = {}
+        subsets = 0
         for size in (2, 3):
             for combo in combinations(vals, size):
+                subsets += 1
                 E = FiniteSubset(combo)
                 want.setdefault(tuple(descriptor(E).alpha.items()), E)
         assert catalog == list(want.values())
+        assert budgeted == [subsets]
 
 
 def _triple_loop_catalog(bound):
