@@ -4,6 +4,7 @@ Every operation is scriptable: data goes to stdout, diagnostics to
 stderr, and the exit status is 0 for success, 1 for a verification
 failure, 2 for unusable input. --format json emits one parseable
 object per invocation with the same content as the text rendering.
+Each command builds only the rendering that --format asks for.
 
 One table, `_COMMANDS`, gives each command's handler and arguments. A
 plain call is read straight off it; help, abbreviations, `--opt=value`
@@ -23,7 +24,8 @@ import sys
 from .filters import (
     FilterClass,
     FiniteSubset,
-    classify,
+    _DescriptorIndex,
+    _layer,
     descriptor,
     filter_leq,
     order_oracle,
@@ -36,6 +38,8 @@ from .topology import Progression, Window, closure
 from .verify import _SUITES, SuiteConfig, run_suite
 
 _SUITE_NAMES = (*_SUITES, "all")
+# one encoder for every call: json.dumps would build a new one each time
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,42 +70,39 @@ def _write(text: str, end: str = "\n") -> None:
         os.close(null)
 
 
-def _emit(ns, payload: dict, text: str) -> None:
-    _write(json.dumps(payload, sort_keys=True) if ns.format == "json" else text)
-
-
 def _cmd_closure(ns) -> int:
     prog = Progression(ns.a, ns.b)
     cs = closure(prog)
     w = Window(ns.window)
     sample = cs.sample(w)
     residues = {p: sorted(cs.residues_mod(p)) for p in cs.modulus_primes}
+    if ns.format == "json":
+        _write(_JSON.encode({
+            "a": prog.a,
+            "b": prog.b,
+            "primes": list(cs.modulus_primes),
+            "residues": {str(p): rs for p, rs in residues.items()},
+            "window": w.W,
+            "sample": sample,
+        }))
+        return 0
     lines = [str(cs)]
     for p in sorted(residues):
         lines.append(f"  mod {p}: {{{', '.join(map(str, residues[p]))}}}")
     shown = ", ".join(map(str, sample[:20]))
     more = ", ..." if len(sample) > 20 else ""
     lines.append(f"  members in [-{w.W}, {w.W}]: {shown}{more}")
-    payload = {
-        "a": prog.a,
-        "b": prog.b,
-        "primes": list(cs.modulus_primes),
-        "residues": {str(p): rs for p, rs in residues.items()},
-        "window": w.W,
-        "sample": sample,
-    }
-    _emit(ns, payload, "\n".join(lines))
+    _write("\n".join(lines))
     return 0
 
 
 def _cmd_ae(ns) -> int:
     d = descriptor(FiniteSubset.of(*ns.elements))
-    _emit(ns, d.to_json_dict(), str(d))
+    _write(_JSON.encode(d.to_json_dict()) if ns.format == "json" else str(d))
     return 0
 
 
-def _one_direction(E: FiniteSubset, F: FiniteSubset) -> dict:
-    holds = filter_leq(E, F)
+def _one_direction(E: FiniteSubset, F: FiniteSubset, holds: bool) -> dict:
     if min(len(E), len(F)) == 1:
         return {"holds": holds, "rule": "singleton containment", "witness": None}
     info = {"holds": holds, "rule": "descriptor comparison", "witness": None}
@@ -126,8 +127,22 @@ def _cmd_cmp(ns) -> int:
         raise ValueError("usage: cmp e1 e2 ... ; f1 f2 ...")
     E = FiniteSubset.of(*[int(t) for t in left])
     F = FiniteSubset.of(*[int(t) for t in right])
-    ef = _one_direction(E, F)
-    fe = _one_direction(F, E)
+    if min(len(E), len(F)) == 1:
+        holds = filter_leq(E, F), filter_leq(F, E)
+    else:
+        # filter_leq's comparison, both ways from one descriptor per set
+        dE, dF = descriptor(E), descriptor(F)
+        index = _DescriptorIndex([dE, dF])
+        holds = bool(index.column(dF) & 1), bool(index.column(dE) & 2)
+    ef, fe = _one_direction(E, F, holds[0]), _one_direction(F, E, holds[1])
+    if ns.format == "json":
+        _write(_JSON.encode({
+            "E": list(E.elements),
+            "F": list(F.elements),
+            "e_leq_f": ef,
+            "f_leq_e": fe,
+        }))
+        return 0
     lines = [f"E={E} F={F}"]
     for tag, info in (("E <= F", ef), ("F <= E", fe)):
         note = f" (rule: {info['rule']})"
@@ -138,29 +153,28 @@ def _cmd_cmp(ns) -> int:
                 f" escaping element {wt['element']})"
             )
         lines.append(f"{tag}: {str(info['holds']).lower()}{note}")
-    payload = {
-        "E": list(E.elements),
-        "F": list(F.elements),
-        "e_leq_f": ef,
-        "f_leq_e": fe,
-    }
-    _emit(ns, payload, "\n".join(lines))
+    _write("\n".join(lines))
     return 0
 
 
 def _cmd_classify(ns) -> int:
     E = FiniteSubset.of(*ns.elements)
-    cls = classify(E)
     d = descriptor(E)
-    payload = {"class": str(cls), "descriptor": d.to_json_dict(), "upset": None}
+    cls = _layer(d)
+    up = upset_in_fprime(E) if cls is FilterClass.F_DOUBLE_PRIME else None
+    if ns.format == "json":
+        _write(_JSON.encode({
+            "class": str(cls),
+            "descriptor": d.to_json_dict(),
+            "upset": None if up is None else [u.to_json_dict() for u in up],
+        }))
+        return 0
     lines = [str(cls), f"  {d}"]
-    if cls is FilterClass.F_DOUBLE_PRIME:
-        up = upset_in_fprime(E)
-        payload["upset"] = [u.to_json_dict() for u in up]
+    if up is not None:
         lines.append(f"  upset: {len(up)} descriptors")
         for u in up:
             lines.append(f"    {u}")
-    _emit(ns, payload, "\n".join(lines))
+    _write("\n".join(lines))
     return 0
 
 
@@ -177,12 +191,14 @@ def _cmd_realize(ns) -> int:
             raise ValueError(f"alpha gives prime {p} twice")
         entries[p] = r
     E = realize(primes, entries)
-    payload = {
-        "A": sorted(set(primes)),
-        "alpha": {str(p): r for p, r in entries.items()},
-        "set": list(E.elements),
-    }
-    _emit(ns, payload, str(E))
+    if ns.format == "json":
+        _write(_JSON.encode({
+            "A": sorted(set(primes)),
+            "alpha": {str(p): r for p, r in entries.items()},
+            "set": list(E.elements),
+        }))
+    else:
+        _write(str(E))
     return 0
 
 
@@ -198,14 +214,15 @@ def _cmd_gamma(ns) -> int:
 
 def _cmd_prime_class(ns) -> int:
     cls = classify_prime(ns.p)
-    text = str(cls) if cls.m is None else f"{cls} (m={cls.m})"
-    payload = {
-        "p": ns.p,
-        "fermat": cls.is_fermat,
-        "mersenne": cls.is_mersenne,
-        "m": cls.m,
-    }
-    _emit(ns, payload, text)
+    if ns.format == "json":
+        _write(_JSON.encode({
+            "p": ns.p,
+            "fermat": cls.is_fermat,
+            "mersenne": cls.is_mersenne,
+            "m": cls.m,
+        }))
+    else:
+        _write(str(cls) if cls.m is None else f"{cls} (m={cls.m})")
     return 0
 
 
@@ -317,6 +334,19 @@ def _value(kwargs: dict, text: str):
     return value
 
 
+def _plain_table(arguments) -> tuple:
+    """Options by flag as (dest, kwargs), positionals, defaults by dest, required flags."""
+    options = {flag: (flag.lstrip("-").replace("-", "_"), kw)
+               for flag, kw in arguments if flag[0] == "-"}
+    positionals = [(name, kw) for name, kw in arguments if name[0] != "-"]
+    defaults = {dest: kw.get("default") for dest, kw in options.values()}
+    required = {flag for flag, (_, kw) in options.items() if kw.get("required")}
+    return options, positionals, defaults, required
+
+
+_PLAIN_TABLES = {name: _plain_table(arguments) for name, (_, _, arguments) in _COMMANDS.items()}
+
+
 def _plain(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse returns for a plain call, read off the
     command table; None for any other call.
@@ -327,14 +357,11 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
     "-" or a negative integer, each converted by its `type` and within
     its `choices`, with each required option and each positional given.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _PLAIN_TABLES:
         return None
-    arguments = _COMMANDS[argv[0]][2]
-    options = {flag: (flag.lstrip("-").replace("-", "_"), kw)
-               for flag, kw in arguments if flag[0] == "-"}
-    positionals = [(name, kw) for name, kw in arguments if name[0] != "-"]
-    ns = {"command": argv[0], **{dest: kw.get("default") for dest, kw in options.values()}}
-    missing = {flag for flag, (_, kw) in options.items() if kw.get("required")}
+    options, positionals, defaults, required = _PLAIN_TABLES[argv[0]]
+    ns = {"command": argv[0], **defaults}
+    missing = set(required)
     block, closed = [], False
     rest = iter(argv[1:])
     try:

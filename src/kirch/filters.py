@@ -502,13 +502,17 @@ class FilterClass(enum.Enum):
 
 
 def classify(E: FiniteSubset) -> FilterClass:
-    """Place E's filter: the top filter, the layer directly below it
-    (FPrime), the layer below that (FDoublePrime), or anything else.
+    """Place E's filter by _layer: the top filter, the layer directly below
+    it (FPrime), the layer below that (FDoublePrime), or anything else.
 
     >>> str(classify(FiniteSubset.of(1, 5, 10)))
     'FPrime'
     """
-    d = descriptor(E)
+    return _layer(descriptor(E))
+
+
+def _layer(d: FilterDescriptor) -> FilterClass:
+    """The class of the filter whose descriptor is d, as classify gives it."""
     A = d.A
     if A is None:
         return FilterClass.OTHER
@@ -528,11 +532,11 @@ def upset_in_fprime(E: FiniteSubset) -> list[FilterDescriptor]:
     A filter with A_E = {2,p}, p common, sits below the p-1 filters of
     {a, p, 2p}, refused with ValueError past p = 10^4; one with A_E =
     {2,p,q} sits below exactly the two filters picked out by its
-    residues at p and q.
+    residues at p and q. E's descriptor is built once, for _layer too.
     """
-    if classify(E) is not FilterClass.F_DOUBLE_PRIME:
-        raise ValueError(f"{E} is not in the FDoublePrime layer")
     d = descriptor(E)
+    if _layer(d) is not FilterClass.F_DOUBLE_PRIME:
+        raise ValueError(f"{E} is not in the FDoublePrime layer")
     if len(d.A) == 2:
         p = d.A[1]
         if p > 10**4:

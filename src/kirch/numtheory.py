@@ -11,16 +11,18 @@ square root of a square cofactor, splits any other composite cofactor
 with Pollard's rho in Brent's form (fixed seeds, so the same input
 always takes the same steps), and proves every factor with a
 deterministic Miller-Rabin test; `is_prime` answers below 1000 from
-those 168 primes. The difference x - y of two
-in-range integers can reach 2^64 - 2, so the private `_factorize`
-works on any n below 2^64, without the 63-bit guard; the Miller-Rabin
-bases are proved far past that bound.
+those 168 primes, and past them runs the first k prime bases, k the
+least with n < psi_k (OEIS A014233), or all 12 from psi_9 ~ 3.8 * 10^18
+on. The difference x - y of two in-range integers can reach 2^64 - 2,
+so the private `_factorize` works on any n below 2^64, without the
+63-bit guard; the 12 bases are proved far past that bound.
 `primes_upto` sieves to its own limit, at most 300000, and no sieved
 table outlives a call.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -83,6 +85,12 @@ def primes_upto(limit: int) -> list[int]:
 # Sorenson and Webster, Math. Comp. 2017), which covers the 63-bit range
 # and the 2^64 difference path.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k, k = 1..9 (OEIS A014233): the least odd composite that is a
+# strong probable prime to the first k primes, so they decide n < psi_k.
+# _MR_PREFIXES[i] is run for psi_i <= n < psi_(i+1); all 12 from psi_9 on.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051)
+_MR_PREFIXES = (*(_MR_BASES[:k] for k in range(1, 10)), _MR_BASES)
 
 
 def is_prime(n: int) -> bool:
@@ -99,8 +107,8 @@ def is_prime(n: int) -> bool:
 
 
 def _is_prime(n: int) -> bool:
-    """Table lookup below _TRIAL_LIMIT, else Miller-Rabin over
-    _MR_BASES, without the range guard."""
+    """Table lookup below _TRIAL_LIMIT, else Miller-Rabin over the
+    bases _MR_PREFIXES gives for n, without the range guard."""
     if n < _TRIAL_LIMIT:
         return n in _TRIAL_PRIME_SET
     if n % 2 == 0:
@@ -111,7 +119,7 @@ def _is_prime(n: int) -> bool:
         d //= 2
         s += 1
     # n exceeds every base, so no base is a multiple of n
-    for a in _MR_BASES:
+    for a in _MR_PREFIXES[bisect.bisect_right(_PSI, n)]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

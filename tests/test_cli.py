@@ -1,5 +1,6 @@
 """Command-line behavior: output routing, formats, exit codes."""
 
+import collections
 import functools
 import hashlib
 import importlib.util
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kirch import cli
+from kirch import cli, filters, topology
 from kirch.cli import _build_parser, main
 from kirch.filters import FiniteSubset, descriptor
 
@@ -275,6 +276,91 @@ def test_gamma_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == GAMMA_SHA256[args]
 
 
+TOO_BIG = "9223372036854775808"  # 2^63
+P61 = str(2**61 - 1)  # a Mersenne prime
+P62 = str(2**62 - 57)  # the largest prime below 2^62
+
+# Calls of the query commands, each made as text and as --format json
+# (inserted after the command name): singletons, every filter class, an
+# FDoublePrime upset of each shape and one refused, both order rules
+# with a witness of each reason, closures whose moduli are a product of
+# small primes, a semiprime and 62- and 63-bit numbers, prime classes
+# up to 2^63 - 25, and refusals, the 63-bit guard of each command among
+# them.
+QUERY_CALLS = [
+    ("ae", "1", "2"), ("ae", "5", "10"), ("ae", "7"), ("ae", "-12"),
+    ("ae", "6", "-12", "30"), ("ae", "1", "15", "30"), ("ae", "3", "7", "11", "13"),
+    ("ae", "1", "-9223372036854775807"), ("ae", "1", P62),
+    ("ae", "--", "-9223372036854775807", "9223372036854775807"),
+    ("classify", "7"), ("classify", "1", "2"), ("classify", "1", "5", "10"),
+    ("classify", "5", "10"), ("classify", "1", "15", "30"), ("classify", "3", "7"),
+    ("classify", "6", "-12", "30"), ("classify", "-97", "97"),
+    ("classify", f"-{P61}", P61),
+    ("cmp", "5", "10", ";", "7", "14"), ("cmp", "7", ";", "7", "14"),
+    ("cmp", "5", ";", "5", "10"), ("cmp", "3", ";", "5"),
+    ("cmp", "5", "10", ";", "1", "5", "10"), ("cmp", "1", "5", "10", ";", "2", "5", "10"),
+    ("cmp", "1", "15", ";", "1", "5", "10"), ("cmp", "1", "3", ";", "2", "1000003"),
+    ("cmp", "6", "-12", "30", ";", "6", "-12", "30"), ("cmp", "1", P62, ";", "1", "2"),
+    ("cmp", "5", "10", "7", "14"), ("cmp", "1", ";"),
+    ("closure", "1", "30"), ("closure", "-1", "3", "--window", "10"),
+    ("closure", "1", "1", "--window", "3"), ("closure", "7", "210"),
+    ("closure", "1", "30", "--window", "1000"), ("closure", "5", str(1000003 * 1000033)),
+    ("closure", "12", P62), ("closure", "9223372036854775807", "9223372036854775806"),
+    ("closure", "1", "0"), ("closure", "1", "3", "--window", "0"),
+    ("realize", "--A", "2,5", "--alpha", "2=1,5=2"), ("realize", "--A", "2", "--alpha", "2=1"),
+    ("realize", "--A", "2,3,7", "--alpha", "2=1,3=0,7=4"),
+    ("realize", "--A", "5,2", "--alpha", "5=3,2=1"),
+    ("realize", "--A", "2,4", "--alpha", "2=1,4=1"), ("realize", "--A", "2,5", "--alpha", "5=2"),
+    ("realize", "--A", "2,3", "--alpha", "2=1,3=3"),
+    ("realize", "--A", "2,3", "--alpha", "2=1,3=1,3=2"),
+    *(("prime-class", p) for p in (
+        "2", "3", "5", "7", "31", "257", "65537", "2147483647", P61, P62,
+        str(2**63 - 25), "4", "1", "0", "-3")),
+    ("ae", "1", TOO_BIG), ("classify", "1", TOO_BIG), ("cmp", "1", TOO_BIG, ";", "1", "2"),
+    ("closure", "1", TOO_BIG), ("prime-class", TOO_BIG),
+    ("realize", "--A", f"2,{TOO_BIG}", "--alpha", f"2=1,{TOO_BIG}=1"),
+]
+# sha256 over the JSON list [argv, exit status, stdout, stderr] of each
+# call of QUERY_CALLS, text then JSON, in order
+QUERY_SHA256 = "f17aa0c9b415960010c7d76bc45820b5553b193c5802cd8d4f7dc370985d7d1f"
+
+
+def test_query_output_is_pinned(capsys):
+    h = hashlib.sha256()
+    for cmd, *rest in QUERY_CALLS:
+        for fmt in ((), ("--format", "json")):
+            argv = (cmd, *fmt, *rest)
+            h.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert h.hexdigest() == QUERY_SHA256
+
+
+def test_json_calls_build_only_what_they_print(capsys, monkeypatch):
+    # descriptors counted by source set through every name they are
+    # called by; a text rendering of a descriptor or closure refused
+    built = collections.Counter()
+
+    def counted(E, real=filters.descriptor):
+        built[E] += 1
+        return real(E)
+
+    def refuse(self):
+        raise AssertionError(f"a JSON call rendered a {type(self).__name__} as text")
+
+    for module in (filters, cli):
+        monkeypatch.setattr(module, "descriptor", counted)
+    monkeypatch.setattr(filters.FilterDescriptor, "__str__", refuse)
+    monkeypatch.setattr(topology.ClosureSet, "__str__", refuse)
+    assert run(capsys, "classify", "--format", "json", "3", "7")[0] == 0
+    assert built[FiniteSubset.of(3, 7)] <= 2
+    for left, right in (((5, 10), (7, 14)), ((1, 5, 10), (2, 5, 10)), ((1, 3), (2, 1000003))):
+        built.clear()
+        argv = ("cmp", "--format", "json", *map(str, left), ";", *map(str, right))
+        assert run(capsys, *argv)[0] == 0
+        assert built == {FiniteSubset(left): 1, FiniteSubset(right): 1}
+    for cmd, *rest in QUERY_CALLS:
+        run(capsys, cmd, "--format", "json", *rest)
+
+
 def test_gamma_dot(capsys):
     code, out, _ = run(capsys, "gamma", "5", "--bounds", "2,2")
     assert code == 0
@@ -475,9 +561,6 @@ def test_prime_class(capsys):
 def test_prime_class_rejects_composite(capsys):
     code, _, err = run(capsys, "prime-class", "4")
     assert code == 2 and err != ""
-
-
-TOO_BIG = "9223372036854775808"  # 2^63
 
 
 @pytest.mark.parametrize("argv", [

@@ -148,8 +148,8 @@ def _classify_ignoring_pi(real):
 
 
 def _classify_with_pi_test(pi_test):
-    # `set(d.Pi) <= {2}` in classify's three-prime branch replaced by
-    # pi_test(set(d.Pi))
+    # `set(d.Pi) <= {2}` in the three-prime branch of _layer, which
+    # classify runs, replaced by pi_test(set(d.Pi))
     def mutant(real):
         def classify(E):
             d = filters.descriptor(E)
@@ -229,7 +229,7 @@ MUTANTS = [
 # `not` or a unary minus dropped, a table row dropped) that pass every
 # suite and every test, and need no row above: each is equivalent to
 # the real code, or changes only a guard that no input in range
-# reaches. 60 in all.
+# reaches. 67 in all.
 #
 #   target                       n  why no check can tell
 #   filters.a_of                 1  the pair branch `len(xs) == 2` as
@@ -277,6 +277,17 @@ MUTANTS = [
 #   numtheory.classify_prime     2  m read off p + 2 or p in place of
 #                                   p + 1 or p - 1: the same bit length
 #   numtheory.prime_divisors     4  the cache size, which no answer reads
+#   numtheory._is_prime          7  `n < _TRIAL_LIMIT` as `<=` (1): 1000 is
+#                                   even, refused either way; the even
+#                                   test `n % 2 == 0` as `== -1` or
+#                                   `n % 3 == 0` (2): an even n then
+#                                   fails base 2, as 2^(n-1) mod n is
+#                                   even, and n >= 1000 is not 3; more
+#                                   squarings, from `s = 1`, `s += 2`,
+#                                   `range(s + 1)` or `range(s - 0)` (4):
+#                                   a^(2^r d) = -1 (mod n) for an r >= s
+#                                   would put every prime p of n at
+#                                   p = 1 (mod 2^(s+1)), and so n too
 #   graphs.printed_p3_edges      8  a range past the grid (1), and a sign
 #                                   moved off +-1 or its test `s > 0`
 #                                   loosened (7): only the side of 0 that

@@ -9,12 +9,14 @@ each key for primality.
 
 import itertools
 import math
+import random
 import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kirch import numtheory
 from kirch.numtheory import (
     MAX_MAGNITUDE,
     CongruenceSystem,
@@ -179,6 +181,80 @@ class TestFactorization:
         for fn in (factorize, descriptor):
             assert not hasattr(fn, "cache_info")
         assert prime_divisors.cache_info().maxsize is not None
+
+
+# OEIS A014233, psi_1 .. psi_9: the least odd composite that is a
+# strong probable prime to each of the first k primes
+A014233 = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051)
+FIRST_12_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The strong test of the odd n > a to base a: with n - 1 = 2^s d,
+    d odd, a^d = 1 or a^(2^r d) = -1 (mod n) for some r < s. A failure
+    proves n composite."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def twelve_base_is_prime(n: int) -> bool:
+    """The test _is_prime ran before its bases depended on n: all 12
+    bases past 1000, naive trial division below."""
+    if n < 1000:
+        return naive_is_prime(n)
+    return n % 2 == 1 and all(strong_probable_prime(n, a) for a in FIRST_12_PRIMES)
+
+
+class TestMillerRabinBases:
+    def test_psi_table_is_a014233(self):
+        assert numtheory._PSI == A014233
+        assert numtheory._MR_BASES == FIRST_12_PRIMES
+
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_psi_k_fools_its_first_k_bases_and_is_refused(self, k):
+        # so the first k bases do not decide psi_k itself: n < psi_k is strict
+        n = A014233[k - 1]
+        assert all(strong_probable_prime(n, a) for a in FIRST_12_PRIMES[:k])
+        assert not all(strong_probable_prime(n, a) for a in FIRST_12_PRIMES)
+        assert not numtheory._is_prime(n) and not is_prime(n)
+
+    def test_equals_a_sieve_below_200000(self):
+        limit = 200_000
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for i in range(2, math.isqrt(limit) + 1):
+            if sieve[i]:
+                sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+        assert [n for n in range(limit) if numtheory._is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+
+    def test_equals_twelve_bases_in_every_band(self):
+        # each band [psi_(k-1), psi_k) that k bases serve, then psi_9 to
+        # 2^63 and on to 2^64, where the difference path reaches: random
+        # odd numbers, primes, and the neighbours of each bound
+        rng = random.Random(46)
+        bounds = (1000, *sorted(set(A014233)), 2**63, 2**64)
+        for lo, hi in zip(bounds, bounds[1:]):
+            sample = [rng.randrange(lo, hi) | 1 for _ in range(300)]
+            sample += [n for n in range(lo - 8, lo + 9) if n >= 1000]
+            found = 0
+            while found < 30:
+                n = rng.randrange(lo, hi) | 1
+                if twelve_base_is_prime(n):
+                    sample.append(n)
+                    found += 1
+            for n in sample:
+                assert numtheory._is_prime(n) == twelve_base_is_prime(n), n
 
 
 class TestPrimeSet:
