@@ -34,7 +34,7 @@ from .filters import (
 )
 from .graphs import build_gamma, emit_dot, graph_json_dict
 from .numtheory import classify_prime
-from .topology import Progression, Window, closure
+from .topology import Progression, closure
 from .verify import _SUITES, SuiteConfig, run_suite
 
 _SUITE_NAMES = (*_SUITES, "all")
@@ -73,8 +73,7 @@ def _write(text: str, end: str = "\n") -> None:
 def _cmd_closure(ns) -> int:
     prog = Progression(ns.a, ns.b)
     cs = closure(prog)
-    w = Window(ns.window)
-    sample = cs.sample(w)
+    sample = cs.sample(ns.window)
     residues = {p: sorted(cs.residues_mod(p)) for p in cs.modulus_primes}
     if ns.format == "json":
         _write(_JSON.encode({
@@ -82,7 +81,7 @@ def _cmd_closure(ns) -> int:
             "b": prog.b,
             "primes": list(cs.modulus_primes),
             "residues": {str(p): rs for p, rs in residues.items()},
-            "window": w.W,
+            "window": ns.window,
             "sample": sample,
         }))
         return 0
@@ -91,7 +90,7 @@ def _cmd_closure(ns) -> int:
         lines.append(f"  mod {p}: {{{', '.join(map(str, residues[p]))}}}")
     shown = ", ".join(map(str, sample[:20]))
     more = ", ..." if len(sample) > 20 else ""
-    lines.append(f"  members in [-{w.W}, {w.W}]: {shown}{more}")
+    lines.append(f"  members in [-{ns.window}, {ns.window}]: {shown}{more}")
     _write("\n".join(lines))
     return 0
 

@@ -41,7 +41,6 @@ from typing import NamedTuple
 
 from .numtheory import (
     MAX_MAGNITUDE,
-    CongruenceSystem,
     _Frozen,
     _Value,
     _factorize,
@@ -441,7 +440,7 @@ class _Generators:
                 if hit is None:
                     if system is None:
                         system = tuple([(s, q) for q, s in conds.items() if s])
-                    z = crt_solve(CongruenceSystem(system + ((extra,) if extra else ())))
+                    z = crt_solve(system + ((extra,) if extra else ()))
                     inside = self.members(z)
                     if not inside >> j & 1:
                         raise AssertionError("constructed element lies outside the F-side generator")
@@ -574,7 +573,7 @@ def realize(A: Iterable[int], alpha: Mapping[int, int]) -> FiniteSubset:
     if tuple(alpha) != A:
         raise ValueError("alpha must be defined exactly on A")
     x = math.prod(A[1:])
-    y = crt_solve(CongruenceSystem(tuple((alpha[p], p) for p in A)))
+    y = crt_solve((alpha[p], p) for p in A)
     E = FiniteSubset.of(y, x, 2 * x)
     d = descriptor(E)
     if d.alpha != alpha:

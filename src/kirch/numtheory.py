@@ -26,6 +26,7 @@ import bisect
 import itertools
 import math
 import operator
+from collections.abc import Iterable
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -194,10 +195,13 @@ def _rho(n: int) -> int:
     """A proper divisor of the odd composite n: Pollard's rho on
     y -> y^2 + c from y = 2, with Brent's cycle search and one gcd per
     _RHO_BATCH steps. A run that closes the cycle mod n itself finds
-    only n, and the next c = 1, 2, 3, ... is tried."""
-    for c in itertools.count(1):
+    only n, and the next c is tried. Below 2^64 a composite has a prime
+    p < 2^32, whose rho of length k <= 2^19 each c finds but for a
+    chance of exp(-k^2 / 2p) <= e^-32, so r stops at 2^18 and c at 4;
+    a prime n, a caller's fault, then ends in RuntimeError."""
+    for c in range(1, 5):
         y, r, q, g = 2, 1, 1, 1
-        while g == 1:
+        while g == 1 and r <= 2**18:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -217,8 +221,9 @@ def _rho(n: int) -> int:
                 g = math.gcd(x - ys, n)
                 if g > 1:
                     break
-        if g != n:
+        if 1 < g < n:
             return g
+    raise RuntimeError(f"rho found no factor of {n}, which may be prime")
 
 
 @lru_cache(maxsize=2**16)
@@ -268,47 +273,30 @@ class _Value(_Frozen):
         return hash(self._fields(self))
 
 
-class CongruenceSystem(_Value):
-    """Congruences x = a_i (mod b_i) with pairwise coprime moduli."""
+def crt_solve(congruences: Iterable[tuple[int, int]]) -> int:
+    """Smallest positive x with x = a (mod b) for each pair (a, b)
+    given; the moduli must be pairwise coprime.
 
-    __slots__ = ("congruences",)
-
-    def __init__(self, congruences: tuple[tuple[int, int], ...]):
-        # one copy, which refuses a congruence that is not a pair and
-        # makes each one a tuple
-        congruences = tuple([(a, b) for a, b in congruences])
-        moduli = [b for _, b in congruences]
-        for b in moduli:
-            if b < 1:
-                raise ValueError(f"modulus {b} must be >= 1")
-        # positive moduli are pairwise coprime iff their lcm is their
-        # product; the pairs are searched only to name the first bad one
-        if math.lcm(*moduli) != math.prod(moduli):
-            for b1, b2 in itertools.combinations(moduli, 2):
-                if math.gcd(b1, b2) != 1:
-                    raise ValueError(f"moduli {b1} and {b2} are not coprime")
-        object.__setattr__(self, "congruences", congruences)
-
-    @classmethod
-    def of(cls, *congruences: tuple[int, int]) -> "CongruenceSystem":
-        return cls(tuple(congruences))
-
-    @property
-    def modulus(self) -> int:
-        return math.prod([b for _, b in self.congruences])
-
-
-def crt_solve(sys: CongruenceSystem) -> int:
-    """Smallest positive solution of the system.
-
-    >>> crt_solve(CongruenceSystem.of((1, 2), (2, 3)))
+    >>> crt_solve(((1, 2), (2, 3)))
     5
-    >>> crt_solve(CongruenceSystem.of((0, 1)))
+    >>> crt_solve([[0, 1]])
     1
     """
-    m = sys.modulus
+    # one copy, which refuses a congruence that is not a pair
+    congruences = [(a, b) for a, b in congruences]
+    moduli = [b for _, b in congruences]
+    for b in moduli:
+        if b < 1:
+            raise ValueError(f"modulus {b} must be >= 1")
+    # positive moduli are pairwise coprime iff their lcm is their
+    # product; the pairs are searched only to name the first bad one
+    m = math.prod(moduli)
+    if math.lcm(*moduli) != m:
+        for b1, b2 in itertools.combinations(moduli, 2):
+            if math.gcd(b1, b2) != 1:
+                raise ValueError(f"moduli {b1} and {b2} are not coprime")
     x = 0
-    for a, b in sys.congruences:
+    for a, b in congruences:
         if b == 1:
             continue
         g = m // b

@@ -50,26 +50,6 @@ class Progression(_Value):
     def __contains__(self, z: int) -> bool:
         return z != 0 and (z - self.a) % self.b == 0
 
-    def __str__(self) -> str:
-        return f"{self.a}+{self.b}Z"
-
-
-class Window(_Value):
-    """The finite test universe [-W, W] minus {0}, for 1 <= W <= 10^6.
-
-    The bound keeps a sample small enough to materialize and print.
-    """
-
-    __slots__ = ("W",)
-
-    def __init__(self, W: int):
-        if not 1 <= W <= _MAX_WINDOW:
-            raise ValueError(f"window bound {W} must lie in [1, {_MAX_WINDOW}]")
-        object.__setattr__(self, "W", W)
-
-    def members(self):
-        return itertools.chain(range(-self.W, 0), range(1, self.W + 1))
-
 
 class ClosureSet(_Value):
     """{z != 0 : z = 0 or allowed_residue (mod p) for every listed p}.
@@ -98,8 +78,9 @@ class ClosureSet(_Value):
         """The allowed residue classes mod p, as canonical residues."""
         return frozenset({0, self.allowed_residue % p})
 
-    def sample(self, w: Window) -> list[int]:
-        """The members of the closure in w, in the window's order.
+    def sample(self, W: int) -> list[int]:
+        """The members of the closure in [-W, W] minus 0, ascending, for
+        1 <= W <= _MAX_WINDOW.
 
         The window is filtered one modulus prime at a time, through a
         lazy chain of filters: no method call or generator per point,
@@ -109,8 +90,10 @@ class ClosureSet(_Value):
         first, and a prime whose residues 0 and r cover every class
         (p = 2 with r odd) passes every point and is skipped.
         """
+        if not 1 <= W <= _MAX_WINDOW:
+            raise ValueError(f"window bound {W} must lie in [1, {_MAX_WINDOW}]")
         a = self.allowed_residue
-        zs = w.members()
+        zs = itertools.chain(range(-W, 0), range(1, W + 1))
         for p in reversed(self.modulus_primes):
             r = a % p
             if p == 2 and r:

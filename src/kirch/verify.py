@@ -4,8 +4,8 @@ Each suite pits a closed-form statement against its definitional
 oracle over an exhaustive catalog, collecting mismatches as explicit
 failures, and refuses with ValueError a config that plans more than
 _MAX_CASES cases, or none. A suite refuses from its bounds alone,
-before it builds anything, with two exceptions: `order` counts its
-pairs once its catalog is built, and `gamma` refuses only after it has
+before it builds anything, with two exceptions: `order` refuses its
+k^2 catalog pairs as k grows, and `gamma` refuses only after it has
 built a graph with no interior vertex, on which the degree lemmas
 would check nothing. The `order` suite names a filter by its generator
 conditions, read from the residues of a set's elements: they pick its
@@ -283,6 +283,7 @@ def _order_catalog(bound: int) -> list[FiniteSubset]:
         single = tuple((p, 1 if p == 2 else x % p) for p in primes)
         for low, conds in _cells((1 << n) - (2 << i), single, by_res):
             reps.setdefault(conds, (i, low))
+        _within_budget(len(reps) ** 2, "or more order catalog pairs")
     # a triple's key is its set's conditions, so only the first pair of
     # each key is extended: for a later pair with the key of (x', y'),
     # any z gives the key of {x', y', z}, a pair or a triple earlier in
@@ -290,6 +291,7 @@ def _order_catalog(bound: int) -> list[FiniteSubset]:
     for conds, (i, j) in list(reps.items()):
         for low, key in _cells((1 << n) - (2 << j), conds, by_res):
             reps.setdefault(key, (i, j, low))
+        _within_budget(len(reps) ** 2, "or more order catalog pairs")
     return [FiniteSubset(tuple(map(vals.__getitem__, combo))) for combo in reps.values()]
 
 
@@ -399,7 +401,6 @@ def _suite_order(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 30
     reps = _order_catalog(bound)
     k = len(reps)
-    _within_budget(k * k, "order catalog pairs")
     _, failures, law_failures = _order_matrix(reps, bound)
 
     rng = random.Random(cfg.seed)
@@ -716,13 +717,15 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     or a report that does not decode reaps the child and runs the
     eleven suites again in process, so the outcome is that of the
     one-lane loop by construction; running again costs time only on a
-    refusal after `order`. The child is reaped on every path. On one
+    refusal after `order`. The child is reaped on every path, and an
+    orphan exits within a quarter second, on a SIGALRM timer. On one
     CPU, or beside a process busy on the second, the fork costs more
     than it saves (BENCH_31.json, BENCH_36.json); os.fork with marshal
     stays clear of the 12 to 35 ms that importing multiprocessing or
     concurrent.futures takes."""
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
+        parent = os.getpid()
         fd, w = os.pipe()
         try:
             pid = os.fork()
@@ -733,6 +736,9 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
         status = 1
         try:
             os.close(fd)
+            import signal
+            signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(1))
+            signal.setitimer(signal.ITIMER_REAL, 0.25, 0.25)
             r = run_suite("order", cfg)
             with open(w, "wb") as out:
                 out.write(marshal.dumps((r.cases, [tuple(f) for f in r.failures], r.details)))

@@ -698,9 +698,11 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     # 10,039,316 catalog subsets: the least bound refused before its
     # catalog is built
     (("order", "--max-element", "196"), "catalog subsets exceed"),
-    # 63: its 8,630-set catalog is built, and then its 74 M pairs refused
+    # 41 to 195: the catalog is refused while it is built, once it holds
+    # more than 3,162 sets (41 has 3,164 and 63 has 8,630)
     (("order", "--max-element", "63"), "catalog pairs exceed"),
-    (("order", "--max-element", "41"), "budget"),  # 3164^2 catalog pairs
+    (("order", "--max-element", "41"), "budget"),
+    (("order", "--max-element", "195"), "catalog pairs exceed"),
     (("closure", "--max-element", "100000"), "budget"),
     (("closure", "--max-element", "36"), "budget"),  # 10.4 M cases, the smallest refused
     (("pair_formula", "--max-element", "3000"), "budget"),  # below the sieve bound
@@ -711,8 +713,8 @@ def test_verify_pair_formula_past_the_sieve_bound_is_refused_at_once(capsys):
     (("gamma", "--bounds", "5,1"), "interior"),  # none in Gamma_3, 5, 7, 31
     (("gamma", "--bounds", "4,2"), "interior"),  # none in Gamma_31
     (("ppix", "--max-element", "2"), "vacuous"),  # no x outside -2..2
-], ids=["order-1000", "order-196", "order-63", "order-41", "closure-100000", "closure-36",
-        "pair_formula-3000", "top-100000", "ppix-10000000", "pair_formula-235",
+], ids=["order-1000", "order-196", "order-63", "order-41", "order-195", "closure-100000",
+        "closure-36", "pair_formula-3000", "top-100000", "ppix-10000000", "pair_formula-235",
         "gamma-5,1", "gamma-4,2", "ppix-2"])
 def test_verify_past_the_case_budget_is_refused_at_once(capsys, argv, why):
     start = time.perf_counter()

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from kirch import numtheory
 from kirch.numtheory import (
     MAX_MAGNITUDE,
-    CongruenceSystem,
     classify_prime,
     consecutive_power_pairs,
     crt_solve,
@@ -138,6 +137,20 @@ class TestFactorization:
         monkeypatch.setattr(numtheory, "_rho", rho)
         for p in (3037000493, 2147483647):
             assert factorize(p * p) == {p: 2}
+
+    def test_rho_gives_up_on_a_prime(self):
+        # its caps end it; the least factor of a 64-bit composite is
+        # found far below them
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="no factor of 2305843009213693951"):
+            numtheory._rho(2**61 - 1)
+        assert time.perf_counter() - start < 5.0
+
+    def test_a_prime_called_composite_fails_rather_than_hangs(self, monkeypatch):
+        real = numtheory._is_prime
+        monkeypatch.setattr(numtheory, "_is_prime", lambda n: n < 1000 and real(n))
+        with pytest.raises(RuntimeError, match="no factor of 2147483647"):
+            factorize(2**31 - 1)
 
     def test_multiplicities_reconstruct(self):
         for x in (-360, 1024, 9999, 2 * 3**4 * 29):
@@ -277,44 +290,46 @@ class TestPrimeSet:
 
 class TestCrt:
     def test_frozen_examples(self):
-        assert crt_solve(CongruenceSystem.of((1, 2), (2, 3))) == 5
-        assert crt_solve(CongruenceSystem.of((0, 1))) == 1
-        assert crt_solve(CongruenceSystem.of((1, 2), (2, 5))) == 7
+        assert crt_solve(((1, 2), (2, 3))) == 5
+        assert crt_solve(((0, 1),)) == 1
+        assert crt_solve(((1, 2), (2, 5))) == 7
+        assert crt_solve(()) == 1
 
     def test_rejects_shared_factor(self):
         with pytest.raises(ValueError):
-            CongruenceSystem.of((1, 4), (0, 6))
+            crt_solve(((1, 4), (0, 6)))
         with pytest.raises(ValueError):
-            CongruenceSystem.of((1, 2), (0, 0))
+            crt_solve(((1, 2), (0, 0)))
 
     @given(st.lists(st.integers(1, 60), max_size=6))
     @example([])
     @settings(max_examples=300, deadline=None)
     def test_accepts_exactly_the_pairwise_coprime_moduli(self, moduli):
-        # the constructor tests coprimality by lcm against product; the
+        # crt_solve tests coprimality by lcm against product; the
         # pairwise definition decides, and names the first bad pair; the
         # empty system has modulus 1
         bad = [(b1, b2) for b1, b2 in itertools.combinations(moduli, 2) if math.gcd(b1, b2) != 1]
         if bad:
             with pytest.raises(ValueError, match=f"^moduli {bad[0][0]} and {bad[0][1]} are not"):
-                CongruenceSystem(tuple((0, b) for b in moduli))
+                crt_solve((0, b) for b in moduli)
         else:
-            assert CongruenceSystem(tuple((0, b) for b in moduli)).modulus == math.prod(moduli)
+            assert crt_solve((0, b) for b in moduli) == math.prod(moduli)
 
     @pytest.mark.parametrize("moduli,named", [((3, 0, -5), 0), ((3, -5, 0), -5), ((-1, -2), -1)])
     def test_names_the_first_modulus_below_1(self, moduli, named):
         # in input order, not the least one
         with pytest.raises(ValueError, match=f"^modulus {named} must be >= 1$"):
-            CongruenceSystem(tuple((0, b) for b in moduli))
+            crt_solve((0, b) for b in moduli)
 
     def test_list_input_equals_the_tuple_form(self):
-        # each congruence is stored as a tuple, so a list of lists and a
-        # tuple of tuples make one value
-        listed = CongruenceSystem([[1, 2], [2, 3]])
-        tupled = CongruenceSystem.of((1, 2), (2, 3))
-        assert listed.congruences == ((1, 2), (2, 3))
-        assert listed == tupled and hash(listed) == hash(tupled)
-        assert crt_solve(listed) == 5
+        # any iterable of pairs is read once: a list of lists, a
+        # generator, a tuple of tuples
+        assert crt_solve([[1, 2], [2, 3]]) == crt_solve(iter(((1, 2), (2, 3)))) == 5
+
+    @pytest.mark.parametrize("bad", [((1, 2), (3,)), ((1, 2, 3),), (5,)])
+    def test_refuses_a_congruence_that_is_not_a_pair(self, bad):
+        with pytest.raises((ValueError, TypeError)):
+            crt_solve(bad)
 
     @st.composite
     @staticmethod
@@ -323,16 +338,15 @@ class TestCrt:
         exps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
         chosen = draw(st.permutations(pool))[: len(exps)]
         moduli = [p**e for p, e in zip(chosen, exps)]
-        pairs = tuple((draw(st.integers(0, b - 1)), b) for b in moduli)
-        return CongruenceSystem(pairs)
+        return tuple((draw(st.integers(0, b - 1)), b) for b in moduli)
 
     @given(coprime_systems())
     @settings(max_examples=200, deadline=None)
-    def test_solution_is_least_positive(self, sys):
-        x = crt_solve(sys)
-        assert x >= 1
-        assert all(x % b == a % b for a, b in sys.congruences)
-        assert x - sys.modulus <= 0
+    def test_solution_is_least_positive(self, system):
+        # in (0, prod b], and the least there, as solutions repeat mod prod b
+        x = crt_solve(system)
+        assert 0 < x <= math.prod(b for _, b in system)
+        assert all(x % b == a % b for a, b in system)
 
 
 class TestPrimeClasses:

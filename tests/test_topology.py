@@ -16,7 +16,6 @@ from kirch.numtheory import MAX_MAGNITUDE
 from kirch.topology import (
     ClosureSet,
     Progression,
-    Window,
     closure,
     closure_oracle_member,
 )
@@ -26,8 +25,13 @@ moduli = st.integers(1, 20)
 points = st.integers(-2000, 2000).filter(lambda z: z != 0)
 
 
+def window(W: int) -> list[int]:
+    """[-W, W] minus 0, ascending."""
+    return [*range(-W, 0), *range(1, W + 1)]
+
+
 def members(p: Progression, W: int) -> list[int]:
-    return [z for z in Window(W).members() if z in p]
+    return [z for z in window(W) if z in p]
 
 
 class TestProgression:
@@ -54,21 +58,25 @@ class TestProgression:
 
 
 class TestWindow:
+    """The window bound that ClosureSet.sample takes."""
+
     def test_bounds(self):
-        assert Window(10**6).W == 10**6
-        for W in (0, 10**6 + 1, 2**63):
-            with pytest.raises(ValueError):
-                Window(W)
+        cs = closure(Progression(1, 1))
+        assert cs.sample(1) == [-1, 1]
+        assert len(cs.sample(10**6)) == 2 * 10**6
+        for W in (0, -1, 10**6 + 1, 2**63):
+            with pytest.raises(ValueError, match=f"^window bound {W} must lie"):
+                cs.sample(W)
 
 
 class TestClosureFormula:
     def test_halved_modulus_closes_everything(self):
         c = closure(Progression(1, 2))
-        assert all(z in c for z in Window(50).members())
+        assert all(z in c for z in window(50))
 
     def test_mod_three_example(self):
         c = closure(Progression(2, 3))
-        for z in Window(200).members():
+        for z in window(200):
             assert (z in c) == (z % 3 in (0, 2))
 
     def test_two_prime_example(self):
@@ -77,7 +85,7 @@ class TestClosureFormula:
             assert z in c
         for z in (2, 7, 8, -1, -16, 29):
             assert z not in c
-        for z in Window(200).members():
+        for z in window(200):
             assert (z in c) == (z % 3 in (0, 1) and z % 5 in (0, 1))
 
     def test_zero_never_member(self):
@@ -98,17 +106,17 @@ class TestSample:
     # and without 2 and with up to five primes
     @pytest.mark.parametrize("b", [*range(1, 61), 1001, 1155, 2002, 2310])
     def test_matches_membership(self, b):
-        w = Window(max(100, b))
+        W = max(100, b)
         for a in (*range(-30, 0), *range(1, 31)):
             cs = closure(Progression(a, b))
-            assert cs.sample(w) == [z for z in w.members() if z in cs], (a, b)
+            assert cs.sample(W) == [z for z in window(W) if z in cs], (a, b)
 
     def test_five_primes(self):
         # by the CRT, 2^5 classes mod 2310 pass all five filters; [-2310,
         # 2310] minus 0 holds two whole periods, less 0, plus 2310
         cs = closure(Progression(1, 2310))
         assert cs.modulus_primes == (2, 3, 5, 7, 11)
-        got = cs.sample(Window(2310))
+        got = cs.sample(2310)
         assert len(got) == 2 * 2**5
         assert got == [z for z in range(-2310, 2311)
                        if z and all(z % p in (0, 1) for p in cs.modulus_primes)]
@@ -143,7 +151,7 @@ class TestSeparationOracle:
                     continue
                 p = Progression(a, b)
                 c = closure(p)
-                for z in Window(60).members():
+                for z in window(60):
                     assert (z in c) == closure_oracle_member(z, p), (a, b, z)
 
     @pytest.mark.parametrize("b", [30, 42, 105, 210])

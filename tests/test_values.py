@@ -1,6 +1,7 @@
 """The value types, one row each: the repr they print, equality and
-hash, immutability and every validation message; and an import of the
-command line that loads no dataclass machinery."""
+hash, immutability and every validation message, with the refusals of
+crt_solve and ClosureSet.sample; and an import of the command line that
+loads no dataclass machinery."""
 
 import importlib
 import os
@@ -14,8 +15,8 @@ import pytest
 import kirch
 from kirch.filters import FilterDescriptor, FiniteSubset, OrderWitness, descriptor
 from kirch.graphs import GammaGraph, build_gamma
-from kirch.numtheory import CongruenceSystem, PrimeClass, _Frozen, _Value, classify_prime
-from kirch.topology import ClosureSet, Progression, Window, closure
+from kirch.numtheory import PrimeClass, _Frozen, _Value, classify_prime, crt_solve
+from kirch.topology import ClosureSet, Progression, closure
 from kirch.verify import SuiteConfig, SuiteReport, VerifyFailure
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -25,9 +26,6 @@ _FAILURE = VerifyFailure("x=1", "2", "3")
 # (a maker called twice, a maker of an unequal value, the repr), for
 # the types that compare by value
 BY_VALUE = [
-    pytest.param(lambda: CongruenceSystem.of((1, 2), (2, 3)),
-                 lambda: CongruenceSystem.of((1, 2)),
-                 "CongruenceSystem(congruences=((1, 2), (2, 3)))", id="CongruenceSystem"),
     pytest.param(lambda: classify_prime(3), lambda: classify_prime(5),
                  "PrimeClass(is_fermat=True, is_mersenne=True, m=1)", id="PrimeClass"),
     pytest.param(lambda: FiniteSubset.of(10, 5, 10), lambda: FiniteSubset.of(5),
@@ -38,7 +36,6 @@ BY_VALUE = [
                  id="OrderWitness"),
     pytest.param(lambda: Progression(8, 3), lambda: Progression(8, 5),
                  "Progression(a=-1, b=3)", id="Progression"),
-    pytest.param(lambda: Window(10), lambda: Window(11), "Window(W=10)", id="Window"),
     pytest.param(lambda: closure(Progression(1, 15)), lambda: closure(Progression(2, 15)),
                  "ClosureSet(modulus_primes=(3, 5), allowed_residue=1)", id="ClosureSet"),
     pytest.param(lambda: SuiteConfig(), lambda: SuiteConfig(seed=8),
@@ -130,9 +127,9 @@ def test_fields_cannot_be_assigned(make, text):
 
 
 @pytest.mark.parametrize("make,error,message", [
-    (lambda: CongruenceSystem.of((1, 2), (0, 0)), ValueError, "modulus 0 must be >= 1"),
-    (lambda: CongruenceSystem.of((1, 4), (0, 6)), ValueError, "moduli 4 and 6 are not coprime"),
-    (lambda: CongruenceSystem.of((1, 2), (1, 3), (0, 4)), ValueError,
+    (lambda: crt_solve(((1, 2), (0, 0))), ValueError, "modulus 0 must be >= 1"),
+    (lambda: crt_solve(((1, 4), (0, 6))), ValueError, "moduli 4 and 6 are not coprime"),
+    (lambda: crt_solve(((1, 2), (1, 3), (0, 4))), ValueError,
      "moduli 2 and 4 are not coprime"),
     (lambda: FiniteSubset(()), ValueError, "the empty set carries no filter"),
     (lambda: FiniteSubset.of(3, 0), ValueError, "0 is not a point of the space"),
@@ -147,8 +144,10 @@ def test_fields_cannot_be_assigned(make, text):
     (lambda: Progression(1, 2**63), OverflowError,
      "|9223372036854775808| exceeds the supported 63-bit range"),
     (lambda: Progression(1, 0), ValueError, "modulus 0 must be positive"),
-    (lambda: Window(0), ValueError, "window bound 0 must lie in [1, 1000000]"),
-    (lambda: Window(10**6 + 1), ValueError, "window bound 1000001 must lie in [1, 1000000]"),
+    (lambda: closure(Progression(1, 3)).sample(0), ValueError,
+     "window bound 0 must lie in [1, 1000000]"),
+    (lambda: closure(Progression(1, 3)).sample(10**6 + 1), ValueError,
+     "window bound 1000001 must lie in [1, 1000000]"),
     (lambda: SuiteConfig(max_element=0), ValueError, "max_element must be positive"),
     (lambda: SuiteConfig(graph_bounds=(3, -1)), ValueError, "graph bounds must be nonnegative"),
 ])

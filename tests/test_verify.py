@@ -262,7 +262,7 @@ def test_order_suite_solves_each_witness_system_once(monkeypatch):
         return below, witnesses
 
     def crt(system):
-        solved.append((column[0], system.congruences))
+        solved.append((column[0], tuple(system)))
         return real_crt(system)
 
     monkeypatch.setattr(filters._Generators, "column", tracked)
@@ -530,7 +530,8 @@ def test_closure_suite_calls_the_oracle_once_per_class(monkeypatch):
 def test_order_catalog_builds_no_descriptor(monkeypatch):
     # keyed on generator conditions, the catalog keeps the same sets in
     # the same order as deduplicating every subset on its descriptor;
-    # its budget counts those subsets before it builds anything
+    # its budget counts those subsets before it builds anything, then
+    # the pairs of the sets found so far
     def refuse(E):
         raise AssertionError("the catalog built a descriptor")
 
@@ -550,7 +551,8 @@ def test_order_catalog_builds_no_descriptor(monkeypatch):
                 E = FiniteSubset(combo)
                 want.setdefault(tuple(descriptor(E).alpha.items()), E)
         assert catalog == list(want.values())
-        assert budgeted == [subsets]
+        assert budgeted[0] == subsets
+        assert budgeted[1:] == sorted(budgeted[1:]) and budgeted[-1] == len(catalog) ** 2
 
 
 def _triple_loop_catalog(bound):
@@ -825,6 +827,57 @@ def test_an_interrupt_in_the_parent_reaps_the_child(forks, monkeypatch):
     monkeypatch.setitem(verify._SUITES, "top", _raiser("", KeyboardInterrupt))
     with pytest.raises(KeyboardInterrupt):
         run_suite("all", small(max_element=5))
+
+
+# run_suite("all") in a process of its own, whose `order` child prints
+# its pid and sleeps; the fallback's `order` in the parent runs for real
+_ORPHAN_SCRIPT = """
+import os, time
+from kirch import verify
+parent, real = os.getpid(), verify._SUITES["order"]
+
+def order(cfg):
+    if os.getpid() == parent:
+        return real(cfg)
+    print(os.getpid(), flush=True)
+    time.sleep(60)
+
+verify._SUITES["order"] = order
+verify._usable_cpus = lambda: 2
+verify.run_suite("all", verify.SuiteConfig(max_element=5))
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether pid runs; a zombie has ended and only waits to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_the_child_leaves_once_its_parent_is_killed():
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src")),
+    )
+    try:
+        child = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    try:
+        deadline = time.monotonic() + 1.0
+        while _alive(child) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not _alive(child)
+    finally:
+        if _alive(child):
+            os.kill(child, signal.SIGKILL)
 
 
 def _exit_0(cfg):
