@@ -37,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Mapping
-from typing import NamedTuple
 
 from .numtheory import (
     MAX_MAGNITUDE,
@@ -79,6 +78,7 @@ class FiniteSubset(_Value):
         if xs[0] < -MAX_MAGNITUDE or xs[-1] > MAX_MAGNITUDE:
             x = xs[0] if abs(xs[0]) > MAX_MAGNITUDE else xs[-1]
             raise OverflowError(f"|{x}| exceeds the supported 63-bit range")
+        # set here, not by the slower _Frozen.__init__: `top` builds 8,128
         object.__setattr__(self, "elements", xs)
 
     @classmethod
@@ -181,6 +181,7 @@ class FilterDescriptor(_Frozen):
     __slots__ = ("Pi", "alpha", "source")
 
     def __init__(self, Pi: tuple[int, ...], alpha: dict[int, int] | None, source: FiniteSubset):
+        # set here, not by the slower _Frozen.__init__: order and ppix build 2,250
         object.__setattr__(self, "Pi", Pi)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "source", source)
@@ -284,15 +285,13 @@ _PI_BLOCK = "odd common divisor of F is unconstrained in E"
 _ALPHA = "residue choices disagree"
 
 
-class OrderWitness(NamedTuple):
+class OrderWitness(_Value):
     """Evidence that one generator inclusion fails: an element of the
     minimal F-side generator G_F(()) escaping an E-side generator through
     the named prime p. The reason names that generator: G_E({p}) when
     p reaches outside A_E (_MISSING), else G_E(())."""
 
-    prime: int
-    element: int
-    reason: str
+    __slots__ = ("prime", "element", "reason")
 
 
 def _bits(mask: int):

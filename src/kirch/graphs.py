@@ -190,14 +190,6 @@ class GammaGraph(_Frozen):
 
     __slots__ = ("p", "bounds", "vertices", "predicate", "closed")
 
-    def __init__(self, p: int, bounds: Bounds, vertices: tuple[int, ...],
-                 predicate: frozenset[Edge], closed: frozenset[Edge]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "bounds", bounds)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "closed", closed)
-
 
 def _scored_offsets(p: int, bounds: Bounds) -> list[Offset]:
     """The forward offset classes (dj, di, t) the predicate accepts on a

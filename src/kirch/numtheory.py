@@ -28,7 +28,6 @@ import math
 import operator
 from collections.abc import Iterable
 from functools import lru_cache
-from typing import NamedTuple
 
 MAX_MAGNITUDE = 2**63 - 1
 
@@ -241,12 +240,19 @@ def prime_divisors(x: int) -> tuple[int, ...]:
 
 
 class _Frozen:
-    """Base of kirch's `__slots__` records: each __init__ validates and
-    stores its fields with object.__setattr__, after which assignment
-    raises AttributeError. The repr shows the fields in __slots__ order.
-    A record compares by identity unless it is a _Value."""
+    """Base of kirch's records. __init__ stores one value per field, in
+    __slots__ order (another count raises TypeError); a record that
+    validates overrides it and calls it. Assignment then raises
+    AttributeError, and the repr shows the fields in __slots__ order. A
+    record compares by identity unless it is a _Value."""
 
     __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} values")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
@@ -258,7 +264,8 @@ class _Frozen:
 
 class _Value(_Frozen):
     """A _Frozen record equal only to one of its exact type with equal
-    fields, and hashed by them; _fields reads every field in one C call."""
+    fields, never to a tuple, and hashed by them; _fields reads every
+    field in one C call."""
 
     __slots__ = ()
 
@@ -305,14 +312,12 @@ def crt_solve(congruences: Iterable[tuple[int, int]]) -> int:
     return x if x > 0 else x + m
 
 
-class PrimeClass(NamedTuple):
+class PrimeClass(_Value):
     """Fermat/Mersenne membership flags, both true only for 3, and the
     exponent m with p = 2^m + 1 or p = 2^m - 1 (the Fermat form first,
     so m = 1 for 3); m is None for every other prime."""
 
-    is_fermat: bool
-    is_mersenne: bool
-    m: int | None
+    __slots__ = ("is_fermat", "is_mersenne", "m")
 
     def __str__(self) -> str:
         names = [n for n, f in (("fermat", self.is_fermat), ("mersenne", self.is_mersenne)) if f]

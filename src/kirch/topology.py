@@ -44,8 +44,7 @@ class Progression(_Value):
             rep = r
         else:
             rep = r - b
-        object.__setattr__(self, "a", rep)
-        object.__setattr__(self, "b", b)
+        super().__init__(rep, b)
 
     def __contains__(self, z: int) -> bool:
         return z != 0 and (z - self.a) % self.b == 0
@@ -60,10 +59,6 @@ class ClosureSet(_Value):
     """
 
     __slots__ = ("modulus_primes", "allowed_residue")
-
-    def __init__(self, modulus_primes: tuple[int, ...], allowed_residue: int):
-        object.__setattr__(self, "modulus_primes", modulus_primes)
-        object.__setattr__(self, "allowed_residue", allowed_residue)
 
     def __contains__(self, z: int) -> bool:
         if z == 0:

@@ -31,7 +31,6 @@ import os
 import random
 from collections import Counter
 from itertools import combinations, product
-from typing import NamedTuple
 
 from .filters import (
     FilterClass,
@@ -74,9 +73,7 @@ class SuiteConfig(_Value):
             raise ValueError("max_element must be positive")
         if min(graph_bounds) < 0:
             raise ValueError("graph bounds must be nonnegative")
-        object.__setattr__(self, "max_element", max_element)
-        object.__setattr__(self, "graph_bounds", graph_bounds)
-        object.__setattr__(self, "seed", seed)
+        super().__init__(max_element, graph_bounds, seed)
 
 
 # the most cases a suite may plan; the defaults plan at most 3.2 M
@@ -94,25 +91,20 @@ def _within_budget(cases: int, what: str) -> int:
     return cases
 
 
-class VerifyFailure(NamedTuple):
-    inputs: str
-    expected: str
-    actual: str
+class VerifyFailure(_Value):
+    __slots__ = ("inputs", "expected", "actual")
 
     def to_json_dict(self) -> dict:
         return {"inputs": self.inputs, "expected": self.expected, "actual": self.actual}
 
 
-class SuiteReport(NamedTuple):
+class SuiteReport(_Value):
     """Outcome of one suite (or of all of them merged): passed iff
     failures is empty. No wall time is measured: the JSON key millis
     is always null, so identical configurations produce byte-identical
     JSON."""
 
-    suite: str
-    cases: int
-    failures: tuple[VerifyFailure, ...]
-    details: dict
+    __slots__ = ("suite", "cases", "failures", "details")
 
     @property
     def passed(self) -> bool:
@@ -740,8 +732,9 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
             signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(1))
             signal.setitimer(signal.ITIMER_REAL, 0.25, 0.25)
             r = run_suite("order", cfg)
+            failures = [(f.inputs, f.expected, f.actual) for f in r.failures]
             with open(w, "wb") as out:
-                out.write(marshal.dumps((r.cases, [tuple(f) for f in r.failures], r.details)))
+                out.write(marshal.dumps((r.cases, failures, r.details)))
             status = 0
         finally:
             os._exit(status)  # never return into the caller's frames
@@ -782,12 +775,8 @@ def run_suite(name: str, cfg: SuiteConfig) -> SuiteReport:
             for r in subs
             for f in r.failures
         )
-        return SuiteReport(
-            suite="all",
-            cases=sum(r.cases for r in subs),
-            failures=failures,
-            details={"suites": [r.to_json_dict() for r in subs]},
-        )
+        return SuiteReport("all", sum(r.cases for r in subs), failures,
+                           {"suites": [r.to_json_dict() for r in subs]})
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}")
     cases, failures, details = _SUITES[name](cfg)

@@ -15,7 +15,7 @@ import pytest
 import kirch
 from kirch.filters import FilterDescriptor, FiniteSubset, OrderWitness, descriptor
 from kirch.graphs import GammaGraph, build_gamma
-from kirch.numtheory import PrimeClass, _Frozen, _Value, classify_prime, crt_solve
+from kirch.numtheory import _Frozen, _Value, classify_prime, crt_solve
 from kirch.topology import ClosureSet, Progression, closure
 from kirch.verify import SuiteConfig, SuiteReport, VerifyFailure
 
@@ -71,14 +71,11 @@ def _records(base):
 
 
 def test_the_tables_cover_every_value_type():
-    # every __slots__ record derives from _Frozen, so a new one shows up
-    # here; the NamedTuples are listed by hand
+    # every record derives from _Frozen, so a new one shows up here
     by_value = {type(p.values[0]()) for p in BY_VALUE}
     by_identity = {type(p.values[0]()) for p in BY_IDENTITY}
-    assert by_value | by_identity == _records(_Frozen) | {
-        PrimeClass, OrderWitness, VerifyFailure, SuiteReport,
-    }
-    assert by_value & _records(_Frozen) == _records(_Value)
+    assert by_value | by_identity == _records(_Frozen)
+    assert by_value == _records(_Value)
 
 
 @pytest.mark.parametrize("make,other,text", BY_VALUE)
@@ -107,7 +104,12 @@ def test_identity_types_print_and_compare_by_identity(make, text):
     (FiniteSubset.of(1, 2), ((1, 2),)),
     (Progression(1, 3), (1, 3)),
     (ClosureSet((3,), 1), ((3,), 1)),
-], ids=["FiniteSubset", "Progression", "ClosureSet"])
+    (classify_prime(3), (True, True, 1)),
+    (OrderWitness(7, 1, "r"), (7, 1, "r")),
+    (_FAILURE, ("x=1", "2", "3")),
+    (SuiteReport("top", 3, (), {}), ("top", 3, (), {})),
+], ids=["FiniteSubset", "Progression", "ClosureSet", "PrimeClass", "OrderWitness",
+        "VerifyFailure", "SuiteReport"])
 def test_slotted_values_equal_only_their_own_class(value, fields):
     assert value != fields and fields != value
     assert value != fields[0]
@@ -150,6 +152,9 @@ def test_fields_cannot_be_assigned(make, text):
      "window bound 1000001 must lie in [1, 1000000]"),
     (lambda: SuiteConfig(max_element=0), ValueError, "max_element must be positive"),
     (lambda: SuiteConfig(graph_bounds=(3, -1)), ValueError, "graph bounds must be nonnegative"),
+    # the records without an __init__ of their own count their values
+    (lambda: ClosureSet((3,)), TypeError, "ClosureSet takes 2 values"),
+    (lambda: OrderWitness(7, 1, "r", None), TypeError, "OrderWitness takes 3 values"),
 ])
 def test_validation_messages(make, error, message):
     with pytest.raises(error) as caught:
@@ -159,8 +164,11 @@ def test_validation_messages(make, error, message):
 
 def test_importing_the_cli_loads_no_dataclass_machinery():
     # each dataclass generates and execs its methods at import, and the
-    # dataclasses module imports inspect; every kirch call pays for both
-    code = "import sys, kirch.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # dataclasses module imports inspect, and a NamedTuple imports
+    # typing, which python -S does not load at start-up; every kirch
+    # call would pay for them
+    code = ("import sys, kirch.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(SRC)),
