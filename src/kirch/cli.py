@@ -10,16 +10,23 @@ One table, `_COMMANDS`, gives each command's handler and arguments. A
 plain call is read straight off it; help, abbreviations, `--opt=value`
 and every usage error go through the argparse parser built from it,
 so their text is argparse's own.
+
+Each call loads only the modules its command runs. Importing this
+module loads numtheory, filters and topology, which the query commands
+(closure, ae, cmp, classify, realize, prime-class) need; `gamma` loads
+graphs, `verify` loads verify and, through its top, gamma and gamma2
+suites, graphs, and only a call that is not plain loads argparse.
+Without a bytecode cache each module is compiled on every call.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import re
 import sys
+import types
 
 from .filters import (
     FilterClass,
@@ -32,23 +39,15 @@ from .filters import (
     upset_in_fprime,
     realize,
 )
-from .graphs import build_gamma, emit_dot, graph_json_dict
 from .numtheory import classify_prime
 from .topology import Progression, closure
-from .verify import _SUITES, SuiteConfig, run_suite
 
-_SUITE_NAMES = (*_SUITES, "all")
+# verify._SUITES and "all", written out so that the table below needs
+# no import of verify; tests/test_imports.py holds the two equal
+_SUITE_NAMES = ("closure", "pair_formula", "order", "top", "classify", "realize",
+                "ppix", "gamma", "gamma2", "zsigmondy", "mihailescu", "all")
 # one encoder for every call: json.dumps would build a new one each time
 _JSON = json.JSONEncoder(sort_keys=True)
-
-
-class _Parser(argparse.ArgumentParser):
-    """A parser whose usage errors take one stderr line, as every other
-    refusal does; --help still prints the usage. The top-level parser's
-    `commands` maps each command's name to that command's parser."""
-
-    def error(self, message):
-        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _parse_bounds(text: str) -> tuple[int, int]:
@@ -202,6 +201,8 @@ def _cmd_realize(ns) -> int:
 
 
 def _cmd_gamma(ns) -> int:
+    from .graphs import build_gamma, emit_dot, graph_json_dict
+
     max_i, max_j = _parse_bounds(ns.bounds)
     g = build_gamma(ns.p, (max_i, 0) if ns.p == 2 else (max_i, max_j))
     if ns.format == "json":
@@ -226,6 +227,8 @@ def _cmd_prime_class(ns) -> int:
 
 
 def _cmd_verify(ns) -> int:
+    from .verify import SuiteConfig, run_suite
+
     cfg = SuiteConfig(
         max_element=ns.max_element,
         graph_bounds=_parse_bounds(ns.bounds),
@@ -245,8 +248,6 @@ def _command(run, help_text, *arguments):
                               "help": "output rendering"})
     return run, help_text, (rendering, *arguments)
 
-
-_DEFAULTS = SuiteConfig()
 
 # Both the argparse parser and the plain parse read this table. Every
 # option has one flag, and a positional with nargs="+" comes last.
@@ -290,10 +291,11 @@ _COMMANDS = {
     "verify": _command(
         _cmd_verify, "run a verification suite",
         ("suite", {"choices": _SUITE_NAMES}),
-        ("--bounds", {"default": "%d,%d" % _DEFAULTS.graph_bounds,
+        # SuiteConfig()'s graph_bounds and seed, as tests/test_imports.py checks
+        ("--bounds", {"default": "9,5",
                       "help": "exponent bounds i,j of gamma (Gamma_3 gets one more row) "
                               "and gamma2 (which uses i + 1)"}),
-        ("--seed", {"type": int, "default": _DEFAULTS.seed,
+        ("--seed", {"type": int, "default": 7,
                     "help": "seed of order's sampled pairs"}),
         ("--max-element", {"type": int, "default": None,
                            "help": "the bound that closure, pair_formula, order, top and "
@@ -303,7 +305,18 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """A parser whose usage errors take one stderr line, as every
+        other refusal does; --help still prints the usage. The top-level
+        parser's `commands` maps each command's name to that command's
+        parser."""
+
+        def error(self, message):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="kirch",
         description="progressions, filters and prime-power graphs over the nonzero integers",
@@ -346,9 +359,9 @@ def _plain_table(arguments) -> tuple:
 _PLAIN_TABLES = {name: _plain_table(arguments) for name, (_, _, arguments) in _COMMANDS.items()}
 
 
-def _plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse returns for a plain call, read off the
-    command table; None for any other call.
+def _plain(argv: list[str]) -> types.SimpleNamespace | None:
+    """A namespace with the attributes argparse gives a plain call,
+    read off the command table; None for any other call.
 
     A plain call is an exact command name, then `--option value` pairs
     with exact option strings before or after one contiguous block of
@@ -387,10 +400,10 @@ def _plain(argv: list[str]) -> argparse.Namespace | None:
                 ns[name] = _value(kw, block.pop(0))
     except ValueError:
         return None
-    return None if block or missing else argparse.Namespace(**ns)
+    return None if block or missing else types.SimpleNamespace(**ns)
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]):
     ns = _plain(argv)
     return ns if ns is not None else _build_parser().parse_args(argv)
 

@@ -244,7 +244,9 @@ class _Frozen:
     __slots__ order (another count raises TypeError); a record that
     validates overrides it and calls it. Assignment then raises
     AttributeError, and the repr shows the fields in __slots__ order. A
-    record compares by identity unless it is a _Value."""
+    record compares by identity unless it is a _Value. copy and pickle
+    rebuild a record by calling its type on its fields, since the
+    default reduce would restore them through __setattr__."""
 
     __slots__ = ()
 
@@ -260,6 +262,9 @@ class _Frozen:
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__slots__)
 
 
 class _Value(_Frozen):

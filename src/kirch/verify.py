@@ -20,7 +20,10 @@ seed, and the JSON rendering carries no wall-clock data.
 
 run_suite("all", cfg) merges the eleven reports, which _all_reports
 may compute in two processes; the merged report is that of running
-them one after another.
+them one after another. Only the suites that build a graph (top,
+gamma, gamma2) import graphs, inside the function, so a call that
+runs none of them never compiles it, and under `verify all` the
+import falls in the lane that does not run order.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .filters import (
     realize,
     upset_in_fprime,
 )
-from .graphs import build_gamma, degree_signature, graph_json_dict, printed_p3_report
 from .numtheory import (
     _Value,
     classify_prime,
@@ -429,6 +431,8 @@ def _suite_top(cfg: SuiteConfig):
     against the edges of Gamma_2's closed form on the powers of two up
     to bound: the doubling chains {n, 2n} and {-n, -2n} and the mirrors
     {-n, n}. is_top reads A_E through a_of, not the shift families."""
+    from .graphs import build_gamma
+
     bound = cfg.max_element if cfg.max_element is not None else 64
     cases = _within_budget(math.comb(2 * bound, 2), "top cases")
     vals = [v for v in range(-bound, bound + 1) if v != 0]
@@ -569,6 +573,8 @@ def _edge_pairs(g) -> tuple[list[int], set[tuple[int, int]], set[tuple[int, int]
     --format json` prints: the vertex values in grid order, and the
     value pairs, each in grid order, that the predicate claims and that
     the closed form claims."""
+    from .graphs import graph_json_dict
+
     data = graph_json_dict(g)
     prov = data["provenance"]
     both = {*map(tuple, prov["both"])}
@@ -585,6 +591,8 @@ def _suite_gamma(cfg: SuiteConfig):
     `gamma2`. A grid without interior vertices would pass the lemmas
     on nothing, so the bounds are refused as soon as a built graph has
     none; such a grid has i < 5 or at most two rows, so it is small."""
+    from .graphs import build_gamma, degree_signature, graph_json_dict, printed_p3_report
+
     i, j = cfg.graph_bounds
     grids = {p: (i, j + 1) if p == 3 else (i, j) for p in (3, 5, 7, 11, 13, 29, 31)}
     failures = []
@@ -620,6 +628,8 @@ def _suite_gamma(cfg: SuiteConfig):
 
 
 def _suite_gamma2(cfg: SuiteConfig):
+    from .graphs import build_gamma, degree_signature
+
     max_exp = cfg.graph_bounds[0] + 1
     g = build_gamma(2, (max_exp, 0))
     failures = []

@@ -659,7 +659,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = SuiteReport(
         "classify", 1, (VerifyFailure("E={1}", "FPrime", "Other"),), {}
     )
-    monkeypatch.setattr("kirch.cli.run_suite", lambda *a, **k: failing)
+    monkeypatch.setattr("kirch.verify.run_suite", lambda *a, **k: failing)
     code, out, _ = run(capsys, "verify", "classify")
     assert code == 1
     assert "FAIL" in out

@@ -1,8 +1,15 @@
 """The import graph of the kirch package: no module imports, directly or
-through others, a module that imports it back."""
+through others, a module that imports it back; and the modules a call
+of each command loads."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from kirch import cli, verify
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kirch"
 
@@ -67,3 +74,54 @@ def test_the_package_has_no_import_cycle():
     graph = import_graph(PACKAGE)
     assert graph["cli"] >= {"verify", "graphs"}
     assert find_cycle(graph) is None
+
+
+# Runs under python -S. After each stage it prints which of the three
+# modules are loaded: the import, one call of each query command, gamma,
+# then --help.
+_LOADED_BY_STAGE = """
+import contextlib, io, json, sys
+import kirch.cli
+
+watched = ("argparse", "kirch.graphs", "kirch.verify")
+calls = {
+    "query": [["closure", "1", "30"], ["ae", "5", "10"], ["cmp", "5", "10", ";", "7", "14"],
+              ["classify", "15", "30"], ["realize", "--A", "2,5", "--alpha", "2=1,5=2"],
+              ["prime-class", "31"]],
+    "gamma": [["gamma", "7", "--bounds", "4,3"]],
+    "help": [["--help"]],
+}
+stages = {"import": [m for m in watched if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    for stage, argvs in calls.items():
+        codes = [kirch.cli.main(argv) for argv in argvs]
+        stages[stage] = [codes, [m for m in watched if m in sys.modules]]
+print(json.dumps(stages))
+"""
+
+
+def test_each_command_loads_only_what_it_runs():
+    # without a bytecode cache every module a call imports is compiled
+    # again, so a query must not pay for the verify harness, the Gamma_p
+    # renderers or argparse
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED_BY_STAGE], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "import": [],
+        "query": [[0] * 6, []],
+        "gamma": [[0], ["kirch.graphs"]],
+        "help": [[0], ["argparse", "kirch.graphs"]],
+    }
+
+
+def test_the_command_table_matches_verify():
+    # the table writes these out so that building it imports no verify
+    assert cli._SUITE_NAMES == (*verify._SUITES, "all")
+    arguments = dict(cli._COMMANDS["verify"][2])
+    defaults = verify.SuiteConfig()
+    assert arguments["--bounds"]["default"] == "%d,%d" % defaults.graph_bounds
+    assert arguments["--seed"]["default"] == defaults.seed
+    assert arguments["--max-element"]["default"] == defaults.max_element

@@ -216,7 +216,7 @@ MUTANTS = [
       for cls, p in _CLASS_PRIMES.items() for k in range(len(graphs._families(p)))),
     pytest.param(graphs, "_families", _families_without_the_last,
                  partial(_failures, "gamma2"), id="families-no-last-gamma2"),
-    pytest.param(verify, "graph_json_dict", _json_with_reversed_edges,
+    pytest.param(graphs, "graph_json_dict", _json_with_reversed_edges,
                  partial(_failures, "gamma2"), id="json-reversed-edges-gamma2"),
     pytest.param(verify, "zsigmondy_closed_form", _zsigmondy_missing_2_6,
                  partial(_failures, "zsigmondy"), id="zsigmondy-2-6"),

@@ -1,11 +1,13 @@
 """The value types, one row each: the repr they print, equality and
-hash, immutability and every validation message, with the refusals of
-crt_solve and ClosureSet.sample; and an import of the command line that
-loads no dataclass machinery."""
+hash, immutability, copy and pickle, and every validation message,
+with the refusals of crt_solve and ClosureSet.sample; and an import of
+the command line that loads no dataclass machinery."""
 
+import copy
 import importlib
 import os
 import pathlib
+import pickle
 import pkgutil
 import subprocess
 import sys
@@ -115,8 +117,11 @@ def test_slotted_values_equal_only_their_own_class(value, fields):
     assert value != fields[0]
 
 
-@pytest.mark.parametrize("make,text", [(p.values[0], p.values[-1]) for p in BY_VALUE + BY_IDENTITY],
-                         ids=[p.id for p in BY_VALUE + BY_IDENTITY])
+# (a maker, the repr), for every record type
+EVERY_RECORD = [pytest.param(p.values[0], p.values[-1], id=p.id) for p in BY_VALUE + BY_IDENTITY]
+
+
+@pytest.mark.parametrize("make,text", EVERY_RECORD)
 def test_fields_cannot_be_assigned(make, text):
     value = make()
     name = text[text.index("(") + 1:text.index("=")]  # the first field the repr shows
@@ -126,6 +131,16 @@ def test_fields_cannot_be_assigned(make, text):
     assert getattr(value, name) is before
     with pytest.raises(AttributeError):
         value.extra = 1
+
+
+@pytest.mark.parametrize("make,text", EVERY_RECORD)
+def test_records_copy_and_pickle(make, text):
+    # the default reduce would restore the fields through __setattr__
+    value = make()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and repr(twin) == text
+        if isinstance(value, _Value):
+            assert twin == value
 
 
 @pytest.mark.parametrize("make,error,message", [

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from kirch import filters, verify
+from kirch import filters, graphs, verify
 from kirch.filters import (
     FilterDescriptor,
     FiniteSubset,
@@ -636,7 +636,7 @@ def test_gamma_suite_details_include_p3_report():
 
 
 def test_gamma_suite_compares_the_whole_grid(monkeypatch):
-    real = verify.build_gamma
+    real = graphs.build_gamma
 
     def build(p, bounds):
         # drop the closed-form edges at the grid's far corner, which
@@ -647,7 +647,7 @@ def test_gamma_suite_compares_the_whole_grid(monkeypatch):
         closed = frozenset(e for e in g.closed if corner not in (e >> 16, e & 0xFFFF))
         return GammaGraph(g.p, g.bounds, g.vertices, g.predicate, closed)
 
-    monkeypatch.setattr(verify, "build_gamma", build)
+    monkeypatch.setattr(graphs, "build_gamma", build)
     report = run_suite("gamma", small())
     assert {f.actual for f in report.failures} == {"only predicate"}
     assert {f.inputs.split()[0] for f in report.failures} == {
