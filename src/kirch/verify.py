@@ -33,6 +33,7 @@ import math
 import os
 import random
 from collections import Counter
+from contextlib import suppress
 from itertools import combinations, product
 
 from .filters import (
@@ -720,14 +721,23 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     eleven suites again in process, so the outcome is that of the
     one-lane loop by construction; running again costs time only on a
     refusal after `order`. The child is reaped on every path, and an
-    orphan exits within a quarter second, on a SIGALRM timer. On one
-    CPU, or beside a process busy on the second, the fork costs more
-    than it saves (BENCH_31.json, BENCH_36.json); os.fork with marshal
-    stays clear of the 12 to 35 ms that importing multiprocessing or
-    concurrent.futures takes."""
+    orphan exits within a quarter second, on a SIGALRM timer.
+
+    The child pins itself to the highest CPU of the affinity mask and
+    this process to the lowest, and the finally that reaps the child
+    restores the caller's mask; a pin that raises OSError leaves its
+    lane unpinned. Under a cpuset with sched_load_balance = 0 a forked
+    child stays on its parent's CPU, so unpinned lanes may share one:
+    fresh `kirch verify all` runs took 223-358 ms, wall about equal to
+    CPU time, and 158-228 ms pinned (10 alternating runs each on two
+    vCPUs, BENCH_51.json). On one CPU, or beside a process busy on the
+    second, the fork costs more than it saves (BENCH_31.json,
+    BENCH_36.json); os.fork with marshal stays clear of the 12 to 35 ms
+    that importing multiprocessing or concurrent.futures takes."""
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
         parent = os.getpid()
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
         fd, w = os.pipe()
         try:
             pid = os.fork()
@@ -738,6 +748,9 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
         status = 1
         try:
             os.close(fd)
+            if cpus:
+                with suppress(OSError):
+                    os.sched_setaffinity(0, cpus[-1:])
             import signal
             signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(1))
             signal.setitimer(signal.ITIMER_REAL, 0.25, 0.25)
@@ -751,6 +764,9 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     if pid is not None:
         os.close(w)
         try:
+            if cpus:
+                with suppress(OSError):
+                    os.sched_setaffinity(0, cpus[:1])
             with open(fd, "rb") as inp:
                 reports = {s: run_suite(s, cfg) for s in _SUITES if s != "order"}
                 data = inp.read()
@@ -768,6 +784,9 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+            if cpus:
+                with suppress(OSError):
+                    os.sched_setaffinity(0, cpus)
     return [run_suite(s, cfg) for s in _SUITES]
 
 

@@ -934,6 +934,53 @@ def test_a_failed_fork_runs_one_lane(monkeypatch):
     assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
 
 
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+@pytest.mark.parametrize("cfg", [SuiteConfig(), SuiteConfig(graph_bounds=(5, 1))],
+                         ids=["merged", "refused-after-order"])
+def test_the_lanes_pin_apart_and_the_mask_comes_back(forks, monkeypatch, tmp_path, cfg):
+    """The child pins itself to the highest CPU of the mask and the
+    parent to the lowest, two CPUs apart where the mask holds two, and
+    the parent restores the caller's mask whether the reports merge or
+    `gamma` refuses after `order` ran."""
+    log, real = tmp_path / "pins", os.sched_setaffinity
+
+    def recorded(pid, cpus):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
+        real(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recorded)
+    before = os.sched_getaffinity(0)
+    if cfg.graph_bounds == (5, 1):
+        with pytest.raises(ValueError):
+            run_suite("all", cfg)
+    else:
+        assert run_suite("all", cfg).passed
+    assert os.sched_getaffinity(0) == before
+    assert len(forks) == 1
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    mask = sorted(before)
+    assert [cpus for pid, cpus in calls if pid == os.getpid()] == [mask[:1], mask]
+    assert [cpus for pid, cpus in calls if pid != os.getpid()] == [mask[-1:]]
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs os.sched_getaffinity")
+@pytest.mark.parametrize("refused", [True, False], ids=["pin-refused", "no-sched_setaffinity"])
+def test_the_lanes_run_unpinned_where_no_pin_can_be_set(forks, monkeypatch, refused):
+    if refused:
+        monkeypatch.setattr(os, "sched_setaffinity", _raiser("refused", OSError))
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    # `order` may run only in the child: the one-lane fallback fails here
+    parent, real = os.getpid(), verify._SUITES["order"]
+    monkeypatch.setitem(verify._SUITES, "order", lambda cfg: real(cfg) if os.getpid() != parent
+                        else pytest.fail("fell back to one lane"))
+    assert run_suite("all", small(max_element=5)).passed
+    assert len(forks) == 1
+
+
 def test_importing_the_cli_loads_no_fork_machinery():
     # every kirch call imports the cli; a process pool or pickle would
     # cost more than the fork of `verify all` saves
