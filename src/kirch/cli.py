@@ -5,8 +5,9 @@ stderr, and the exit status is 0 for success, 1 for a verification
 failure, 2 for unusable input. --format json emits one parseable
 object per invocation with the same content as the text rendering.
 Each command builds only the rendering that --format asks for, and
-compact JSON goes through the one encoder `_JSON`. `cmp` decides each
-direction through filter_leq, as every caller of the filter order does.
+compact JSON goes through the one encoder `_JSON`. `cmp` reads both
+directions off one _DescriptorIndex over its two sets, so it builds
+one descriptor per set where two filter_leq calls would build two.
 
 One table, `_COMMANDS`, gives each command's handler and arguments. A
 plain call is read straight off it; help, abbreviations, `--opt=value`
@@ -33,6 +34,7 @@ import types
 from .filters import (
     FilterClass,
     FiniteSubset,
+    _DescriptorIndex,
     _layer,
     descriptor,
     filter_leq,
@@ -101,8 +103,7 @@ def _cmd_ae(ns) -> int:
     return 0
 
 
-def _one_direction(E: FiniteSubset, F: FiniteSubset) -> dict:
-    holds = filter_leq(E, F)
+def _one_direction(E: FiniteSubset, F: FiniteSubset, holds: bool) -> dict:
     if min(len(E), len(F)) == 1:
         return {"holds": holds, "rule": "singleton containment", "witness": None}
     info = {"holds": holds, "rule": "descriptor comparison", "witness": None}
@@ -127,7 +128,14 @@ def _cmd_cmp(ns) -> int:
         raise ValueError("usage: cmp e1 e2 ... ; f1 f2 ...")
     E = FiniteSubset.of(*[int(t) for t in left])
     F = FiniteSubset.of(*[int(t) for t in right])
-    ef, fe = _one_direction(E, F), _one_direction(F, E)
+    if min(len(E), len(F)) == 1:
+        holds = filter_leq(E, F), filter_leq(F, E)
+    else:
+        # filter_leq's comparison, both ways from one descriptor per set
+        dE, dF = descriptor(E), descriptor(F)
+        index = _DescriptorIndex([dE, dF])
+        holds = bool(index.column(dF) & 1), bool(index.column(dE) & 2)
+    ef, fe = _one_direction(E, F, holds[0]), _one_direction(F, E, holds[1])
     if ns.format == "json":
         _write(_JSON.encode({
             "E": list(E.elements),

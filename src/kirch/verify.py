@@ -723,21 +723,28 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     refusal after `order`. The child is reaped on every path, and an
     orphan exits within a quarter second, on a SIGALRM timer.
 
-    The child pins itself to the highest CPU of the affinity mask and
-    this process to the lowest, and the finally that reaps the child
-    restores the caller's mask; a pin that raises OSError leaves its
-    lane unpinned. Under a cpuset with sched_load_balance = 0 a forked
-    child stays on its parent's CPU, so unpinned lanes may share one:
-    fresh `kirch verify all` runs took 223-358 ms, wall about equal to
-    CPU time, and 158-228 ms pinned (10 alternating runs each on two
-    vCPUs, BENCH_51.json). On one CPU, or beside a process busy on the
-    second, the fork costs more than it saves (BENCH_31.json,
-    BENCH_36.json); os.fork with marshal stays clear of the 12 to 35 ms
-    that importing multiprocessing or concurrent.futures takes."""
+    After the fork the mask is split: this process pins itself to its
+    lower half and the child to the upper half, so on two CPUs each
+    lane has one of its own and on more each keeps room to move. The
+    finally that reaps the child restores the caller's mask. A pin that
+    raises OSError, or one without os.sched_setaffinity, leaves its
+    lane where the scheduler puts it. Under a cpuset with
+    sched_load_balance = 0 a forked child stays on its parent's CPU,
+    so unsplit lanes may share one: on two vCPUs, fresh
+    `kirch verify all` runs took a median 318-352 ms unsplit, wall
+    about equal to CPU time, and 248-251 ms split, lower in 40 of 40
+    alternating pairs; in a series where the unsplit lanes ran apart,
+    the split was lower in 1 of 10 (BENCH_51.json). A scheduler that
+    balances, and a mask of more than two CPUs, were not measured. On
+    one CPU, or beside a process busy on the second, the fork costs
+    more than it saves (BENCH_31.json, BENCH_36.json); os.fork with
+    marshal stays clear of the 12 to 35 ms that importing
+    multiprocessing or concurrent.futures takes."""
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:
         parent = os.getpid()
-        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+        cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+        half = len(cpus) // 2
         fd, w = os.pipe()
         try:
             pid = os.fork()
@@ -748,9 +755,8 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
         status = 1
         try:
             os.close(fd)
-            if cpus:
-                with suppress(OSError):
-                    os.sched_setaffinity(0, cpus[-1:])
+            with suppress(AttributeError, OSError):
+                os.sched_setaffinity(0, cpus[half:])
             import signal
             signal.signal(signal.SIGALRM, lambda *_: os.getppid() == parent or os._exit(1))
             signal.setitimer(signal.ITIMER_REAL, 0.25, 0.25)
@@ -764,9 +770,8 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     if pid is not None:
         os.close(w)
         try:
-            if cpus:
-                with suppress(OSError):
-                    os.sched_setaffinity(0, cpus[:1])
+            with suppress(AttributeError, OSError):
+                os.sched_setaffinity(0, cpus[:half])
             with open(fd, "rb") as inp:
                 reports = {s: run_suite(s, cfg) for s in _SUITES if s != "order"}
                 data = inp.read()
@@ -784,9 +789,8 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
                 import signal
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            if cpus:
-                with suppress(OSError):
-                    os.sched_setaffinity(0, cpus)
+            with suppress(AttributeError, OSError):
+                os.sched_setaffinity(0, cpus)
     return [run_suite(s, cfg) for s in _SUITES]
 
 
