@@ -274,8 +274,6 @@ class _DescriptorIndex:
             if groups is None:
                 return 0
             rows &= groups.get(0, 0) | groups.get(r, 0)
-            if not rows:
-                return 0
         return rows
 
 
@@ -416,7 +414,7 @@ class _Generators:
         """
         conds = self.conds[j]
         at = self.at
-        system = None
+        system = tuple([(s, q) for q, s in conds.items() if s])
         solved: dict[tuple[int, int] | None, tuple[int, int]] = {}
         witnesses = []
         below = self.full
@@ -437,8 +435,6 @@ class _Generators:
                     continue
                 hit = solved.get(extra)
                 if hit is None:
-                    if system is None:
-                        system = tuple([(s, q) for q, s in conds.items() if s])
                     z = crt_solve(system + ((extra,) if extra else ()))
                     inside = self.members(z)
                     if not inside >> j & 1:

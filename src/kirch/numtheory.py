@@ -309,8 +309,6 @@ def crt_solve(congruences: Iterable[tuple[int, int]]) -> int:
                 raise ValueError(f"moduli {b1} and {b2} are not coprime")
     x = 0
     for a, b in congruences:
-        if b == 1:
-            continue
         g = m // b
         x += a * g * pow(g, -1, b)
     x %= m

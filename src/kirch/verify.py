@@ -43,6 +43,7 @@ from .filters import (
     _braced,
     _DescriptorIndex,
     _Generators,
+    a_of,
     a_of_pair_formula,
     classify,
     descriptor,
@@ -208,10 +209,10 @@ def _suite_pair_formula(cfg: SuiteConfig):
     The oracle is a row of per-prime bitsets over the values: for row x
     and prime p, the partners y that qualify are all of them when
     x = 0 (mod p), and otherwise those with y = 0 or x (mod p). The
-    closed form is called once per pair, and each prime it returns sets
-    the pair's bit under that prime, so one XOR per prime compares a
-    row; a prime outside the scanned range fails its pair outright.
-    Failures come x-major, y ascending."""
+    closed form is called once per pair, and again for a failing one's
+    report; each prime it returns sets the pair's bit under that prime,
+    so one XOR per prime compares a row; a prime outside the scanned
+    range fails its pair outright. Failures come x-major, y ascending."""
     bound = cfg.max_element if cfg.max_element is not None else 50
     # every qualifying prime divides x, y or x-y, so none exceeds
     # the largest of their magnitudes, which is at most 2 * bound
@@ -226,11 +227,9 @@ def _suite_pair_formula(cfg: SuiteConfig):
     for i, x in enumerate(vals):
         later = full & ~((2 << i) - 1)
         formula = dict.fromkeys(primes, 0)
-        got_at = {}
         stray = 0
         for j in range(i + 1, len(vals)):
-            got_at[j] = got = a_of_pair_formula(x, vals[j])
-            for p in got:
+            for p in a_of_pair_formula(x, vals[j]):
                 if p in formula:
                     formula[p] |= 1 << j
                 else:
@@ -243,9 +242,8 @@ def _suite_pair_formula(cfg: SuiteConfig):
             bad |= formula[p] ^ oracle[p]
         for j in _bits(bad):
             want = [p for p in primes if oracle[p] >> j & 1]
-            failures.append(VerifyFailure(
-                f"x={x} y={vals[j]}", f"A={want}", f"formula={sorted(set(got_at[j]))}"
-            ))
+            got = sorted(set(a_of_pair_formula(x, vals[j])))
+            failures.append(VerifyFailure(f"x={x} y={vals[j]}", f"A={want}", f"formula={got}"))
     return cases, failures, {"values": len(vals)}
 
 
@@ -331,20 +329,23 @@ def _cells(mask: int, conds, by_res) -> list[tuple[int, tuple]]:
     return lows
 
 
-def _order_matrix(sets: list[FiniteSubset], bound: int):
-    """The filter order on sets of two or more elements, each at most
-    bound in magnitude: column j holds the rows i with E_i <= E_j, from
-    _DescriptorIndex, checked against _Generators.column; then the
-    order's laws. Returns (cols, failures, law_failures).
+def _order_matrix(sets: list[FiniteSubset]):
+    """The filter order on sets of two or more elements: column j holds
+    the rows i with E_i <= E_j, from _DescriptorIndex, checked against
+    _Generators.column over the primes up to twice the sets' largest
+    magnitude; then the order's laws. Returns (cols, failures,
+    law_failures).
 
     Two rows may name one filter, as {1, -1} and {2, 4} both name the
     top, and then lie below each other. So two rows below each other
     fail antisymmetry only if their generator conditions differ: over
-    the primes up to 2 * bound, which hold every A_E, equal conditions
-    are equal filters, and the comparison with _Generators catches two
-    that the closed form leaves unordered."""
+    those primes, which hold every A_E (each divides x, y or x - y),
+    equal conditions are equal filters, and the comparison with
+    _Generators catches two that the closed form leaves unordered."""
     descs = [descriptor(E) for E in sets]
     index = _DescriptorIndex(descs)
+    # the sets are sorted, so their ends hold their largest magnitudes
+    bound = max((max(-E.elements[0], E.elements[-1]) for E in sets), default=0)
     gens = _Generators(sets, primes_upto(2 * bound))
     failures = []
     cols = []
@@ -396,7 +397,7 @@ def _suite_order(cfg: SuiteConfig):
     bound = cfg.max_element if cfg.max_element is not None else 30
     reps = _order_catalog(bound)
     k = len(reps)
-    _, failures, law_failures = _order_matrix(reps, bound)
+    _, failures, law_failures = _order_matrix(reps)
 
     rng = random.Random(cfg.seed)
     sample_bound = max(bound, 50)
@@ -452,24 +453,36 @@ def _suite_top(cfg: SuiteConfig):
     return cases, failures, {"values": len(vals), "listed_doubletons": len(listed)}
 
 
+def _a_of_failures(E: FiniteSubset, want: tuple[int, ...]) -> list[VerifyFailure]:
+    got = a_of(E)
+    return [] if got == want else [VerifyFailure(f"a_of({E})", str(want), str(got))]
+
+
 def _suite_classify(cfg: SuiteConfig):
+    """classify on the FPrime sets {a, p, 2p} and the FDoublePrime sets
+    {p, 2p} and {x, pq, 2pq}, and the size of each FDoublePrime upset.
+    The case of each triple also checks a_of, which reads a set of three
+    elements off _residues: (2, p) and (2, p, q)."""
     failures = []
     cases = 0
-    # FDoublePrime sets with the size of their FPrime upset
+    # FDoublePrime sets with the size of their FPrime upset and, for a
+    # triple, its A-set
     doubles = []
     for p in (3, 5, 7, 11, 13):
         for a in range(1, p):
             cases += 1
-            got = classify(FiniteSubset.of(a, p, 2 * p))
+            E = FiniteSubset.of(a, p, 2 * p)
+            got = classify(E)
             if got is not FilterClass.F_PRIME:
-                failures.append(VerifyFailure(
-                    f"E={{{a}, {p}, {2 * p}}}", "FPrime", str(got)
-                ))
-        doubles.append((FiniteSubset.of(p, 2 * p), p - 1))
+                failures.append(VerifyFailure(f"E={E}", "FPrime", str(got)))
+            failures += _a_of_failures(E, (2, p))
+        doubles.append((FiniteSubset.of(p, 2 * p), p - 1, None))
     for p, q, x in ((3, 5, 1), (3, 5, 2), (3, 7, 2), (5, 7, 1)):
-        doubles.append((FiniteSubset.of(x, p * q, 2 * p * q), 2))
-    for E, size in doubles:
+        doubles.append((FiniteSubset.of(x, p * q, 2 * p * q), 2, (2, p, q)))
+    for E, size, A in doubles:
         cases += 1
+        if A:
+            failures += _a_of_failures(E, A)
         got = classify(E)
         if got is not FilterClass.F_DOUBLE_PRIME:
             failures.append(VerifyFailure(f"E={E}", "FDoublePrime", str(got)))
@@ -736,9 +749,10 @@ def _all_reports(cfg: SuiteConfig) -> list[SuiteReport]:
     alternating pairs; in a series where the unsplit lanes ran apart,
     the split was lower in 1 of 10 (BENCH_51.json). A scheduler that
     balances, and a mask of more than two CPUs, were not measured. On
-    one CPU, or beside a process busy on the second, the fork costs
-    more than it saves (BENCH_31.json, BENCH_36.json); os.fork with
-    marshal stays clear of the 12 to 35 ms that importing
+    one CPU the fork costs more than it saves (BENCH_31.json), and it
+    still does beside a process busy on the second, with the mask split:
+    one lane was lower in 19 of 24 alternating fresh runs (BENCH_52.json).
+    os.fork with marshal stays clear of the 12 to 35 ms that importing
     multiprocessing or concurrent.futures takes."""
     pid = None
     if hasattr(os, "fork") and _usable_cpus() >= 2:

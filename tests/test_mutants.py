@@ -67,8 +67,6 @@ def _column_without_the_pi_exemption(real):
             if groups is None:
                 return 0
             rows &= groups.get(r, 0)
-            if not rows:
-                return 0
         return rows
     return column
 
@@ -139,6 +137,28 @@ def _is_top_accepting_2_and_3(real):
     return lambda E: real(E) or filters.a_of(E) == (2, 3)
 
 
+def _a_of_reading_the_first_two(real):
+    # every set read through its first two elements, as a pair is
+    return lambda E: real(FiniteSubset(E.elements[:2]))
+
+
+def _classify_with_every_two_prime_a_below(real):
+    # `A[1] in d.Pi` dropped from the two-prime branch of _layer: an
+    # FPrime set then classifies as FDoublePrime
+    def classify(E):
+        A = filters.descriptor(E).A
+        return FilterClass.F_DOUBLE_PRIME if A is not None and len(A) == 2 else real(E)
+    return classify
+
+
+def _classify_without_the_three_prime_layer(real):
+    # `len(A) == 3` in _layer as `len(A) == 4`: {x, pq, 2pq} is then Other
+    def classify(E):
+        A = filters.descriptor(E).A
+        return FilterClass.OTHER if A is not None and len(A) == 3 else real(E)
+    return classify
+
+
 def _classify_ignoring_pi(real):
     # `len(A) == 3` in place of `len(A) == 3 and set(d.Pi) <= {2}`
     def classify(E):
@@ -193,6 +213,14 @@ MUTANTS = [
                  _doubling_changes_the_class, id="classify-pi-within-1"),
     pytest.param(verify, "upset_in_fprime", _upset_without_its_first,
                  partial(_failures, "classify"), id="upset-no-first"),
+    # the suite's FPrime and FDoublePrime sets each classified otherwise
+    pytest.param(verify, "classify", _classify_with_every_two_prime_a_below,
+                 partial(_failures, "classify"), id="classify-fprime-as-fdoubleprime"),
+    pytest.param(verify, "classify", _classify_without_the_three_prime_layer,
+                 partial(_failures, "classify"), id="classify-no-three-prime-layer"),
+    # a_of on three elements, which only classify's triples reach
+    pytest.param(verify, "a_of", _a_of_reading_the_first_two,
+                 partial(_failures, "classify"), id="a-of-first-two"),
     # 31 is the least bound with a modulus b > 30
     pytest.param(verify, "closure", _closure_dropping_its_largest_prime_past_30,
                  partial(_failures, "closure", max_element=31), id="closure-b-past-30"),
@@ -229,7 +257,7 @@ MUTANTS = [
 # `not` or a unary minus dropped, a table row dropped) that pass every
 # suite and every test, and need no row above: each is equivalent to
 # the real code, or changes only a guard that no input in range
-# reaches. 67 in all.
+# reaches. 65 in all.
 #
 #   target                       n  why no check can tell
 #   filters.a_of                 1  the pair branch `len(xs) == 2` as
@@ -272,8 +300,6 @@ MUTANTS = [
 #                                   _DIAGONAL / 2, so no code crosses it
 #   graphs.printed_p3_report     1  `x < y` as `x <= y`: an edge joins two
 #                                   distinct values
-#   numtheory.crt_solve          2  the skip of modulus 1, whose term is 0,
-#                                   dropped or tested as `b == 0`
 #   numtheory.classify_prime     2  m read off p + 2 or p in place of
 #                                   p + 1 or p - 1: the same bit length
 #   numtheory.prime_divisors     4  the cache size, which no answer reads

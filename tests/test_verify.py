@@ -285,7 +285,7 @@ def test_order_matrix_on_doubletons_with_shared_filters():
     # the 66 doubletons of [-6, 6], where {1, -1} and {2, 4} both name
     # the top filter: equal filters below each other break no law
     sets = _doubletons(6)
-    cols, failures, law_failures = _order_matrix(sets, 6)
+    cols, failures, law_failures = _order_matrix(sets)
     assert failures == [] and law_failures == []
     row = {E: i for i, E in enumerate(sets)}
     top, also_top = row[FiniteSubset.of(-1, 1)], row[FiniteSubset.of(2, 4)]
@@ -310,13 +310,13 @@ def test_order_matrix_reports_each_broken_law(monkeypatch):
     # and on no other
     sets = _doubletons(6)
     monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: 0)
-    assert _order_matrix(sets, 6)[2] == [VerifyFailure(f"E={E}", "E<=E", "false") for E in sets]
+    assert _order_matrix(sets)[2] == [VerifyFailure(f"E={E}", "E<=E", "false") for E in sets]
     monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: self.full)
     conds = _Generators(sets, primes_upto(12)).conds
     want = [VerifyFailure(f"E={E} F={F}", "antisymmetry", "mutual order")
             for j, F in enumerate(sets) for i, E in enumerate(sets) if conds[i] != conds[j]]
     assert len(sets) < len(want) < len(sets) * (len(sets) - 1)
-    assert _order_matrix(sets, 6)[2] == want
+    assert _order_matrix(sets)[2] == want
 
 
 def _pairwise_law_failures(sets, cols, conds):
@@ -355,7 +355,7 @@ def test_order_matrix_reads_every_law_of_a_faulty_order(monkeypatch, fault, laws
     sets = _doubletons(6)
     real = _DescriptorIndex.column
     monkeypatch.setattr(_DescriptorIndex, "column", lambda self, dF: fault(real(self, dF)))
-    cols, _, found = _order_matrix(sets, 6)
+    cols, _, found = _order_matrix(sets)
     want = _pairwise_law_failures(sets, cols, _Generators(sets, primes_upto(12)).conds)
     assert {f.expected for f in want} == laws
     assert found == want
@@ -686,6 +686,17 @@ def test_degree_lemma_sees_a_wrong_degree_at_minus_p():
     assert failures == [VerifyFailure("deg(-5)", "4", "5")]
 
 
+@pytest.mark.parametrize("p,low", [(3, 8), (5, 4), (7, 4)], ids=["p3", "fermat", "mersenne"])
+def test_degree_lemma_sees_a_low_degree_away_from_p(p, low):
+    # for a Fermat or Mersenne prime only +-p may take the low degree
+    sig = degree_signature(build_gamma(p, (7, 5)))
+    x = max(sig)
+    assert abs(x) != p and sig[x] > low
+    cases, failures = verify._gamma_degree_checks(p, {**sig, x: low})
+    assert cases == len(sig)
+    assert failures == [VerifyFailure(f"deg({x})", f">={low + 1}", str(low))]
+
+
 def test_top_disagreements_are_reported_not_raised(monkeypatch):
     from kirch import filters
 
@@ -967,6 +978,30 @@ def test_the_lanes_split_the_mask_and_the_mask_comes_back(forks, monkeypatch, tm
     child = [cpus for pid, cpus in calls if pid != os.getpid()]
     # a refusal may kill the child before it pins
     assert child == [high] or refused and child == []
+
+
+@needs_fork
+@pytest.mark.parametrize("mask,low,high", [
+    ({0, 1, 2}, [0], [1, 2]),
+    ({0, 1, 2, 3}, [0, 1], [2, 3]),
+], ids=["three-cpus", "four-cpus"])
+def test_the_lanes_split_a_mask_of_more_cpus(forks, monkeypatch, tmp_path, mask, low, high):
+    # a faked mask, and pins recorded but never applied: an odd mask
+    # leaves the parent the smaller half
+    log = tmp_path / "pins"
+
+    def recorded(pid, cpus):
+        with open(log, "a") as f:
+            f.write(json.dumps([os.getpid(), sorted(cpus)]) + "\n")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", recorded, raising=False)
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: len(mask))
+    assert run_suite("all", small(max_element=5)).passed
+    assert len(forks) == 1
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [cpus for pid, cpus in calls if pid == os.getpid()] == [low, sorted(mask)]
+    assert [cpus for pid, cpus in calls if pid != os.getpid()] == [high]
 
 
 @needs_fork
