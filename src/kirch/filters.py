@@ -421,8 +421,6 @@ class _Generators:
         for p, r in conds.items():
             unfit, in_a, ones = at[p]
             failing = below & unfit[r]
-            if not failing:
-                continue
             below ^= failing
             if r:
                 parts = ((None, failing),)

@@ -299,14 +299,6 @@ def _cells(mask: int, conds, by_res) -> list[tuple[int, tuple]]:
         res = by_res[p]
         if r:
             keep = res[0] | res[r]
-            # every cell lies inside mask, so a prime that no value
-            # keeps changes no cell, and one that every value keeps
-            # extends every key
-            if not mask & keep:
-                continue
-            if not mask & ~keep:
-                cells = [(cell, key + ((p, r),)) for cell, key in cells]
-                continue
             split = []
             for cell, key in cells:
                 kept = cell & keep

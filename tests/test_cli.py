@@ -180,6 +180,8 @@ def test_realize(capsys):
      '{"a": 1, "b": 1, "primes": [], "residues": {}, '
      '"sample": [-3, -2, -1, 1, 2, 3], "window": 3}\n'),
     (("realize", "--A", "2", "--alpha", "2=1"), "{1, 2}\n"),
+    # an empty entry, as after a trailing comma, is skipped
+    (("realize", "--A", "2", "--alpha", "2=1,"), "{1, 2}\n"),
     (("realize", "--format", "json", "--A", "5,2", "--alpha", "5=3,2=1"),
      '{"A": [2, 5], "alpha": {"2": 1, "5": 3}, "set": [3, 5, 10]}\n'),
     (("realize", "--format", "json", "--A", "2,5,5", "--alpha", "2=1,5=2"),
@@ -221,7 +223,7 @@ def test_realize(capsys):
      "alpha={2:1, 7:0, 73:0, 127:0, 337:0, 92737:0, 649657:0}\n"),
 ], ids=[
     "ae-singleton", "ae-singleton-json", "ae-empty-pi", "classify-upset",
-    "closure-whole-line", "closure-whole-line-json", "realize-top",
+    "closure-whole-line", "closure-whole-line-json", "realize-top", "realize-trailing-comma",
     "realize-json", "realize-json-duplicate-primes", "gamma-dot",
     "gamma-json", "ae-difference-2^63", "ae-difference-2^64-2",
 ])
@@ -642,6 +644,42 @@ def test_verify_text(capsys):
     code, out, _ = run(capsys, "verify", "mihailescu")
     assert code == 0
     assert out.strip() == "mihailescu: PASS (1 cases)"
+
+
+# the report `kirch verify all` prints by default: one line per suite,
+# in run order, then the total
+VERIFY_ALL_TEXT = """\
+closure: PASS (3200000 cases)
+pair_formula: PASS (4950 cases)
+order: PASS (2104350 cases)
+top: PASS (8128 cases)
+classify: PASS (52 cases)
+realize: PASS (614 cases)
+ppix: PASS (5544 cases)
+gamma: PASS (2888 cases)
+gamma2: PASS (251 cases)
+zsigmondy: PASS (209 cases)
+mihailescu: PASS (1 cases)
+all: PASS (5326987 cases)
+"""
+
+
+def test_verify_all_text(capsys):
+    assert run(capsys, "verify", "all", "--seed", "7") == (0, VERIFY_ALL_TEXT, "")
+
+
+def test_verify_all_text_shows_five_failures_of_a_failing_suite(capsys, monkeypatch):
+    # a suite with seven failures fails the run: FAIL on its line and on
+    # the total, its first five failures below its line, and exit 1
+    from kirch import verify
+
+    failures = [verify.VerifyFailure(f"n={n}", "even", "odd") for n in range(7)]
+    monkeypatch.setitem(verify._SUITES, "mihailescu", lambda cfg: (7, failures, {}))
+    shown = "".join(f"  n={n}: expected even, got odd\n" for n in range(5))
+    want = VERIFY_ALL_TEXT.replace(
+        "mihailescu: PASS (1 cases)\n", "mihailescu: FAIL (7 cases)\n" + shown
+    ).replace("all: PASS (5326987 cases)", "all: FAIL (5326993 cases)")
+    assert run(capsys, "verify", "all", "--seed", "7") == (1, want, "")
 
 
 def test_verify_json_deterministic(capsys):

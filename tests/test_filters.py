@@ -172,6 +172,10 @@ class TestFiniteSubset:
         E = S(MAX_MAGNITUDE, 1, -MAX_MAGNITUDE)
         assert E.elements == (-MAX_MAGNITUDE, 1, MAX_MAGNITUDE)
 
+    def test_membership_reads_the_elements(self):
+        E = S(10, -3, 5)
+        assert [x in E for x in (-3, 3, 5, 10, -10)] == [True, False, True, True, False]
+
 
 class TestDescriptor:
     def test_frozen_examples(self):

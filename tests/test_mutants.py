@@ -257,16 +257,21 @@ MUTANTS = [
 # `not` or a unary minus dropped, a table row dropped) that pass every
 # suite and every test, and need no row above: each is equivalent to
 # the real code, or changes only a guard that no input in range
-# reaches. 65 in all.
+# reaches. 62 in all. A row for a fast path beside a general path
+# says what the fast path saves (BENCH_52.json, BENCH_53.json).
 #
 #   target                       n  why no check can tell
 #   filters.a_of                 1  the pair branch `len(xs) == 2` as
 #                                   `== 1`: a pair then takes the keys of
-#                                   _residues, the same primes
+#                                   _residues, the same primes; the
+#                                   branch takes `top` from 26.0 to
+#                                   19.3 ms
 #   filters._residues            3  the pair shortcut, which only
 #                                   descriptor reaches, and which two
 #                                   elements bound the scan: any two
-#                                   distinct elements bound the primes
+#                                   distinct elements bound the primes;
+#                                   the shortcut takes the descriptors
+#                                   of 794 pairs from 2.50 to 2.25 ms
 #   filters.a_of_pair_formula    1  `<` at exactly 2^63 - 1: both branches
 #                                   factor the same difference
 #   filters.descriptor           1  a singleton reads elements[-1], which
@@ -276,11 +281,9 @@ MUTANTS = [
 #                                   `pass`), or read off another element
 #                                   (3): a distinct one bounds the primes
 #                                   too, the same one twice gives 0,
-#                                   which every prime divides
-#   filters._Generators.column   2  `continue` as `pass` on an empty mask
-#                                   of failing rows or an empty group: it
-#                                   adds no witness, the second after
-#                                   solving a system for nothing
+#                                   which every prime divides; the pass
+#                                   takes the catalog's _Generators from
+#                                   6.9 to 4.7 ms
 #   filters.order_oracle         1  `rows & 1` as `rows | 1`: every
 #                                   witness of a two-row instance's
 #                                   column 1 is for row 0
@@ -322,13 +325,17 @@ MUTANTS = [
 #                                   in _order_matrix; a triple's mask
 #                                   `2 << j` as `1 << j`: z = y extends a
 #                                   pair to its own key, already kept
-#   verify._cells                5  the shortcuts for a prime that no
-#                                   value or every value keeps, skipped
-#                                   or their tests widened (4): the split
-#                                   gives the same cells; `cell & -cell`
-#                                   as `cell | -cell` (1), of the same
-#                                   bit length
-#   verify._order_matrix         9  `primes_upto(2 * bound)` as `3 *` (1): a
+#   verify._cells                1  `cell & -cell` as `cell | -cell`,
+#                                   of the same bit length
+#   verify._order_matrix        12  the bound's `default=0` as 1 or -1
+#                                   (2): it is read only for an empty
+#                                   list, which has no column; the
+#                                   bound's `elements[-1]` as `elements[1]`
+#                                   (1): each prime of A_E divides x, y
+#                                   or x - y for the first two elements,
+#                                   so twice the larger of -x and y
+#                                   already bounds it;
+#                                   `primes_upto(2 * bound)` as `3 *` (1): a
 #                                   prime past 2 * bound divides none of
 #                                   x, y, x - y, so it is in no A_E; the
 #                                   law audit's fast path turned off (8):
@@ -338,7 +345,9 @@ MUTANTS = [
 #                                   dropped, the skip of an unshared
 #                                   column dropped or tested as `== 0`
 #                                   (2); the pair-by-pair scan then finds
-#                                   the same failures
+#                                   the same failures; the fast path
+#                                   keeps the `order` suite faster in 35
+#                                   of 52 pairs (BENCH_53.json)
 #   verify._suite_top            1  `vals[i + 1:]` as `vals[i:]`: the loop
 #                                   also meets {x, x}, a singleton, which
 #                                   is not top and is no listed edge; the

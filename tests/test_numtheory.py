@@ -382,6 +382,8 @@ class TestPrimeClasses:
 class TestPowerGaps:
     def test_perfect_powers_small(self):
         assert perfect_powers(36) == [1, 4, 8, 9, 16, 25, 27, 32, 36]
+        assert perfect_powers(1) == [1]
+        assert perfect_powers(0) == perfect_powers(-5) == []
 
     def test_consecutive_pairs_frozen(self):
         assert consecutive_power_pairs(10**6) == [(8, 9)]
@@ -418,6 +420,9 @@ class TestZsigmondy:
             zsigmondy_is_exception(1, 5)
         with pytest.raises(OverflowError):
             zsigmondy_is_exception(10, 19)
+        for a, n in [(1, 5), (2, 1)]:
+            with pytest.raises(ValueError):
+                zsigmondy_closed_form(a, n)
 
     def test_agrees_with_closed_form_on_small_grid(self):
         for a in range(2, 13):

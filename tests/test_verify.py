@@ -303,6 +303,16 @@ def test_order_matrix_on_doubletons_with_shared_filters():
     assert broken(lambda x: {1: -1, -1: 1}.get(x, x)) == 636
 
 
+@pytest.mark.parametrize("sign", [1, -1], ids=["negative-ends", "positive-ends"])
+def test_order_matrix_scans_the_primes_of_the_largest_magnitude(sign):
+    # the largest magnitude of each set at one end, its other element
+    # small: the primes of A_E reach 31, so a bound read off the small
+    # ends scans too few, and the generators then miss a prime that the
+    # closed form reads
+    sets = [FiniteSubset.of(sign * -31, sign * 3), FiniteSubset.of(sign * -38, sign * 8)]
+    assert _order_matrix(sets) == ([0b01, 0b10], [], [])
+
+
 def test_order_matrix_reports_each_broken_law(monkeypatch):
     # a closed form that puts nothing below anything breaks reflexivity
     # on every row; one that puts everything below everything breaks
@@ -936,6 +946,15 @@ def test_one_lane_without_fork_or_a_second_cpu(monkeypatch, cpus, fork):
         monkeypatch.delattr(os, "fork", raising=False)
     report = run_suite("all", small(max_element=5))
     assert report.passed and len(report.details["suites"]) == len(verify._SUITES)
+
+
+@pytest.mark.parametrize("count,usable", [(3, 3), (None, 1)], ids=["cpu-count", "unknown"])
+def test_usable_cpus_without_an_affinity_mask(monkeypatch, count, usable):
+    # where os.sched_getaffinity is missing, os.cpu_count() is read, and
+    # an unknown count is one CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert verify._usable_cpus() == usable
 
 
 def test_a_failed_fork_runs_one_lane(monkeypatch):
